@@ -28,9 +28,6 @@ cargo run --release -q -p proverguard-bench --bin fleet_soak -- --ci
 echo "== telemetry trace report (phase table vs cycle model) =="
 cargo run --release -q -p proverguard-bench --bin trace_report -- --ci
 
-echo "== gateway bench (socket-free loopback gate) =="
-cargo run --release -q -p proverguard-bench --bin gateway_bench -- --ci
-
 echo "== segcache bench (incremental attestation gate, emits BENCH_segcache.json) =="
 cargo run --release -q -p proverguard-bench --bin segcache_bench -- --ci
 
@@ -48,5 +45,14 @@ cargo run --release -q -p proverguard-bench --bin gateway_scale -- --ci
 
 echo "== fleet verify bench (shared digest cache gate, emits BENCH_fleet_verify.json) =="
 cargo run --release -q -p proverguard-bench --bin fleet_verify_bench -- --ci
+
+echo "== perfbench build (standalone benchmark package) =="
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
+echo "== perfbench smoke (each workload, 2 s, exits non-zero on any correctness violation) =="
+for workload in oneshot_whole session_history segmented_under_attack; do
+    cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 2 --trace 0
+done
 
 echo "CI green."

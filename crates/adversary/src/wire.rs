@@ -812,7 +812,6 @@ mod tests {
             Box::new(hub),
             directory,
             GatewayConfig {
-                workers: 2,
                 read_timeout_ms: 10_000,
                 ..GatewayConfig::default()
             },

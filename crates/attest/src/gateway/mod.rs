@@ -3,61 +3,45 @@
 //!
 //! Everything below this module drives one verifier against one prover
 //! through in-process calls. The gateway is the production shape: an
-//! accept loop pulls connections off a [`proverguard_transport::Acceptor`]
-//! (TCP, or the in-memory loopback hub for CI), pushes them through a
-//! **bounded** work queue, and a fixed pool of worker threads runs one
-//! [`SessionDriver`] attestation per connection against the per-device
-//! [`Verifier`] state held in a [`DeviceDirectory`].
+//! accept thread pulls connections off a [`proverguard_transport::Acceptor`]
+//! (TCP, or the in-memory loopback hub for CI) and hands each one to the
+//! least-loaded of `reactor_shards` event-loop threads. Each shard owns a
+//! [`proverguard_reactor::Poller`] plus a deadline wheel and drives every
+//! one of its connections as a poll-driven continuation
+//! ([`crate::session::DriverCursor`] for one-shot retries, the
+//! [`crate::channel`] state machines for secure sessions) against the
+//! per-device [`Verifier`] state held in a [`DeviceDirectory`]. Capacity
+//! is `reactor_shards * max_conns_per_shard` concurrent connections.
 //!
 //! Backpressure is explicit and cheap, mirroring the paper's prover-side
-//! philosophy at the fleet level: when the queue is full the accept loop
-//! answers with a one-frame [`GatewayMsg::Busy`] and drops the connection
-//! — it never queues unboundedly and never spends a worker on load it
-//! cannot serve. Honest provers treat `Busy` as a retry-with-backoff
-//! signal (see [`ProverAgent::attest_with_retry`]); floods just get a
-//! 1-frame brush-off.
+//! philosophy at the fleet level: when every shard is full the accept
+//! thread answers with a one-frame [`GatewayMsg::Busy`] and drops the
+//! connection — it never queues unboundedly and never spends protocol
+//! work on load it cannot serve. Honest provers treat `Busy` as a
+//! retry-with-backoff signal (see [`ProverAgent::attest_with_retry`]);
+//! floods just get a 1-frame brush-off.
 //!
-//! Every worker keeps thread-local [`proverguard_telemetry`] metrics and
+//! Every shard keeps thread-local [`proverguard_telemetry`] metrics and
 //! traces; [`GatewayHandle::shutdown`] joins the threads and folds their
 //! registries into one [`GatewayReport`] via `Registry::merge`, so byte
-//! counters, queue-depth gauges and per-session latency histograms
-//! survive the thread boundary.
+//! counters, readiness gauges and per-session latency histograms survive
+//! the thread boundary.
 //!
-//! # I/O drivers
-//!
-//! Two interchangeable I/O drivers share all of the above protocol and
-//! accounting machinery, selected by [`GatewayConfig::io_driver`]:
-//!
-//! - [`IoDriver::ThreadPool`] (the default): one blocking OS thread per
-//!   in-flight connection, bounded by `workers` + `queue_depth`. Simple,
-//!   and the reference semantics for differential testing.
-//! - [`IoDriver::Reactor`]: `reactor_shards` event-loop threads, each
-//!   owning a [`proverguard_reactor::Poller`] plus a deadline wheel and
-//!   driving every one of its connections as a poll-driven continuation
-//!   ([`crate::session::DriverCursor`] for one-shot retries, the same
-//!   [`crate::channel`] state machines for secure sessions). Capacity is
-//!   `reactor_shards * max_conns_per_shard` concurrent connections — tens
-//!   of thousands per process instead of tens — and overload is still
-//!   shed with the same deterministic one-frame `Busy`.
-//!
-//! Both drivers feed the same [`GatewayStats`], so the conservation laws
+//! The global counters obey two conservation laws
 //! ([`GatewaySnapshot::partition_holds`],
-//! [`GatewaySnapshot::session_partition_holds`]) hold identically; the
-//! reactor additionally exposes per-shard [`ShardSnapshot`]s with their
-//! own partition law.
+//! [`GatewaySnapshot::session_partition_holds`]); each shard additionally
+//! exposes a [`ShardSnapshot`] with its own partition law.
 
 mod reactor;
 
 pub use reactor::ShardSnapshot;
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use proverguard_telemetry::metrics::{self, Registry};
-use proverguard_telemetry::trace;
 use proverguard_transport::{Acceptor, Transport, TransportError};
 
 use proverguard_crypto::mac::MacAlgorithm;
@@ -68,7 +52,7 @@ use crate::fleet::{FleetController, FleetPolicy};
 use crate::imagecache::{CachedImage, ExpectedView, ImageCache};
 use crate::message::{AttestRequest, AttestResponse, FreshnessField};
 use crate::prover::Prover;
-use crate::session::{AttemptOutcome, RetryPolicy, SessionDriver, SessionLink};
+use crate::session::RetryPolicy;
 use crate::verifier::Verifier;
 
 // ---------------------------------------------------------------------------
@@ -342,8 +326,8 @@ pub struct DeviceEntry {
 /// One device's expected image, split into the fleet-shared interned
 /// baseline and a persistent per-device scratch buffer that only ever
 /// diverges from that baseline at the freshness word. Patching for a
-/// request writes 8 bytes in place — the per-attempt full-image clone the
-/// thread-pool gateway originally paid is gone.
+/// request writes 8 bytes in place instead of cloning the full image per
+/// attempt.
 #[derive(Debug)]
 struct DeviceImage {
     baseline: Arc<CachedImage>,
@@ -419,9 +403,9 @@ impl DeviceDirectory {
     }
 
     /// An empty directory interning expected images into `cache`. Hand
-    /// the same handle to several directories — e.g. a thread-pool
-    /// gateway and a reactor gateway — to share one fleet-wide digest
-    /// cache across all their workers and shards.
+    /// the same handle to several directories — e.g. two gateways running
+    /// side by side — to share one fleet-wide digest cache across all
+    /// their shards.
     #[must_use]
     pub fn with_cache(cache: Arc<ImageCache>) -> Self {
         DeviceDirectory {
@@ -442,8 +426,8 @@ impl DeviceDirectory {
     }
 
     /// Registers a device whose sessions take at least `service_floor_ms`
-    /// of wall time — a worker-occupancy knob used by backpressure tests
-    /// and the bench's per-worker probe phase.
+    /// of wall time (a shard timer, never a sleep) — a slot-occupancy knob
+    /// used by backpressure tests and the scale bench's shed probe.
     pub fn register_with_floor(
         &mut self,
         verifier: Verifier,
@@ -465,7 +449,7 @@ impl DeviceDirectory {
     /// Replaces the expected memory image of `device_id` — what a
     /// campaign does when a device's wave moves it to a new firmware
     /// target (or back to the old one on rollback). Takes `&self`: the
-    /// directory is shared read-only with running workers, and each
+    /// directory is shared read-only with running shards, and each
     /// entry's image has its own lock.
     ///
     /// The new image is re-interned and the device's scratch rebuilt; if
@@ -539,7 +523,7 @@ impl DeviceDirectory {
 
     /// Verifies `response` for `device_id` through the cached
     /// expected-image path and records the outcome on its verifier —
-    /// exactly what both gateway drivers do for a completed attestation
+    /// exactly what the gateway does for a completed attestation
     /// attempt. Returns `None` for an unknown device.
     pub fn verify_response(
         &self,
@@ -581,8 +565,8 @@ impl DeviceEntry {
     }
 
     /// Verifies `response` against the cached expected view and records
-    /// the outcome — the verify-and-note step shared by both gateway
-    /// drivers for one-shot attempts and session rounds. Lock order is
+    /// the outcome — the gateway's verify-and-note step for one-shot
+    /// attempts and session rounds. Lock order is
     /// image → verifier, uniformly.
     fn check_and_note(&self, request: &AttestRequest, response: &AttestResponse) -> bool {
         self.with_expected(&request.freshness, |view| {
@@ -598,7 +582,7 @@ impl DeviceEntry {
     }
 
     /// Confirms a session handshake's key-confirming attestation against
-    /// the cached expected view (both drivers' handshake path).
+    /// the cached expected view (the gateway's handshake path).
     fn confirm_session(
         &self,
         init: &HandshakeInit,
@@ -616,34 +600,28 @@ impl DeviceEntry {
 // Configuration & stats
 // ---------------------------------------------------------------------------
 
-/// Which I/O engine drives accepted connections.
+/// The gateway's I/O engine. The sharded reactor is the only one; this
+/// single-value enum (and [`GatewayConfig::io_driver`]) is kept only so
+/// existing configs that name `IoDriver::Reactor` still compile.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IoDriver {
-    /// Blocking worker threads behind a bounded queue (the classic
-    /// shape): concurrency = `workers` in service + `queue_depth` parked.
-    #[default]
-    ThreadPool,
     /// Sharded readiness event loops: concurrency = `reactor_shards` ×
-    /// `max_conns_per_shard`, with worker-thread count = `reactor_shards`.
+    /// `max_conns_per_shard`, with thread count = `reactor_shards`.
+    #[default]
     Reactor,
 }
 
 /// Gateway tuning.
 #[derive(Debug, Clone)]
 pub struct GatewayConfig {
-    /// Which I/O engine serves accepted connections (see [`IoDriver`]).
+    /// Kept for source compatibility; has a single value (see
+    /// [`IoDriver`]).
     pub io_driver: IoDriver,
-    /// Event-loop shard threads for [`IoDriver::Reactor`] (ignored by the
-    /// thread pool).
+    /// Event-loop shard threads.
     pub reactor_shards: usize,
-    /// Per-shard connection cap for [`IoDriver::Reactor`]: once every
-    /// shard is full, further accepts shed `Busy` — the reactor's
-    /// equivalent of a full work queue.
+    /// Per-shard connection cap: once every shard is full, further
+    /// accepts shed `Busy`.
     pub max_conns_per_shard: usize,
-    /// Worker threads serving sessions.
-    pub workers: usize,
-    /// Bounded work-queue depth; a full queue sheds with `Busy`.
-    pub queue_depth: usize,
     /// Per-connection read deadline (handshake and responses).
     pub read_timeout_ms: u64,
     /// Per-connection write deadline (where the OS supports one).
@@ -651,12 +629,12 @@ pub struct GatewayConfig {
     /// Retry/backoff policy per session. `jitter_seed` is XORed with the
     /// device id so concurrent sessions decorrelate.
     pub retry: RetryPolicy,
-    /// Hard cap on any single real backoff sleep a worker performs, so a
-    /// saturated schedule cannot park a worker.
+    /// Hard cap on any single backoff timer between one-shot retries, so
+    /// a saturated schedule cannot hold a connection slot for long.
     pub backoff_cap_ms: u64,
     /// Accept-loop poll granularity (shutdown latency bound).
     pub accept_poll_ms: u64,
-    /// Per-worker trace-ring capacity.
+    /// Per-shard trace-ring capacity.
     pub trace_capacity: usize,
     /// Fleet-health tuning for the embedded [`FleetController`].
     pub fleet: FleetPolicy,
@@ -675,11 +653,9 @@ pub struct GatewayConfig {
 impl Default for GatewayConfig {
     fn default() -> Self {
         GatewayConfig {
-            io_driver: IoDriver::ThreadPool,
+            io_driver: IoDriver::Reactor,
             reactor_shards: 2,
             max_conns_per_shard: 8_192,
-            workers: 4,
-            queue_depth: 16,
             read_timeout_ms: 1_000,
             write_timeout_ms: 1_000,
             retry: RetryPolicy {
@@ -701,8 +677,8 @@ impl Default for GatewayConfig {
     }
 }
 
-/// Live gateway counters (atomics; shared between accept loop, workers
-/// and observers).
+/// Live gateway counters (atomics; shared between the accept thread,
+/// the shards and observers).
 #[derive(Debug)]
 pub struct GatewayStats {
     accepted: AtomicU64,
@@ -711,7 +687,6 @@ pub struct GatewayStats {
     handshake_failed: AtomicU64,
     sessions_ok: AtomicU64,
     sessions_failed: AtomicU64,
-    queue_depth: AtomicU64,
     queue_peak: AtomicU64,
     per_worker_sessions: Vec<AtomicU64>,
     sessions_opened: AtomicU64,
@@ -722,7 +697,7 @@ pub struct GatewayStats {
 }
 
 impl GatewayStats {
-    fn new(workers: usize) -> Self {
+    fn new(shards: usize) -> Self {
         GatewayStats {
             accepted: AtomicU64::new(0),
             busy_rejected: AtomicU64::new(0),
@@ -730,9 +705,8 @@ impl GatewayStats {
             handshake_failed: AtomicU64::new(0),
             sessions_ok: AtomicU64::new(0),
             sessions_failed: AtomicU64::new(0),
-            queue_depth: AtomicU64::new(0),
             queue_peak: AtomicU64::new(0),
-            per_worker_sessions: (0..workers).map(|_| AtomicU64::new(0)).collect(),
+            per_worker_sessions: (0..shards).map(|_| AtomicU64::new(0)).collect(),
             sessions_opened: AtomicU64::new(0),
             sessions_active: AtomicU64::new(0),
             sessions_expired: AtomicU64::new(0),
@@ -771,20 +745,21 @@ impl GatewayStats {
 pub struct GatewaySnapshot {
     /// Connections pulled off the acceptor.
     pub accepted: u64,
-    /// Connections shed with a `Busy` frame (queue full).
+    /// Connections shed with a `Busy` frame (every shard full).
     pub busy_rejected: u64,
-    /// Connections that made it onto the work queue.
+    /// Connections admitted past the shed and assigned to a shard.
     pub enqueued: u64,
-    /// Enqueued connections that died before/during `Hello` (timeout,
+    /// Admitted connections that died before/during `Hello` (timeout,
     /// garbage, unknown device).
     pub handshake_failed: u64,
     /// Sessions whose attestation verified.
     pub sessions_ok: u64,
     /// Sessions driven to completion without a verified response.
     pub sessions_failed: u64,
-    /// Highest simultaneous queue depth observed.
+    /// Peak per-shard load: the most connections any one shard owned at
+    /// once.
     pub queue_peak: u64,
-    /// Sessions served per worker (ok + failed + handshake failures).
+    /// Connections registered per shard, indexed by shard.
     pub per_worker_sessions: Vec<u64>,
     /// Secure-session **epochs** opened: one per attested handshake plus
     /// one per rekey ratchet (the post-ratchet keys are a new epoch).
@@ -803,8 +778,8 @@ pub struct GatewaySnapshot {
 
 impl GatewaySnapshot {
     /// The conservation law every quiesced gateway must satisfy: each
-    /// accepted connection was either shed `Busy` or enqueued, and each
-    /// enqueued connection ended as exactly one of handshake-failed,
+    /// accepted connection was either shed `Busy` or admitted, and each
+    /// admitted connection ended as exactly one of handshake-failed,
     /// session-ok or session-failed. Only meaningful once no sessions are
     /// in flight (after [`GatewayHandle::shutdown`]).
     #[must_use]
@@ -845,8 +820,9 @@ struct SessionEntry {
 }
 
 /// The gateway's bounded table of established sessions. Shared across
-/// the worker pool (connections are not pinned to workers, so a resume
-/// must find its session no matter which worker serves it); the single
+/// the shards (connections are balanced by load, not pinned by device,
+/// so a resume must find its session no matter which shard serves it);
+/// the single
 /// mutex is held only for lookup/insert, never across a round's I/O.
 /// Capacity is enforced by LRU eviction, idleness by lazy expiry on
 /// lookup and insert. All transitions feed the [`GatewayStats`] session
@@ -942,15 +918,6 @@ impl GatewayShared {
     fn elapsed_ms(&self) -> u64 {
         u64::try_from(self.started.elapsed().as_millis()).unwrap_or(u64::MAX)
     }
-
-    fn elapsed_us(&self) -> u64 {
-        u64::try_from(self.started.elapsed().as_micros()).unwrap_or(u64::MAX)
-    }
-}
-
-struct QueueItem {
-    conn: Box<dyn Transport>,
-    enqueued_at: Instant,
 }
 
 /// What one gateway thread hands back when it exits.
@@ -964,24 +931,24 @@ struct ThreadExit {
 #[derive(Debug)]
 pub struct GatewayReport {
     /// All thread registries folded together (`Registry::merge`): byte
-    /// counters, queue gauges, session latency histograms.
+    /// counters, readiness gauges, session latency histograms.
     pub metrics: Registry,
-    /// Trace spans recorded across all workers.
+    /// Trace spans recorded across all shards.
     pub spans: u64,
-    /// Trace spans lost to ring overflow across all workers (0 when the
+    /// Trace spans lost to ring overflow across all shards (0 when the
     /// configured `trace_capacity` sufficed).
     pub dropped_spans: u64,
     /// Final counter snapshot.
     pub stats: GatewaySnapshot,
 }
 
-/// A running gateway: accept loop + worker pool (or reactor shards).
+/// A running gateway: accept thread + event-loop shards.
 pub struct GatewayHandle {
     shared: Arc<GatewayShared>,
     shutdown: Arc<AtomicBool>,
     accept_thread: JoinHandle<ThreadExit>,
-    workers: Vec<JoinHandle<ThreadExit>>,
-    /// Per-shard counters ([`IoDriver::Reactor`] only; empty otherwise).
+    shards: Vec<JoinHandle<ThreadExit>>,
+    /// Per-shard counters.
     shard_stats: Vec<Arc<reactor::ShardStats>>,
     /// One waker per shard event loop, so shutdown can interrupt a
     /// timeout-less poll immediately.
@@ -993,8 +960,8 @@ pub struct GatewayHandle {
 pub struct Gateway;
 
 impl Gateway {
-    /// Starts the accept loop and worker pool over `acceptor`, serving
-    /// the devices in `directory`. Runs until
+    /// Starts the accept thread and the event-loop shards over
+    /// `acceptor`, serving the devices in `directory`. Runs until
     /// [`GatewayHandle::shutdown`].
     #[must_use]
     pub fn start(
@@ -1002,52 +969,7 @@ impl Gateway {
         directory: DeviceDirectory,
         config: GatewayConfig,
     ) -> GatewayHandle {
-        if config.io_driver == IoDriver::Reactor {
-            return reactor::start(acceptor, directory, config);
-        }
-        let workers = config.workers.max(1);
-        let queue_depth = config.queue_depth.max(1);
-        let fleet = FleetController::new(directory.len(), config.fleet);
-        let shared = Arc::new(GatewayShared {
-            directory,
-            fleet: Mutex::new(fleet),
-            stats: GatewayStats::new(workers),
-            config,
-            started: Instant::now(),
-            sessions: Mutex::new(SessionTable::default()),
-        });
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let (work_tx, work_rx) = sync_channel::<QueueItem>(queue_depth);
-        let work_rx = Arc::new(Mutex::new(work_rx));
-
-        let worker_handles = (0..workers)
-            .map(|w| {
-                let rx = Arc::clone(&work_rx);
-                let ctx = Arc::clone(&shared);
-                thread::Builder::new()
-                    .name(format!("gw-worker-{w}"))
-                    .spawn(move || worker_main(w, &rx, &ctx))
-                    .expect("spawn gateway worker")
-            })
-            .collect();
-
-        let accept_thread = {
-            let ctx = Arc::clone(&shared);
-            let flag = Arc::clone(&shutdown);
-            thread::Builder::new()
-                .name("gw-accept".to_string())
-                .spawn(move || accept_main(acceptor, &work_tx, &ctx, &flag))
-                .expect("spawn gateway accept loop")
-        };
-
-        GatewayHandle {
-            shared,
-            shutdown,
-            accept_thread,
-            workers: worker_handles,
-            shard_stats: Vec::new(),
-            shard_wakers: Vec::new(),
-        }
+        reactor::start(acceptor, directory, config)
     }
 }
 
@@ -1063,8 +985,7 @@ impl GatewayHandle {
         f(&self.shared.fleet.lock().expect("fleet lock poisoned"))
     }
 
-    /// Per-shard counter snapshots. Empty under [`IoDriver::ThreadPool`];
-    /// one entry per event-loop shard under [`IoDriver::Reactor`]. Each
+    /// Per-shard counter snapshots, one entry per event-loop shard. Each
     /// satisfies [`ShardSnapshot::partition_holds`] and their sums match
     /// the global [`GatewaySnapshot`] partition terms.
     #[must_use]
@@ -1077,18 +998,18 @@ impl GatewayHandle {
     }
 
     /// Graceful shutdown: stops accepting, lets in-flight sessions and
-    /// the queued backlog finish, joins every thread and merges their
-    /// telemetry.
+    /// connections already handed to a shard finish, joins every thread
+    /// and merges their telemetry.
     #[must_use]
     pub fn shutdown(self) -> GatewayReport {
         self.shutdown.store(true, Ordering::SeqCst);
-        // Reactor shards may be parked in a timeout-less poll; a wake per
-        // shard bounds shutdown latency without a polling loop.
+        // Shards may be parked in a timeout-less poll; a wake per shard
+        // bounds shutdown latency without a polling loop.
         for waker in &self.shard_wakers {
             waker.wake();
         }
-        // Joining the accept thread drops the queue sender; workers drain
-        // the backlog, then their `recv` fails and they exit.
+        // Once the accept thread is joined no shard inbox can grow; wake
+        // the shards again so each drains its inbox and exits when idle.
         let accept_exit = self
             .accept_thread
             .join()
@@ -1099,8 +1020,8 @@ impl GatewayHandle {
         let mut metrics = accept_exit.registry;
         let mut spans = accept_exit.spans;
         let mut dropped_spans = accept_exit.dropped_spans;
-        for handle in self.workers {
-            let exit = handle.join().expect("gateway worker panicked");
+        for handle in self.shards {
+            let exit = handle.join().expect("gateway shard panicked");
             metrics.merge(&exit.registry);
             spans += exit.spans;
             dropped_spans += exit.dropped_spans;
@@ -1114,178 +1035,9 @@ impl GatewayHandle {
     }
 }
 
-fn accept_main(
-    mut acceptor: Box<dyn Acceptor>,
-    work_tx: &SyncSender<QueueItem>,
-    ctx: &GatewayShared,
-    shutdown: &AtomicBool,
-) -> ThreadExit {
-    metrics::reset();
-    let poll = Duration::from_millis(ctx.config.accept_poll_ms.max(1));
-    while !shutdown.load(Ordering::SeqCst) {
-        let conn = match acceptor.poll_accept(poll) {
-            Ok(Some(conn)) => conn,
-            Ok(None) => continue,
-            Err(_) => break,
-        };
-        ctx.stats.accepted.fetch_add(1, Ordering::SeqCst);
-        metrics::counter_add("gateway.accepted", 1);
-        let item = QueueItem {
-            conn,
-            enqueued_at: Instant::now(),
-        };
-        // Count the slot *before* the send so a fast worker's decrement
-        // can never observe (and underflow past) a not-yet-incremented
-        // depth.
-        let depth = ctx.stats.queue_depth.fetch_add(1, Ordering::SeqCst) + 1;
-        match work_tx.try_send(item) {
-            Ok(()) => {
-                ctx.stats.enqueued.fetch_add(1, Ordering::SeqCst);
-                ctx.stats.queue_peak.fetch_max(depth, Ordering::SeqCst);
-                metrics::gauge_set("gateway.queue_depth", depth);
-            }
-            Err(TrySendError::Full(item)) => {
-                ctx.stats.queue_depth.fetch_sub(1, Ordering::SeqCst);
-                ctx.stats.busy_rejected.fetch_add(1, Ordering::SeqCst);
-                metrics::counter_add("gateway.busy", 1);
-                let mut conn = item.conn;
-                let _ = conn.set_deadline(Some(Duration::from_millis(ctx.config.write_timeout_ms)));
-                let _ = conn.send(&GatewayMsg::Busy.encode());
-            }
-            Err(TrySendError::Disconnected(_)) => {
-                ctx.stats.queue_depth.fetch_sub(1, Ordering::SeqCst);
-                break;
-            }
-        }
-    }
-    ThreadExit {
-        registry: metrics::snapshot(),
-        spans: 0,
-        dropped_spans: 0,
-    }
-}
-
-fn worker_main(w: usize, rx: &Mutex<Receiver<QueueItem>>, ctx: &GatewayShared) -> ThreadExit {
-    metrics::reset();
-    trace::reset();
-    trace::set_capacity(ctx.config.trace_capacity.max(16));
-    trace::enable();
-    let mut spans = 0u64;
-    loop {
-        // Holding the lock across the blocking `recv` serializes only the
-        // *dequeue*, never the session work; idle workers park here.
-        let item = match rx.lock().expect("gateway queue lock poisoned").recv() {
-            Ok(item) => item,
-            Err(_) => break,
-        };
-        let depth = ctx
-            .stats
-            .queue_depth
-            .fetch_sub(1, Ordering::SeqCst)
-            .saturating_sub(1);
-        metrics::gauge_set("gateway.queue_depth", depth);
-        serve_connection(w, item, ctx);
-        // Keep the ring shallow so long runs never overflow it; `drain`
-        // (unlike `clear`) preserves the dropped-span count.
-        spans += trace::drain()
-            .iter()
-            .filter(|e| matches!(e, proverguard_telemetry::trace::TraceEvent::Span { .. }))
-            .count() as u64;
-    }
-    ThreadExit {
-        registry: metrics::snapshot(),
-        spans,
-        dropped_spans: trace::dropped(),
-    }
-}
-
-fn serve_connection(w: usize, item: QueueItem, ctx: &GatewayShared) {
-    let mut conn = item.conn;
-    metrics::histogram_record(
-        "gateway.queue_wait_us",
-        u64::try_from(item.enqueued_at.elapsed().as_micros()).unwrap_or(u64::MAX),
-    );
-    let session_start = Instant::now();
-    trace::set_now(ctx.elapsed_us());
-    let span = trace::span("gateway.session");
-
-    ctx.stats.per_worker_sessions[w].fetch_add(1, Ordering::SeqCst);
-    let read_timeout = Duration::from_millis(ctx.config.read_timeout_ms);
-    // One budget covers *every* read until the connection reaches serving
-    // state — the first hello and each later handshake message draw down
-    // the same deadline, so a slowloris peer dribbling one frame per
-    // timeout cannot hold a worker for k × read_timeout.
-    let establish_deadline = session_start + read_timeout;
-
-    let fail_handshake = |label: &'static str| {
-        ctx.stats.handshake_failed.fetch_add(1, Ordering::SeqCst);
-        metrics::counter_add("gateway.handshake_failed", 1);
-        metrics::counter_add(label, 1);
-    };
-
-    let _ = conn.set_deadline(Some(read_timeout));
-    let first = match conn.recv().map(|bytes| GatewayMsg::decode(&bytes)) {
-        Ok(Ok(msg)) => msg,
-        Ok(Err(_)) => {
-            fail_handshake("gateway.handshake.garbage");
-            finish_span(ctx, span);
-            return;
-        }
-        Err(_) => {
-            fail_handshake("gateway.handshake.link");
-            finish_span(ctx, span);
-            return;
-        }
-    };
-    match first {
-        GatewayMsg::Hello { device_id } => {
-            serve_oneshot(conn.as_mut(), device_id, ctx, &fail_handshake);
-        }
-        GatewayMsg::SessHello {
-            device_id,
-            session_id: None,
-        } => {
-            serve_session_handshake(
-                conn.as_mut(),
-                device_id,
-                establish_deadline,
-                ctx,
-                &fail_handshake,
-            );
-        }
-        GatewayMsg::SessHello {
-            device_id,
-            session_id: Some(sid),
-        } => {
-            serve_session_round(conn.as_mut(), device_id, sid, ctx, &fail_handshake);
-        }
-        _ => fail_handshake("gateway.handshake.garbage"),
-    }
-    metrics::histogram_record(
-        "gateway.session_us",
-        u64::try_from(session_start.elapsed().as_micros()).unwrap_or(u64::MAX),
-    );
-    finish_span(ctx, span);
-}
-
-/// Time left until `deadline`, if any.
-fn remaining(deadline: Instant) -> Option<Duration> {
-    let left = deadline.saturating_duration_since(Instant::now());
-    (left > Duration::ZERO).then_some(left)
-}
-
 /// Records a finished attestation attempt (one-shot session, handshake,
-/// or in-session round): Bye, fleet ledger, ok/failed counters.
-fn conclude(conn: &mut dyn Transport, device_id: u64, verified: bool, ctx: &GatewayShared) {
-    let write_timeout = Duration::from_millis(ctx.config.write_timeout_ms);
-    let _ = conn.set_deadline(Some(write_timeout));
-    let _ = conn.send(&GatewayMsg::Bye { verified }.encode());
-    record_conclusion(device_id, verified, ctx);
-}
-
-/// The driver-independent half of [`conclude`]: fleet ledger + ok/failed
-/// counters. The reactor driver enqueues its own (non-blocking) `Bye` and
-/// then calls this, so both drivers account outcomes identically.
+/// or in-session round): fleet ledger + ok/failed counters. The shard
+/// has already enqueued its `Bye`.
 fn record_conclusion(device_id: u64, verified: bool, ctx: &GatewayShared) {
     let now_ms = ctx.elapsed_ms();
     ctx.fleet
@@ -1298,391 +1050,6 @@ fn record_conclusion(device_id: u64, verified: bool, ctx: &GatewayShared) {
     } else {
         ctx.stats.sessions_failed.fetch_add(1, Ordering::SeqCst);
         metrics::counter_add("gateway.sessions_failed", 1);
-    }
-}
-
-/// The classic one-shot path: a full [`SessionDriver`] exchange with
-/// retries, every request carrying its own outer authenticator.
-fn serve_oneshot(
-    conn: &mut dyn Transport,
-    hello: u64,
-    ctx: &GatewayShared,
-    fail_handshake: &dyn Fn(&'static str),
-) {
-    let write_timeout = Duration::from_millis(ctx.config.write_timeout_ms);
-    let Some(entry) = ctx.directory.get(hello) else {
-        fail_handshake("gateway.handshake.unknown_device");
-        let _ = conn.set_deadline(Some(write_timeout));
-        let _ = conn.send(&GatewayMsg::Bye { verified: false }.encode());
-        return;
-    };
-
-    if entry.service_floor_ms > 0 {
-        thread::sleep(Duration::from_millis(entry.service_floor_ms));
-    }
-
-    let policy = RetryPolicy {
-        jitter_seed: ctx.config.retry.jitter_seed ^ hello,
-        ..ctx.config.retry
-    };
-    let mut link = GatewayLink {
-        conn: &mut *conn,
-        entry,
-        ctx,
-        dead: false,
-    };
-    let report = SessionDriver::new(policy).run(&mut link);
-    conclude(conn, hello, report.succeeded(), ctx);
-}
-
-/// Session establishment: the attested handshake. Every read draws down
-/// `deadline` (the per-connection establishment budget), the embedded
-/// attestation is full-scope, and the session enters the shared table
-/// only after the response verifies.
-fn serve_session_handshake(
-    conn: &mut dyn Transport,
-    device_id: u64,
-    deadline: Instant,
-    ctx: &GatewayShared,
-    fail_handshake: &dyn Fn(&'static str),
-) {
-    let write_timeout = Duration::from_millis(ctx.config.write_timeout_ms);
-    let Some(entry) = ctx.directory.get(device_id) else {
-        fail_handshake("gateway.handshake.unknown_device");
-        let _ = conn.set_deadline(Some(write_timeout));
-        let _ = conn.send(&GatewayMsg::Bye { verified: false }.encode());
-        return;
-    };
-    if entry.service_floor_ms > 0 {
-        thread::sleep(Duration::from_millis(entry.service_floor_ms));
-    }
-    trace::set_now(ctx.elapsed_us());
-    let hs_span = trace::span("gateway.handshake");
-
-    let (init, request) = {
-        let mut verifier = entry.verifier.lock().expect("verifier lock poisoned");
-        let now = ctx.elapsed_ms().max(verifier.now_ms());
-        verifier.set_time_ms(now);
-        match channel::verifier_begin(&mut verifier, ctx.config.rekey_after_rounds) {
-            Ok(pair) => pair,
-            Err(_) => {
-                fail_handshake("gateway.handshake.internal");
-                finish_span(ctx, hs_span);
-                return;
-            }
-        }
-    };
-    let _ = conn.set_deadline(Some(write_timeout));
-    if conn
-        .send(&GatewayMsg::SessInit(init.encode()).encode())
-        .is_err()
-    {
-        fail_handshake("gateway.handshake.link");
-        finish_span(ctx, hs_span);
-        return;
-    }
-
-    // The accept read runs on whatever is left of the establishment
-    // budget — a peer that stalls after SessInit is cut off here.
-    let Some(left) = remaining(deadline) else {
-        fail_handshake("gateway.handshake.deadline");
-        finish_span(ctx, hs_span);
-        return;
-    };
-    let _ = conn.set_deadline(Some(left));
-    let accept = match conn.recv().map(|bytes| GatewayMsg::decode(&bytes)) {
-        Ok(Ok(GatewayMsg::SessAccept(raw))) => match HandshakeAccept::decode(&raw) {
-            Ok(accept) => accept,
-            Err(_) => {
-                fail_handshake("gateway.handshake.garbage");
-                finish_span(ctx, hs_span);
-                return;
-            }
-        },
-        Ok(Ok(GatewayMsg::Reject(_))) => {
-            // The prover's own defences refused the embedded attestation:
-            // a completed (failed) attestation attempt, not a dead link.
-            finish_span(ctx, hs_span);
-            conclude(conn, device_id, false, ctx);
-            return;
-        }
-        Ok(_) => {
-            fail_handshake("gateway.handshake.garbage");
-            finish_span(ctx, hs_span);
-            return;
-        }
-        Err(_) => {
-            fail_handshake("gateway.handshake.deadline");
-            finish_span(ctx, hs_span);
-            return;
-        }
-    };
-
-    let confirmed = entry.confirm_session(&init, &request, &accept);
-    finish_span(ctx, hs_span);
-    match confirmed {
-        Ok(chan) => {
-            let now_ms = ctx.elapsed_ms();
-            ctx.stats.sessions_opened.fetch_add(1, Ordering::SeqCst);
-            ctx.stats.sessions_active.fetch_add(1, Ordering::SeqCst);
-            metrics::counter_add("gateway.session.opened", 1);
-            ctx.sessions
-                .lock()
-                .expect("session table lock poisoned")
-                .insert(
-                    SessionEntry {
-                        device_id,
-                        chan,
-                        last_used_ms: now_ms,
-                    },
-                    ctx.config.session_capacity,
-                    now_ms,
-                    ctx.config.session_idle_ms,
-                    &ctx.stats,
-                );
-            conclude(conn, device_id, true, ctx);
-        }
-        Err(_) => {
-            metrics::counter_add("gateway.session.confirm_failed", 1);
-            conclude(conn, device_id, false, ctx);
-        }
-    }
-}
-
-/// One cheap in-session attestation round over an established session:
-/// unsigned inner request out, sealed frame back, lockstep rekey when
-/// the cadence is reached. Any irregularity fails closed — the session
-/// is torn down (evicted) and the prover must re-handshake.
-fn serve_session_round(
-    conn: &mut dyn Transport,
-    device_id: u64,
-    sid: [u8; channel::SESSION_ID_SIZE],
-    ctx: &GatewayShared,
-    fail_handshake: &dyn Fn(&'static str),
-) {
-    let write_timeout = Duration::from_millis(ctx.config.write_timeout_ms);
-    let read_timeout = Duration::from_millis(ctx.config.read_timeout_ms);
-    let Some(entry) = ctx.directory.get(device_id) else {
-        fail_handshake("gateway.handshake.unknown_device");
-        let _ = conn.set_deadline(Some(write_timeout));
-        let _ = conn.send(&GatewayMsg::Bye { verified: false }.encode());
-        return;
-    };
-    let now_ms = ctx.elapsed_ms();
-    let Some(mut session) = ctx
-        .sessions
-        .lock()
-        .expect("session table lock poisoned")
-        .take(
-            device_id,
-            sid,
-            now_ms,
-            ctx.config.session_idle_ms,
-            &ctx.stats,
-        )
-    else {
-        // Unknown/expired/foreign session id: cheap reject, no key
-        // material consulted, the prover re-handshakes.
-        fail_handshake("gateway.session.expired_lookup");
-        let _ = conn.set_deadline(Some(write_timeout));
-        let _ = conn.send(&GatewayMsg::Reject(RejectReason::SessionExpired).encode());
-        let _ = conn.send(&GatewayMsg::Bye { verified: false }.encode());
-        return;
-    };
-    if entry.service_floor_ms > 0 {
-        thread::sleep(Duration::from_millis(entry.service_floor_ms));
-    }
-    trace::set_now(ctx.elapsed_us());
-    let round_span = trace::span("gateway.session_round");
-
-    // The taken-out session is torn down (fail closed) unless the round
-    // completes verified; only then is it reinserted.
-    let teardown = |label: &'static str| {
-        ctx.stats.sessions_evicted.fetch_add(1, Ordering::SeqCst);
-        ctx.stats.sessions_active.fetch_sub(1, Ordering::SeqCst);
-        metrics::counter_add("gateway.session.evicted", 1);
-        metrics::counter_add(label, 1);
-    };
-
-    let request = {
-        let mut verifier = entry.verifier.lock().expect("verifier lock poisoned");
-        let now = ctx.elapsed_ms().max(verifier.now_ms());
-        verifier.set_time_ms(now);
-        match verifier.make_session_request() {
-            Ok(r) => r,
-            Err(_) => {
-                teardown("gateway.session.internal");
-                finish_span(ctx, round_span);
-                conclude(conn, device_id, false, ctx);
-                return;
-            }
-        }
-    };
-    let payload = GatewayMsg::AttReq(request.to_bytes()).encode();
-    let frame = session.chan.seal_next(&payload);
-    let _ = conn.set_deadline(Some(write_timeout));
-    if conn.send(&GatewayMsg::SessFrame(frame).encode()).is_err() {
-        teardown("gateway.session.link");
-        finish_span(ctx, round_span);
-        conclude(conn, device_id, false, ctx);
-        return;
-    }
-
-    let _ = conn.set_deadline(Some(read_timeout));
-    let reply = match conn.recv().map(|bytes| GatewayMsg::decode(&bytes)) {
-        Ok(Ok(msg)) => msg,
-        _ => {
-            teardown("gateway.session.link");
-            finish_span(ctx, round_span);
-            conclude(conn, device_id, false, ctx);
-            return;
-        }
-    };
-    // Downgrade defence: inside a session only sealed frames count. A
-    // plain AttResp (an attacker stripping the channel) is refused
-    // *before* any session-key work.
-    let GatewayMsg::SessFrame(sealed) = reply else {
-        teardown("gateway.session.downgrade");
-        finish_span(ctx, round_span);
-        conclude(conn, device_id, false, ctx);
-        return;
-    };
-    let inner = match session.chan.open(&sealed) {
-        Ok(inner) => inner,
-        Err(e) => {
-            let label = match e.reject_reason() {
-                Some(RejectReason::SessionReplay) => "gateway.session.replay",
-                _ => "gateway.session.auth_fail",
-            };
-            teardown(label);
-            finish_span(ctx, round_span);
-            conclude(conn, device_id, false, ctx);
-            return;
-        }
-    };
-    let verified = match GatewayMsg::decode(&inner) {
-        Ok(GatewayMsg::AttResp(raw)) => match AttestResponse::from_bytes(&raw) {
-            Ok(response) => entry.check_and_note(&request, &response),
-            Err(_) => false,
-        },
-        Ok(GatewayMsg::Reject(_)) => {
-            let mut verifier = entry.verifier.lock().expect("verifier lock poisoned");
-            verifier.note_failed(&request);
-            false
-        }
-        _ => false,
-    };
-    if verified {
-        if session.chan.note_round() {
-            // Deterministic lockstep ratchet: the old epoch retires as
-            // "rekeyed", its successor counts as newly opened.
-            ctx.stats.sessions_rekeyed.fetch_add(1, Ordering::SeqCst);
-            ctx.stats.sessions_opened.fetch_add(1, Ordering::SeqCst);
-            metrics::counter_add("gateway.session.rekeyed", 1);
-            trace::set_now(ctx.elapsed_us());
-            let rekey_span = trace::span("gateway.rekey");
-            finish_span(ctx, rekey_span);
-        }
-        session.last_used_ms = ctx.elapsed_ms();
-        ctx.sessions
-            .lock()
-            .expect("session table lock poisoned")
-            .insert(
-                session,
-                ctx.config.session_capacity,
-                ctx.elapsed_ms(),
-                ctx.config.session_idle_ms,
-                &ctx.stats,
-            );
-    } else {
-        teardown("gateway.session.round_failed");
-    }
-    finish_span(ctx, round_span);
-    conclude(conn, device_id, verified, ctx);
-}
-
-fn finish_span(ctx: &GatewayShared, span: proverguard_telemetry::trace::SpanGuard) {
-    trace::set_now(ctx.elapsed_us());
-    drop(span);
-}
-
-/// [`SessionLink`] over one accepted connection: real frames out, real
-/// deadlines, real sleeps for backoff.
-struct GatewayLink<'a> {
-    conn: &'a mut dyn Transport,
-    entry: &'a DeviceEntry,
-    ctx: &'a GatewayShared,
-    /// Set once the link is unrecoverable (peer gone, stream poisoned);
-    /// later attempts fail instantly instead of burning timeouts.
-    dead: bool,
-}
-
-impl SessionLink for GatewayLink<'_> {
-    fn attempt(&mut self, timeout_ms: u64) -> AttemptOutcome {
-        if self.dead {
-            return AttemptOutcome::RequestLost;
-        }
-        let request = {
-            let mut verifier = self.entry.verifier.lock().expect("verifier lock poisoned");
-            // Keep the verifier clock in step with gateway wall time so
-            // timestamp-freshness fleets work over real links.
-            let now = self.ctx.elapsed_ms().max(verifier.now_ms());
-            verifier.set_time_ms(now);
-            match verifier.make_request() {
-                Ok(r) => r,
-                Err(e) => return AttemptOutcome::Error(e),
-            }
-        };
-        let deadline = Duration::from_millis(timeout_ms.max(1));
-        if self.conn.set_deadline(Some(deadline)).is_err() {
-            self.dead = true;
-            return AttemptOutcome::RequestLost;
-        }
-        if let Err(e) = self
-            .conn
-            .send(&GatewayMsg::AttReq(request.to_bytes()).encode())
-        {
-            self.dead = !e.is_transient();
-            return AttemptOutcome::RequestLost;
-        }
-        match self.conn.recv() {
-            Ok(bytes) => match GatewayMsg::decode(&bytes) {
-                Ok(GatewayMsg::AttResp(raw)) => {
-                    let Ok(response) = AttestResponse::from_bytes(&raw) else {
-                        return AttemptOutcome::BadResponse;
-                    };
-                    if self.entry.check_and_note(&request, &response) {
-                        AttemptOutcome::Success
-                    } else {
-                        AttemptOutcome::BadResponse
-                    }
-                }
-                Ok(GatewayMsg::Reject(reason)) => {
-                    let mut verifier = self.entry.verifier.lock().expect("verifier lock poisoned");
-                    verifier.note_failed(&request);
-                    AttemptOutcome::Rejected(reason)
-                }
-                _ => AttemptOutcome::BadResponse,
-            },
-            Err(TransportError::Timeout) => AttemptOutcome::ResponseLost,
-            Err(TransportError::Malformed { .. } | TransportError::TooLarge { .. }) => {
-                // Stream poisoned by garbage — no point retrying.
-                self.dead = true;
-                AttemptOutcome::BadResponse
-            }
-            Err(_) => {
-                self.dead = true;
-                AttemptOutcome::ResponseLost
-            }
-        }
-    }
-
-    fn wait_ms(&mut self, ms: u64) {
-        if !self.dead {
-            thread::sleep(Duration::from_millis(
-                ms.min(self.ctx.config.backoff_cap_ms),
-            ));
-        }
     }
 }
 
@@ -2219,7 +1586,6 @@ mod tests {
             Box::new(hub),
             directory,
             GatewayConfig {
-                workers: 2,
                 // Debug-build memory MACs are slow; don't let a loaded CI
                 // machine turn compute time into spurious retries.
                 retry: RetryPolicy {
@@ -2243,8 +1609,7 @@ mod tests {
         assert_eq!(report.stats.sessions_failed, 0);
         assert_eq!(report.stats.handshake_failed, 0);
         assert!(report.stats.partition_holds(), "{:?}", report.stats);
-        // At least the per-session "gateway.session" span each; crypto
-        // stages inside the workers add more.
+        // At least one crypto-stage span per session on the shards.
         assert!(report.spans >= 6, "spans = {}", report.spans);
         assert_eq!(report.dropped_spans, 0);
         assert_eq!(report.metrics.counter("gateway.sessions_ok"), Some(6));
@@ -2269,7 +1634,6 @@ mod tests {
             Box::new(hub),
             directory,
             GatewayConfig {
-                workers: 2,
                 read_timeout_ms: 10_000,
                 rekey_after_rounds: 2,
                 ..GatewayConfig::default()
@@ -2352,7 +1716,6 @@ mod tests {
             Box::new(hub),
             directory,
             GatewayConfig {
-                workers: 1,
                 read_timeout_ms: 200,
                 ..GatewayConfig::default()
             },
@@ -2386,14 +1749,15 @@ mod tests {
         let (hub, connector) = LoopbackHub::new(DEFAULT_MAX_FRAME);
         let mut directory = DeviceDirectory::new();
         let (prover, verifier) = provisioned(&config);
-        // A slow device pins the single worker for ~150 ms per session.
+        // A slow device holds its slot for ~150 ms per session.
         directory.register_with_floor(verifier, prover.expected_memory().to_vec(), 150);
         let handle = Gateway::start(
             Box::new(hub),
             directory,
             GatewayConfig {
-                workers: 1,
-                queue_depth: 1,
+                // Two connection slots on one shard.
+                reactor_shards: 1,
+                max_conns_per_shard: 2,
                 retry: RetryPolicy {
                     timeout_ms: 10_000,
                     ..GatewayConfig::default().retry
@@ -2403,11 +1767,11 @@ mod tests {
         );
         let mut agent = ProverAgent::new(prover, 0);
 
-        // Pin the single worker with a silent connection (it blocks on the
-        // Hello read timeout), then fill the 1-slot queue with another.
-        let pin_worker = connector.connect().unwrap();
+        // Fill both slots with silent connections (each waits out its
+        // Hello read timeout).
+        let pin_first = connector.connect().unwrap();
         thread::sleep(Duration::from_millis(50));
-        let pin_queue = connector.connect().unwrap();
+        let pin_second = connector.connect().unwrap();
         thread::sleep(Duration::from_millis(50));
         // An honest dial now must be shed with a cheap Busy frame.
         let mut conn = connector.connect().unwrap();
@@ -2415,9 +1779,9 @@ mod tests {
         assert_eq!(outcome, AgentOutcome::Busy);
 
         // With retries, the same agent eventually lands a verified
-        // session (the dropped pinning connections free the worker).
-        drop(pin_worker);
-        drop(pin_queue);
+        // session (the dropped pinning connections free their slots).
+        drop(pin_first);
+        drop(pin_second);
         let policy = RetryPolicy {
             max_retries: 20,
             backoff_base_ms: 25,

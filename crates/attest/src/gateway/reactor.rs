@@ -1,8 +1,7 @@
-//! The event-driven gateway I/O driver: sharded readiness loops.
+//! The gateway's I/O driver: sharded readiness loops.
 //!
-//! Where the thread-pool driver parks one OS thread per in-flight
-//! connection, this driver runs `reactor_shards` event loops, each owning
-//! a [`Poller`], a [`DeadlineWheel`], and a slab of per-connection state
+//! The driver runs `reactor_shards` event loops, each owning a
+//! [`Poller`], a [`DeadlineWheel`], and a slab of per-connection state
 //! machines. A connection never owns a thread: it is a continuation that
 //! advances when its socket (or loopback notifier) reports readiness or
 //! one of its deadlines fires. One shard comfortably holds thousands of
@@ -10,26 +9,27 @@
 //! fleet sizes of the paper's deployment story instead of the thread
 //! count of its host.
 //!
-//! **Protocol semantics are shared, not re-derived.** The per-connection
-//! state machine drives the exact same building blocks as the blocking
-//! path: [`DriverCursor`] for one-shot retry accounting,
-//! [`crate::channel`] for the attested handshake and sealed rounds, the
-//! shared session table for resume, and [`super::record_conclusion`] for
-//! the fleet ledger. The global [`super::GatewayStats`] partition laws
-//! hold identically; each shard additionally satisfies its own law
-//! ([`ShardSnapshot::partition_holds`]).
+//! **Protocol semantics come from shared building blocks.** The
+//! per-connection state machine drives [`DriverCursor`] for one-shot
+//! retry accounting (the same cursor [`crate::session::SessionDriver`]
+//! runs), [`crate::channel`] for the attested handshake and sealed
+//! rounds, the shared session table for resume, and
+//! [`super::record_conclusion`] for the fleet ledger. The global
+//! [`super::GatewayStats`] partition laws hold; each shard additionally
+//! satisfies its own law ([`ShardSnapshot::partition_holds`]).
 //!
-//! Admission control mirrors the bounded queue: the accept thread
-//! assigns each connection to the least-loaded shard, and when every
-//! shard is at `max_conns_per_shard` it sheds with the same one-frame
-//! `Busy` — deterministic, cheap, and honest provers already know to
-//! back off.
+//! Admission control is a per-shard cap: the accept thread assigns each
+//! connection to the least-loaded shard, and when every shard is at
+//! `max_conns_per_shard` it sheds with a one-frame `Busy` —
+//! deterministic, cheap, and honest provers already know to back off.
 //!
-//! Two deliberate divergences from the blocking driver, both strictly
-//! kinder to honest peers: per-session trace *spans* are not recorded
-//! (a span guard cannot straddle poll iterations; all metrics counters
-//! are identical), and a response frame arriving during a retry backoff
-//! is discarded instead of being misread as the next attempt's answer.
+//! Telemetry: every metrics counter is recorded on the shard that did
+//! the work, and each concluded connection records its
+//! registration-to-conclusion time in the `gateway.session_us`
+//! histogram. Per-session trace *spans* are not recorded (a span guard
+//! cannot straddle poll iterations). A response frame arriving during a
+//! retry backoff is discarded instead of being misread as the next
+//! attempt's answer.
 
 use std::collections::VecDeque;
 use std::mem;
@@ -176,7 +176,7 @@ pub(super) fn start(
     let mut ports = Vec::with_capacity(shards_n);
     let mut shard_stats = Vec::with_capacity(shards_n);
     let mut shard_wakers = Vec::with_capacity(shards_n);
-    let mut workers = Vec::with_capacity(shards_n);
+    let mut shards = Vec::with_capacity(shards_n);
     for idx in 0..shards_n {
         let stats = Arc::new(ShardStats::default());
         let inbox: Arc<Mutex<VecDeque<NewConn>>> = Arc::new(Mutex::new(VecDeque::new()));
@@ -203,7 +203,7 @@ pub(super) fn start(
             shutdown: Arc::clone(&shutdown),
             spans: 0,
         };
-        workers.push(
+        shards.push(
             thread::Builder::new()
                 .name(format!("gw-shard-{idx}"))
                 .spawn(move || shard.run())
@@ -224,7 +224,7 @@ pub(super) fn start(
         shared,
         shutdown,
         accept_thread,
-        workers,
+        shards,
         shard_stats,
         shard_wakers,
     }
@@ -254,8 +254,7 @@ fn accept_main(
             .min_by_key(|&(_, load)| load)
             .expect("at least one shard");
         if load >= cap {
-            // Every shard is full: the reactor's "queue full". Same
-            // deterministic one-frame shed as the thread-pool driver.
+            // Every shard is full: deterministic one-frame shed.
             ctx.stats.busy_rejected.fetch_add(1, Ordering::SeqCst);
             metrics::counter_add("gateway.busy", 1);
             let mut conn = conn;
@@ -359,10 +358,13 @@ struct Conn {
     device_id: u64,
     state: ConnState,
     timer: Option<(TimerId, TimerKind)>,
+    /// When the shard registered the connection (`gateway.session_us`
+    /// runs from here to conclusion).
+    registered_at: Instant,
     /// Absolute (gateway-clock) establishment deadline in ms.
     establish_deadline_ms: u64,
-    /// Set when the link is unrecoverable; later attempts fail instantly
-    /// (mirrors `GatewayLink::dead`).
+    /// Set when the link is unrecoverable (peer gone, stream poisoned);
+    /// later attempts fail instantly instead of burning timeouts.
     link_dead: bool,
     write_interest: bool,
     /// Frames received while a floor timer holds the connection.
@@ -495,6 +497,7 @@ impl Shard {
             device_id: u64::MAX,
             state: ConnState::AwaitHello,
             timer: None,
+            registered_at: Instant::now(),
             establish_deadline_ms,
             link_dead: false,
             write_interest: false,
@@ -563,8 +566,7 @@ impl Shard {
         match kind {
             TimerKind::Establish => match conn.state {
                 ConnState::AwaitHello => {
-                    // Same label the blocking driver uses when the first
-                    // read dies.
+                    // The first read died: a link failure, like a hangup.
                     self.fail_handshake("gateway.handshake.link");
                     conn.closed = true;
                 }
@@ -806,10 +808,9 @@ impl Shard {
     }
 
     /// Launches attempts until one is in flight (awaiting I/O or a
-    /// backoff timer) or the cursor completes. Mirrors the front half of
-    /// `GatewayLink::attempt` plus the `SessionDriver::run` loop; a dead
-    /// link burns the remaining budget synchronously, exactly like
-    /// `GatewayLink::wait_ms` refusing to sleep.
+    /// backoff timer) or the cursor completes: the `SessionDriver::run`
+    /// loop as a continuation. A dead link burns the remaining budget
+    /// synchronously, with no backoff timers.
     fn run_attempts(&mut self, conn: &mut Conn, mut cursor: DriverCursor) {
         loop {
             let outcome = if conn.link_dead {
@@ -873,8 +874,7 @@ impl Shard {
         }
     }
 
-    /// Judges one received frame as the in-flight attempt's outcome,
-    /// mirroring the back half of `GatewayLink::attempt`.
+    /// Judges one received frame as the in-flight attempt's outcome.
     fn oneshot_outcome(
         &mut self,
         conn: &mut Conn,
@@ -1147,8 +1147,8 @@ impl Shard {
         };
         if verified {
             if session.chan.note_round() {
-                // Deterministic lockstep ratchet, same accounting as the
-                // blocking driver.
+                // Deterministic lockstep ratchet: the old epoch retires as
+                // "rekeyed", its successor counts as newly opened.
                 self.ctx
                     .stats
                     .sessions_rekeyed
@@ -1195,12 +1195,16 @@ impl Shard {
 
     // -- conclusions & accounting --------------------------------------------
 
-    /// Non-blocking [`super::conclude`]: enqueue `Bye`, record the
-    /// outcome through the shared helper, then drain out.
+    /// Concludes an attestation attempt: enqueue `Bye`, record the
+    /// outcome and the session latency, then drain out.
     fn conclude(&mut self, conn: &mut Conn, verified: bool) {
         self.clear_timer(conn);
         self.enqueue_msg(conn, &GatewayMsg::Bye { verified });
         record_conclusion(conn.device_id, verified, &self.ctx);
+        metrics::histogram_record(
+            "gateway.session_us",
+            u64::try_from(conn.registered_at.elapsed().as_micros()).unwrap_or(u64::MAX),
+        );
         if verified {
             self.stats.sessions_ok.fetch_add(1, Ordering::SeqCst);
         } else {
@@ -1248,8 +1252,8 @@ impl Shard {
         }
     }
 
-    /// Best-effort send for verdict frames (`Busy`/`Bye`/`Reject`) where
-    /// the blocking driver also ignores the result.
+    /// Best-effort send for verdict frames (`Busy`/`Bye`/`Reject`): a
+    /// failure only marks the link dead.
     fn enqueue_msg(&mut self, conn: &mut Conn, msg: &GatewayMsg) {
         if let Err(e) = self.send_framed(conn, msg) {
             conn.link_dead = !e.is_transient();

@@ -21,7 +21,7 @@
 //!   golden vectors (`tests/golden_vectors.rs`).
 //! - [`CachedImage`] — one interned baseline: the image bytes plus its
 //!   precomputed digest vector, immutable behind an [`Arc`] so gateway
-//!   shards and worker threads share it without copying.
+//!   shards share it without copying.
 //! - [`ImageCache`] — the LRU-bounded shared map from key to
 //!   [`CachedImage`], with atomic hit/miss/eviction/invalidation stats
 //!   that satisfy a CI-checked conservation law
@@ -240,11 +240,12 @@ struct Inner {
 
 /// The shared, LRU-bounded map from [`ImageKey`] to [`CachedImage`].
 ///
-/// One instance is shared by every gateway driver (thread-pool workers
-/// and reactor shards alike) behind an `Arc`: the critical section under
-/// the mutex is a short vector scan + counter bumps — the expensive work
-/// (the digest sweep) happens at most once per distinct image, and the
-/// returned `Arc<CachedImage>` is read lock-free afterwards.
+/// One instance is shared by every gateway shard (and by several
+/// gateways, if they are handed the same cache) behind an `Arc`: the
+/// critical section under the mutex is a short vector scan + counter
+/// bumps — the expensive work (the digest sweep) happens at most once per
+/// distinct image, and the returned `Arc<CachedImage>` is read lock-free
+/// afterwards.
 #[derive(Debug)]
 pub struct ImageCache {
     capacity: usize,

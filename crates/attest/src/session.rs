@@ -186,13 +186,14 @@ pub enum DriverStep {
 
 /// The retry loop of [`SessionDriver::run`] as a pure continuation.
 ///
-/// The blocking driver parks a thread across attempt → backoff → retry;
-/// the event-driven gateway instead holds thousands of these cursors and
-/// advances each one when its connection's I/O or timer fires:
-/// run an attempt however the I/O layer likes, [`DriverCursor::record`]
-/// the outcome, and either finish or arm a `backoff_ms` timer and come
-/// back. Both drivers share this state machine, so retry accounting,
-/// budget enforcement and telemetry stay identical by construction.
+/// [`SessionDriver::run`] parks its thread across attempt → backoff →
+/// retry; the event-driven gateway instead holds thousands of these
+/// cursors and advances each one when its connection's I/O or timer
+/// fires: run an attempt however the I/O layer likes,
+/// [`DriverCursor::record`] the outcome, and either finish or arm a
+/// `backoff_ms` timer and come back. `SessionDriver` and the gateway
+/// share this state machine, so retry accounting, budget enforcement and
+/// telemetry stay identical by construction.
 #[derive(Debug, Clone)]
 pub struct DriverCursor {
     policy: RetryPolicy,

@@ -1,26 +1,21 @@
 //! Gateway concurrency-scaling harness: how many simultaneous honest
 //! sessions can one verifier process hold?
 //!
-//! Three phases, all over the loopback hub with wire-honest
+//! Two phases, both over the loopback hub with wire-honest
 //! [`SimDevice`] fleets (one HMAC per response — no MCU simulation, so
 //! the *gateway* is the bottleneck being measured):
 //!
-//! 1. **Thread-pool ceiling.** The blocking driver's concurrency is
-//!    structural: `workers + queue_depth` connections, every one pinning
-//!    an OS thread or a queue slot. A floor-pinned wave larger than that
-//!    ceiling measures it exactly — the surplus comes back `Busy`.
-//! 2. **Reactor sweep.** The event-driven driver takes connection waves
-//!    of 1k/8k/32k (CI: 256/1024) on the *same number of threads* as the
-//!    thread-pool run and must verify every single session, reporting
-//!    p50/p90/p99 dial-to-verdict latency and shed rate per level.
-//! 3. **Deterministic shed.** With one shard capped at 16 connections, a
+//! 1. **Sweep.** The event-driven gateway takes connection waves of
+//!    1k/8k/32k (CI: 256/1024) on 4 shard threads and must verify every
+//!    single session, reporting p50/p90/p99 dial-to-verdict latency and
+//!    shed rate per level.
+//! 2. **Deterministic shed.** With one shard capped at 16 connections, a
 //!    floor-pinned wave of 32 must split into exactly 16 served / 16
 //!    `Busy` — admission control stays exact at the readiness layer.
 //!
 //! `--ci` gates: every swept session verified with zero shed, the shed
-//! probe exact, per-shard and global partition laws intact, and the
-//! reactor's top verified level at least **10×** the thread-pool
-//! ceiling. Results land in `BENCH_gateway_scale.json`.
+//! probe exact, and per-shard and global partition laws intact. Results
+//! land in `BENCH_gateway_scale.json`.
 
 use std::io::Write as _;
 use std::sync::Arc;
@@ -29,7 +24,7 @@ use std::time::{Duration, Instant};
 
 use proverguard_adversary::scale::{drive_oneshot_wave, SimDevice, WaveReport};
 use proverguard_attest::gateway::{
-    DeviceDirectory, Gateway, GatewayConfig, GatewayHandle, GatewayReport, IoDriver, ShardSnapshot,
+    DeviceDirectory, Gateway, GatewayConfig, GatewayHandle, GatewayReport, ShardSnapshot,
 };
 use proverguard_attest::session::RetryPolicy;
 use proverguard_attest::verifier::Verifier;
@@ -39,15 +34,8 @@ use proverguard_transport::{LoopbackHub, DEFAULT_MAX_FRAME};
 /// Seed for the `--ci` gate (recorded in EXPERIMENTS.md).
 const CI_SEED: u64 = 0xDAC1_5CA1_E000;
 
-/// Worker threads for the thread-pool run; shard threads for the reactor
-/// runs. Equal on both sides, so the sweep compares I/O architecture,
-/// not thread budget.
+/// Shard threads for the sweep.
 const THREADS: usize = 4;
-/// Thread-pool work-queue depth: its ceiling is `THREADS + QUEUE_DEPTH`.
-const QUEUE_DEPTH: usize = 16;
-/// The reactor must hold at least this multiple of the thread-pool
-/// ceiling (the tentpole acceptance gate).
-const MIN_SCALE_RATIO: u64 = 10;
 /// Shed-probe geometry: one shard, capped, dialed to twice the cap.
 const SHED_CAP: usize = 16;
 /// Service floor pinning probe connections (must dwarf the accept-drain
@@ -78,7 +66,7 @@ fn device_key(index: u64) -> [u8; 16] {
 }
 
 /// Provisions `count` SimDevices into a fresh directory; `floor_ms`
-/// pins each accepted session for the admission probes.
+/// pins each accepted session for the shed probe.
 fn provision_fleet(count: usize, floor_ms: u64) -> (DeviceDirectory, Vec<(u64, Arc<SimDevice>)>) {
     let mut directory = DeviceDirectory::new();
     let mut devices = Vec::with_capacity(count);
@@ -126,16 +114,15 @@ struct LevelOutcome {
     report: GatewayReport,
 }
 
-/// One reactor sweep level: a fresh gateway sized to hold `level`
-/// concurrent sessions, one dial per device, everything concurrent.
-fn run_reactor_level(level: usize, deadline: Duration) -> LevelOutcome {
+/// One sweep level: a fresh gateway sized to hold `level` concurrent
+/// sessions, one dial per device, everything concurrent.
+fn run_level(level: usize, deadline: Duration) -> LevelOutcome {
     let (directory, devices) = provision_fleet(level, 0);
     let (hub, connector) = LoopbackHub::new(DEFAULT_MAX_FRAME);
     let handle = Gateway::start(
         Box::new(hub),
         directory,
         GatewayConfig {
-            io_driver: IoDriver::Reactor,
             reactor_shards: THREADS,
             max_conns_per_shard: level.div_ceil(THREADS) + 64,
             retry: gateway_retry(),
@@ -159,64 +146,14 @@ fn run_reactor_level(level: usize, deadline: Duration) -> LevelOutcome {
 }
 
 struct ProbeOutcome {
-    capacity: u64,
     wave: WaveReport,
+    shards: Vec<ShardSnapshot>,
     report: GatewayReport,
-}
-
-/// Measures the thread-pool ceiling. Two waves make it exact: the first
-/// pins every worker with a floor-held session (workers pop the queue as
-/// fast as the accept loop fills it, so a combined wave would race);
-/// once the workers are provably occupied, the second wave fills the
-/// queue and overflows it — exactly `queue_depth` more are admitted,
-/// the rest come back `Busy`.
-fn run_threadpool_probe() -> ProbeOutcome {
-    let ceiling = THREADS + QUEUE_DEPTH;
-    let extra = 12;
-    let (directory, devices) = provision_fleet(ceiling + extra, PROBE_FLOOR_MS);
-    let (hub, connector) = LoopbackHub::new(DEFAULT_MAX_FRAME);
-    let handle = Gateway::start(
-        Box::new(hub),
-        directory,
-        GatewayConfig {
-            workers: THREADS,
-            queue_depth: QUEUE_DEPTH,
-            retry: gateway_retry(),
-            read_timeout_ms: 10_000,
-            accept_poll_ms: 1,
-            ..GatewayConfig::default()
-        },
-    );
-    let (pin_devices, flood_devices) = devices.split_at(THREADS);
-    let pinner = thread::spawn({
-        let connector = connector.clone();
-        let pin_devices = pin_devices.to_vec();
-        move || drive_oneshot_wave(&connector, &pin_devices, Duration::from_secs(60))
-    });
-    // The pin wave reaches the workers within one accept-poll tick; the
-    // floor then holds all of them far longer than the flood below needs.
-    thread::sleep(Duration::from_millis(PROBE_FLOOR_MS / 5));
-    let flood = drive_oneshot_wave(&connector, flood_devices, Duration::from_secs(60));
-    let pins = pinner.join().expect("pin wave panicked");
-    let report = handle.shutdown();
-    let mut wave = WaveReport {
-        dialed: pins.dialed + flood.dialed,
-        verified: pins.verified + flood.verified,
-        shed: pins.shed + flood.shed,
-        failed: pins.failed + flood.failed,
-        latencies_us: pins.latencies_us,
-    };
-    wave.latencies_us.extend(flood.latencies_us);
-    ProbeOutcome {
-        capacity: wave.verified,
-        wave,
-        report,
-    }
 }
 
 /// Deterministic shed at the readiness layer: one shard, `SHED_CAP`
 /// slots, `2 * SHED_CAP` floor-pinned dials.
-fn run_shed_probe() -> (ProbeOutcome, Vec<ShardSnapshot>) {
+fn run_shed_probe() -> ProbeOutcome {
     let dialed = 2 * SHED_CAP;
     let (directory, devices) = provision_fleet(dialed, PROBE_FLOOR_MS);
     let (hub, connector) = LoopbackHub::new(DEFAULT_MAX_FRAME);
@@ -224,7 +161,6 @@ fn run_shed_probe() -> (ProbeOutcome, Vec<ShardSnapshot>) {
         Box::new(hub),
         directory,
         GatewayConfig {
-            io_driver: IoDriver::Reactor,
             reactor_shards: 1,
             max_conns_per_shard: SHED_CAP,
             retry: gateway_retry(),
@@ -236,14 +172,11 @@ fn run_shed_probe() -> (ProbeOutcome, Vec<ShardSnapshot>) {
     let wave = drive_oneshot_wave(&connector, &devices, Duration::from_secs(60));
     let shards = quiesced_shards(&handle);
     let report = handle.shutdown();
-    (
-        ProbeOutcome {
-            capacity: wave.verified,
-            wave,
-            report,
-        },
+    ProbeOutcome {
+        wave,
         shards,
-    )
+        report,
+    }
 }
 
 fn check_level(outcome: &LevelOutcome, violations: &mut Vec<String>) {
@@ -285,21 +218,14 @@ fn check_level(outcome: &LevelOutcome, violations: &mut Vec<String>) {
 fn write_json(
     path: &str,
     ci: bool,
-    probe: &ProbeOutcome,
     levels: &[LevelOutcome],
     shed: &ProbeOutcome,
-    ratio: u64,
 ) -> std::io::Result<()> {
     let mut out = std::fs::File::create(path)?;
     writeln!(out, "{{")?;
     writeln!(out, "  \"bench\": \"gateway_scale\",")?;
     writeln!(out, "  \"mode\": \"{}\",", if ci { "ci" } else { "full" })?;
     writeln!(out, "  \"threads\": {THREADS},")?;
-    writeln!(
-        out,
-        "  \"threadpool\": {{ \"workers\": {THREADS}, \"queue_depth\": {QUEUE_DEPTH}, \"measured_capacity\": {}, \"shed\": {} }},",
-        probe.capacity, probe.wave.shed
-    )?;
     writeln!(out, "  \"reactor_levels\": [")?;
     for (i, o) in levels.iter().enumerate() {
         let comma = if i + 1 == levels.len() { "" } else { "," };
@@ -321,11 +247,9 @@ fn write_json(
     writeln!(out, "  ],")?;
     writeln!(
         out,
-        "  \"shed_probe\": {{ \"shard_cap\": {SHED_CAP}, \"dialed\": {}, \"served\": {}, \"shed\": {} }},",
+        "  \"shed_probe\": {{ \"shard_cap\": {SHED_CAP}, \"dialed\": {}, \"served\": {}, \"shed\": {} }}",
         shed.wave.dialed, shed.wave.verified, shed.wave.shed
     )?;
-    writeln!(out, "  \"min_scale_ratio\": {MIN_SCALE_RATIO},")?;
-    writeln!(out, "  \"scale_ratio\": {ratio}")?;
     writeln!(out, "}}")?;
     Ok(())
 }
@@ -335,43 +259,16 @@ fn main() {
     let deadline = Duration::from_secs(if ci { 60 } else { 240 });
     let mut violations: Vec<String> = Vec::new();
 
-    println!("gateway scale: event-driven reactor vs thread-pool ceiling\n");
+    println!("gateway scale: event-driven gateway concurrency sweep\n");
 
-    // Phase 1 — thread-pool ceiling.
-    let probe = run_threadpool_probe();
-    let ceiling = (THREADS + QUEUE_DEPTH) as u64;
-    println!(
-        "thread-pool ({THREADS} workers, queue {QUEUE_DEPTH}): \
-         {} concurrent sessions held, {} shed of {} dialed",
-        probe.capacity, probe.wave.shed, probe.wave.dialed
-    );
-    if probe.capacity != ceiling {
-        violations.push(format!(
-            "thread-pool ceiling measured {} != structural {ceiling}",
-            probe.capacity
-        ));
-    }
-    if probe.wave.verified + probe.wave.shed != probe.wave.dialed {
-        violations.push(format!(
-            "thread-pool probe leaked sessions: {:?}",
-            probe.wave
-        ));
-    }
-    if !probe.report.stats.partition_holds() {
-        violations.push(format!(
-            "thread-pool probe partition violated: {:?}",
-            probe.report.stats
-        ));
-    }
-
-    // Phase 2 — reactor sweep on the same thread budget.
+    // Phase 1 — concurrency sweep.
     let mut levels = Vec::new();
     let mut rows = Vec::new();
     for level in sweep_levels(ci) {
-        let outcome = run_reactor_level(level, deadline);
+        let outcome = run_level(level, deadline);
         check_level(&outcome, &mut violations);
         println!(
-            "reactor level {:>6}: {}/{} verified, {} shed, wall {} ms, \
+            "level {:>6}: {}/{} verified, {} shed, wall {} ms, \
              p50 {} us / p90 {} us / p99 {} us",
             outcome.level,
             outcome.wave.verified,
@@ -397,8 +294,8 @@ fn main() {
         levels.push(outcome);
     }
 
-    // Phase 3 — deterministic shed at the readiness layer.
-    let (shed, shed_shards) = run_shed_probe();
+    // Phase 2 — deterministic shed at the readiness layer.
+    let shed = run_shed_probe();
     println!(
         "shed probe (1 shard, cap {SHED_CAP}): {} served, {} Busy of {} dialed",
         shed.wave.verified, shed.wave.shed, shed.wave.dialed
@@ -415,28 +312,10 @@ fn main() {
             shed.report.stats.busy_rejected, shed.wave.shed
         ));
     }
-    for snap in &shed_shards {
+    for snap in &shed.shards {
         if !snap.partition_holds() {
             violations.push(format!("shed probe shard law violated: {snap:?}"));
         }
-    }
-
-    // The tentpole gate: connection count, same thread budget.
-    let top_verified = levels
-        .iter()
-        .filter(|o| o.wave.verified == o.level as u64)
-        .map(|o| o.wave.verified)
-        .max()
-        .unwrap_or(0);
-    let ratio = top_verified / probe.capacity.max(1);
-    println!(
-        "\nscale ratio: {top_verified} reactor sessions / {} thread-pool ceiling = {ratio}x (gate: >= {MIN_SCALE_RATIO}x)",
-        probe.capacity
-    );
-    if ratio < MIN_SCALE_RATIO {
-        violations.push(format!(
-            "reactor held only {ratio}x the thread-pool ceiling (need {MIN_SCALE_RATIO}x)"
-        ));
     }
 
     println!(
@@ -456,24 +335,16 @@ fn main() {
         )
     );
 
-    if let Err(e) = write_json(
-        "BENCH_gateway_scale.json",
-        ci,
-        &probe,
-        &levels,
-        &shed,
-        ratio,
-    ) {
+    if let Err(e) = write_json("BENCH_gateway_scale.json", ci, &levels, &shed) {
         violations.push(format!("failed to write BENCH_gateway_scale.json: {e}"));
     } else {
         println!("wrote BENCH_gateway_scale.json");
     }
 
-    println!("\nreading the table: the thread-pool driver tops out at its");
-    println!("structural ceiling (workers + queue slots); the reactor holds");
-    println!("every swept connection count on the same thread budget, so the");
-    println!("verifier's session capacity is bounded by memory and protocol");
-    println!("work, not by OS threads.");
+    println!("\nreading the table: the gateway holds every swept connection");
+    println!("count on {THREADS} shard threads, so the verifier's session");
+    println!("capacity is bounded by memory and protocol work, not by OS");
+    println!("threads.");
 
     if violations.is_empty() {
         println!("\nall gateway-scale invariants held");

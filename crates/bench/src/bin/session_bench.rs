@@ -224,7 +224,6 @@ fn run_gauntlet(violations: &mut Vec<String>) -> Gauntlet {
         Box::new(hub),
         directory,
         GatewayConfig {
-            workers: 2,
             read_timeout_ms: 10_000,
             ..GatewayConfig::default()
         },

@@ -117,7 +117,7 @@ impl CycleHistogram {
 
     /// Folds another histogram into this one: bucket-wise addition, with
     /// count and sum saturating and max taking the larger. Used to
-    /// aggregate per-thread histograms (each gateway worker records into
+    /// aggregate per-thread histograms (each gateway shard records into
     /// its own thread-local registry) into one fleet-wide distribution.
     pub fn absorb(&mut self, other: &CycleHistogram) {
         for (mine, theirs) in self.buckets.iter_mut().zip(other.buckets.iter()) {

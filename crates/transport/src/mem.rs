@@ -77,7 +77,10 @@ impl MemTransport {
 impl Drop for MemTransport {
     fn drop(&mut self) {
         // Hangup notification: a non-blocking peer blocked on readiness
-        // must wake to observe the disconnected channel.
+        // must wake to observe the disconnected channel. Disconnect
+        // before the ping: a peer woken while our sender still lives
+        // reads an empty, not a closed, channel and is never woken again.
+        drop(std::mem::replace(&mut self.tx, channel().0));
         self.peer_signal.ping();
     }
 }

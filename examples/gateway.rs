@@ -6,8 +6,8 @@
 //! ```
 //!
 //! One process, three roles:
-//! - the **gateway**: accept loop + bounded queue + worker pool on
-//!   127.0.0.1, driving the retry/backoff `SessionDriver` per prover;
+//! - the **gateway**: accept thread + event-loop shards on 127.0.0.1,
+//!   driving a retry/backoff cursor per prover connection;
 //! - three **honest provers**, each dialing in over TCP and answering the
 //!   memory-MAC challenge;
 //! - a **forger** who knows a valid device id but not its key.
@@ -43,13 +43,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let acceptor = TcpAcceptor::bind("127.0.0.1:0")?;
     let addr = acceptor.local_addr();
-    println!("gateway listening on {addr} (2 workers, queue depth 4)");
+    println!("gateway listening on {addr} (2 event-loop shards)");
     let handle = Gateway::start(
         Box::new(acceptor),
         directory,
         GatewayConfig {
-            workers: 2,
-            queue_depth: 4,
+            reactor_shards: 2,
             retry: RetryPolicy {
                 timeout_ms: 10_000,
                 ..GatewayConfig::default().retry
@@ -113,7 +112,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let stats = &report.stats;
     println!(
-        "gateway      : accepted {} = busy {} + enqueued {}; ok {} / failed {} / handshake {}",
+        "gateway      : accepted {} = busy {} + admitted {}; ok {} / failed {} / handshake {}",
         stats.accepted,
         stats.busy_rejected,
         stats.enqueued,

@@ -1,4 +1,4 @@
-//! Backpressure contract of the verifier gateway: the work queue is
+//! Backpressure contract of the verifier gateway: connection slots are
 //! bounded, overload is shed with a cheap `Busy` frame at the accept
 //! loop, honest sessions already in flight run to verified completion,
 //! and the stats partition law holds once the gateway quiesces.
@@ -56,18 +56,17 @@ fn dial_expect_busy(connector: &LoopbackConnector) -> bool {
     }
 }
 
-/// Saturate a 2-worker / depth-2 gateway with exactly four floor-pinned
-/// honest sessions, then dial three more connections mid-floor: each
-/// extra dial must come back `Busy` without costing the gateway any
-/// session work, every pinned session must still verify, and the final
-/// snapshot must satisfy the partition law.
+/// Saturate a one-shard gateway capped at four connections with exactly
+/// four floor-pinned honest sessions, then dial three more connections
+/// mid-floor: each extra dial must come back `Busy` without costing the
+/// gateway any session work, every pinned session must still verify, and
+/// the final snapshot must satisfy the partition law.
 #[test]
 fn full_queue_sheds_busy_while_in_flight_sessions_complete() {
-    let workers = 2usize;
-    let queue_depth = 2usize;
+    let slots = 4usize;
     let mut directory = DeviceDirectory::new();
     let mut agents = Vec::new();
-    for p in 0..(workers + queue_depth) {
+    for p in 0..slots {
         let (prover, verifier) = provision(p as u64);
         let id =
             directory.register_with_floor(verifier, prover.expected_memory().to_vec(), FLOOR_MS);
@@ -79,8 +78,8 @@ fn full_queue_sheds_busy_while_in_flight_sessions_complete() {
         Box::new(hub),
         directory,
         GatewayConfig {
-            workers,
-            queue_depth,
+            reactor_shards: 1,
+            max_conns_per_shard: slots,
             retry: RetryPolicy {
                 timeout_ms: 10_000,
                 ..GatewayConfig::default().retry
@@ -89,9 +88,8 @@ fn full_queue_sheds_busy_while_in_flight_sessions_complete() {
         },
     );
 
-    // Fill both workers, then both queue slots. Staggered dials keep the
-    // fill order deterministic: no pin bounces off a transiently full
-    // channel, so exactly four sessions are in flight when we probe.
+    // Fill all four slots. Staggered dials keep the fill order
+    // deterministic, so exactly four sessions are in flight when we probe.
     let pins: Vec<_> = agents
         .into_iter()
         .map(|mut agent| {
@@ -114,8 +112,8 @@ fn full_queue_sheds_busy_while_in_flight_sessions_complete() {
         })
         .collect();
 
-    // Mid-floor both workers are sleeping out their service floor and the
-    // queue holds the other two pins: the gateway MUST shed us, cheaply.
+    // Mid-floor every slot holds a pin waiting out its service floor: the
+    // gateway MUST shed us, cheaply.
     thread::sleep(Duration::from_millis(FLOOR_MS / 2));
     let mut shed = 0u64;
     for _ in 0..3 {
@@ -140,8 +138,7 @@ fn full_queue_sheds_busy_while_in_flight_sessions_complete() {
         report.stats.busy_rejected
     );
     assert_eq!(
-        report.stats.sessions_ok,
-        (workers + queue_depth) as u64,
+        report.stats.sessions_ok, slots as u64,
         "every pinned honest session completes verified"
     );
     assert_eq!(report.stats.handshake_failed, 0);
@@ -150,13 +147,13 @@ fn full_queue_sheds_busy_while_in_flight_sessions_complete() {
         "partition law violated: {:?}",
         report.stats
     );
-    // Cheapness: a Busy shed never reaches a worker, so the session
+    // Cheapness: a Busy shed never reaches a shard, so the session
     // histogram holds exactly the honest sessions and nothing more.
     let sessions = report
         .metrics
         .histogram("gateway.session_us")
         .expect("session histogram present");
-    assert_eq!(sessions.count(), (workers + queue_depth) as u64);
+    assert_eq!(sessions.count(), slots as u64);
     assert_eq!(
         report.metrics.counter("gateway.busy"),
         Some(report.stats.busy_rejected),
@@ -182,8 +179,6 @@ fn stats_partition_holds_under_mixed_outcomes() {
         Box::new(hub),
         directory,
         GatewayConfig {
-            workers: 2,
-            queue_depth: 2,
             retry: RetryPolicy {
                 timeout_ms: 10_000,
                 max_retries: 1,
@@ -246,11 +241,11 @@ fn stats_partition_holds_under_mixed_outcomes() {
 
 /// Slowloris during session establishment: the peer opens an attested
 /// handshake, receives the gateway's `SessInit`, then goes silent. One
-/// establishment budget covers every read on the connection, so the
-/// worker is freed within ~`read_timeout_ms` of accepting the
-/// connection — NOT a fresh timeout per protocol message — the stall is
-/// booked as a handshake failure on the deadline path, and a queued
-/// honest session gets the worker right after.
+/// establishment budget covers every read on the connection, so its
+/// slot is freed within ~`read_timeout_ms` of accepting the connection —
+/// NOT a fresh timeout per protocol message — the stall is booked as a
+/// handshake failure on the deadline path, and an honest session dialed
+/// meanwhile still verifies.
 #[test]
 fn handshake_slowloris_cut_off_by_connection_deadline() {
     use std::time::Instant;
@@ -266,8 +261,6 @@ fn handshake_slowloris_cut_off_by_connection_deadline() {
         Box::new(hub),
         directory,
         GatewayConfig {
-            workers: 1,
-            queue_depth: 2,
             read_timeout_ms,
             ..GatewayConfig::default()
         },
@@ -291,8 +284,7 @@ fn handshake_slowloris_cut_off_by_connection_deadline() {
         other => panic!("expected SessInit for the stalled handshake, got {other:?}"),
     }
 
-    // While the lone worker sits in the stalled accept-read, queue an
-    // honest session behind it.
+    // While the stalled handshake holds its slot, run an honest session.
     let honest = thread::spawn({
         let connector = connector.clone();
         move || {
@@ -321,12 +313,12 @@ fn handshake_slowloris_cut_off_by_connection_deadline() {
     let held = accepted.elapsed();
     assert!(
         held < Duration::from_millis(read_timeout_ms + 500),
-        "worker held {held:?} by a slowloris peer; budget is {read_timeout_ms}ms per connection"
+        "slot held {held:?} by a slowloris peer; budget is {read_timeout_ms}ms per connection"
     );
 
     assert!(
         honest.join().expect("honest session panicked"),
-        "queued honest session must verify once the slowloris is cut"
+        "honest session must verify despite the slowloris"
     );
     let report = handle.shutdown();
     assert_eq!(report.stats.handshake_failed, 1, "{:?}", report.stats);

@@ -21,8 +21,8 @@ fn provision(index: u64) -> (Prover, Verifier) {
     (prover, verifier)
 }
 
-/// The whole stack over TCP: gateway accept loop, bounded queue, worker
-/// pool, framed session protocol — and two provers dialing in over real
+/// The whole stack over TCP: gateway accept thread, event-loop shards,
+/// framed session protocol — and two provers dialing in over real
 /// sockets, each verifying twice.
 #[test]
 fn gateway_attests_provers_over_tcp() {
@@ -40,8 +40,6 @@ fn gateway_attests_provers_over_tcp() {
         Box::new(acceptor),
         directory,
         GatewayConfig {
-            workers: 2,
-            queue_depth: 4,
             retry: RetryPolicy {
                 timeout_ms: 10_000,
                 ..GatewayConfig::default().retry

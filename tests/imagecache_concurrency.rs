@@ -1,4 +1,4 @@
-//! Both gateway drivers hammering ONE shared [`ImageCache`] across three
+//! Two gateways hammering ONE shared [`ImageCache`] across three
 //! firmware versions: every honest session must verify and the
 //! image-mismatched device must fail — exactly the verdicts a
 //! single-threaded run produces — while the cache's conservation law
@@ -13,7 +13,7 @@ use std::thread;
 use std::time::Duration;
 
 use proverguard_attest::gateway::{
-    DeviceDirectory, Gateway, GatewayConfig, GatewayReport, IoDriver, ProverAgent,
+    DeviceDirectory, Gateway, GatewayConfig, GatewayReport, ProverAgent,
 };
 use proverguard_attest::imagecache::ImageCache;
 use proverguard_attest::prover::{Prover, ProverConfig};
@@ -73,12 +73,12 @@ fn dial(
     }
 }
 
-/// Runs one gateway (whatever driver `config` selects) against a fleet of
+/// Runs one gateway configured by `config` against a fleet of
 /// `PER_IMAGE` honest devices per firmware image plus one device secretly
 /// running different firmware than its registered expectation. Returns
 /// the shutdown report; panics if any verdict deviates from the
 /// single-threaded expectation (honest verify, impostor fails).
-fn run_driver(config: GatewayConfig, cache: Arc<ImageCache>) -> GatewayReport {
+fn run_gateway(config: GatewayConfig, cache: Arc<ImageCache>) -> GatewayReport {
     let mut directory = DeviceDirectory::with_cache(cache);
     let mut honest = Vec::new();
     for image in 0..IMAGES {
@@ -135,27 +135,17 @@ fn run_driver(config: GatewayConfig, cache: Arc<ImageCache>) -> GatewayReport {
     handle.shutdown()
 }
 
-/// Thread-pool and reactor drivers run concurrently against the same
-/// shared cache. Verdicts match the single-threaded expectation on both
-/// sides, and afterwards the cache satisfies its conservation law with
+/// Two gateways (one shard and two shards) run concurrently against the
+/// same shared cache. Verdicts match the single-threaded expectation on
+/// both, and afterwards the cache satisfies its conservation law with
 /// exactly three distinct keys — the impostor's firmware is never
 /// interned, because only *registered expectations* enter the cache.
 #[test]
-fn both_drivers_share_one_cache_across_three_images() {
+fn two_gateways_share_one_cache_across_three_images() {
     let cache = Arc::new(ImageCache::new(8));
 
-    let pool_config = GatewayConfig {
-        workers: 4,
-        queue_depth: 16,
-        retry: RetryPolicy {
-            timeout_ms: 10_000,
-            ..GatewayConfig::default().retry
-        },
-        ..GatewayConfig::default()
-    };
-    let reactor_config = GatewayConfig {
-        io_driver: IoDriver::Reactor,
-        reactor_shards: 2,
+    let config = |shards: usize| GatewayConfig {
+        reactor_shards: shards,
         max_conns_per_shard: 64,
         retry: RetryPolicy {
             timeout_ms: 10_000,
@@ -164,21 +154,22 @@ fn both_drivers_share_one_cache_across_three_images() {
         ..GatewayConfig::default()
     };
 
-    let pool_cache = Arc::clone(&cache);
-    let pool = thread::spawn(move || run_driver(pool_config, pool_cache));
-    let reactor_report = run_driver(reactor_config, Arc::clone(&cache));
-    let pool_report = pool.join().expect("thread-pool driver panicked");
+    let first_cache = Arc::clone(&cache);
+    let first_config = config(1);
+    let first = thread::spawn(move || run_gateway(first_config, first_cache));
+    let second_report = run_gateway(config(2), Arc::clone(&cache));
+    let first_report = first.join().expect("one-shard gateway panicked");
 
     let fleet = (IMAGES * PER_IMAGE * ROUNDS) as u64;
-    for (driver, report) in [("pool", &pool_report), ("reactor", &reactor_report)] {
+    for (gateway, report) in [("1 shard", &first_report), ("2 shards", &second_report)] {
         assert_eq!(
             report.stats.sessions_ok, fleet,
-            "{driver}: every honest round books a verified session: {:?}",
+            "{gateway}: every honest round books a verified session: {:?}",
             report.stats
         );
         assert!(
             report.stats.partition_holds(),
-            "{driver}: partition law violated: {:?}",
+            "{gateway}: partition law violated: {:?}",
             report.stats
         );
     }
@@ -190,17 +181,17 @@ fn both_drivers_share_one_cache_across_three_images() {
     );
     assert_eq!(
         stats.distinct_keys, 3,
-        "three firmware images, three keys — twins and drivers share: {stats:?}"
+        "three firmware images, three keys — twins and gateways share: {stats:?}"
     );
-    // Two drivers may race on the first interning of a key (both miss,
-    // one slot survives), so misses are bounded by key × driver, never
+    // Two gateways may race on the first interning of a key (both miss,
+    // one slot survives), so misses are bounded by key × gateway, never
     // by attempt count.
     assert!(
         (3..=6).contains(&stats.misses),
-        "misses must stay bounded by keys × racing drivers: {stats:?}"
+        "misses must stay bounded by keys × racing gateways: {stats:?}"
     );
     assert_eq!(stats.evictions, 0, "capacity 8 never evicts 3 live images");
-    // 7 registrations per driver, each building one persistent scratch.
+    // 7 registrations per gateway, each building one persistent scratch.
     assert_eq!(
         stats.scratch_rebuilds, 14,
         "scratch is built once per registration, never per attempt: {stats:?}"
@@ -235,8 +226,6 @@ fn steady_state_rounds_never_rebuild_or_miss() {
 
     let (hub, connector) = LoopbackHub::new(DEFAULT_MAX_FRAME);
     let config = GatewayConfig {
-        workers: 2,
-        queue_depth: 8,
         retry: RetryPolicy {
             timeout_ms: 10_000,
             ..GatewayConfig::default().retry

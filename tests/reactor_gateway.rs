@@ -1,16 +1,16 @@
-//! The event-driven gateway driver, exercised through the same public
-//! surface as the thread-pool driver: honest fleets verify, session
-//! handshake/resume/reboot/expiry behave identically, a slowloris is cut
-//! by the shared establishment budget, overload sheds a deterministic
-//! `Busy`, and both the global and the per-shard stats partition laws
-//! hold. The final test runs one workload through both drivers and
-//! demands the same protocol-visible outcome.
+//! The event-driven gateway through its public surface: honest fleets
+//! verify, also under garbage and forgery floods; session
+//! handshake/resume/reboot/expiry work; a slowloris is cut by the
+//! establishment budget; overload sheds a deterministic `Busy`; and both
+//! the global and the per-shard stats partition laws hold. A mixed
+//! workload pins every protocol-visible count to its exact value.
 
 use std::thread;
 use std::time::{Duration, Instant};
 
+use proverguard_adversary::wire::{forgery_flood, junk_frame_flood, raw_garbage_flood};
 use proverguard_attest::gateway::{
-    DeviceDirectory, Gateway, GatewayConfig, GatewayMsg, IoDriver, ProverAgent,
+    DeviceDirectory, Gateway, GatewayConfig, GatewayMsg, ProverAgent,
 };
 use proverguard_attest::prover::{Prover, ProverConfig};
 use proverguard_attest::session::RetryPolicy;
@@ -39,7 +39,6 @@ fn patient() -> RetryPolicy {
 
 fn reactor_config(shards: usize, cap: usize) -> GatewayConfig {
     GatewayConfig {
-        io_driver: IoDriver::Reactor,
         reactor_shards: shards,
         max_conns_per_shard: cap,
         retry: RetryPolicy {
@@ -413,86 +412,154 @@ fn capacity_full_sheds_busy_deterministically() {
     );
 }
 
-/// Differential check: the same mixed workload (honest one-shots plus
-/// session handshake + resume) through both I/O drivers must produce the
-/// same protocol-visible outcome — same verified count, same opened
-/// session count, partition laws holding on both sides.
+/// A mixed workload (honest one-shots plus a session handshake and one
+/// resumed round) fixes every protocol-visible count: 6 verified
+/// sessions, none failed, no handshake failures, exactly one session
+/// opened, partition laws holding, and the telemetry counters agreeing.
 #[test]
-fn thread_pool_and_reactor_agree_on_workload() {
-    fn run(config: GatewayConfig) -> proverguard_attest::gateway::GatewayReport {
-        const ONESHOTS: usize = 4;
-        let mut directory = DeviceDirectory::new();
-        let mut oneshots = Vec::new();
-        for p in 0..ONESHOTS {
-            let (prover, verifier) = provision(p as u64);
-            let id = directory.register(verifier, prover.expected_memory().to_vec());
-            oneshots.push(ProverAgent::new(prover, id));
-        }
-        let (prover, verifier) = provision(ONESHOTS as u64);
+fn mixed_workload_counts_are_exact() {
+    const ONESHOTS: usize = 4;
+    let mut directory = DeviceDirectory::new();
+    let mut oneshots = Vec::new();
+    for p in 0..ONESHOTS {
+        let (prover, verifier) = provision(p as u64);
         let id = directory.register(verifier, prover.expected_memory().to_vec());
-        let mut sess_agent = ProverAgent::with_sessions(prover, id);
-
-        let (hub, connector) = LoopbackHub::new(DEFAULT_MAX_FRAME);
-        let handle = Gateway::start(Box::new(hub), directory, config);
-
-        let pins: Vec<_> = oneshots
-            .into_iter()
-            .map(|mut agent| {
-                let connector = connector.clone();
-                thread::spawn(move || {
-                    agent
-                        .attest_with_retry(
-                            dial(&connector),
-                            &patient(),
-                            Duration::from_secs(30),
-                            50,
-                        )
-                        .is_verified()
-                })
-            })
-            .collect();
-        for pin in pins {
-            assert!(pin.join().expect("session thread panicked"));
-        }
-        for _ in 0..2 {
-            let outcome = sess_agent.attest_with_retry(
-                dial(&connector),
-                &patient(),
-                Duration::from_secs(30),
-                50,
-            );
-            assert!(outcome.is_verified(), "{outcome:?}");
-        }
-        handle.shutdown()
+        oneshots.push(ProverAgent::new(prover, id));
     }
+    let (prover, verifier) = provision(ONESHOTS as u64);
+    let id = directory.register(verifier, prover.expected_memory().to_vec());
+    let mut sess_agent = ProverAgent::with_sessions(prover, id);
 
-    let pool = run(GatewayConfig {
-        workers: 2,
-        queue_depth: 8,
-        retry: RetryPolicy {
-            timeout_ms: 10_000,
-            ..GatewayConfig::default().retry
-        },
-        ..GatewayConfig::default()
+    let (hub, connector) = LoopbackHub::new(DEFAULT_MAX_FRAME);
+    let handle = Gateway::start(Box::new(hub), directory, reactor_config(2, 8));
+
+    let pins: Vec<_> = oneshots
+        .into_iter()
+        .map(|mut agent| {
+            let connector = connector.clone();
+            thread::spawn(move || {
+                agent
+                    .attest_with_retry(dial(&connector), &patient(), Duration::from_secs(30), 50)
+                    .is_verified()
+            })
+        })
+        .collect();
+    for pin in pins {
+        assert!(pin.join().expect("session thread panicked"));
+    }
+    for _ in 0..2 {
+        let outcome =
+            sess_agent.attest_with_retry(dial(&connector), &patient(), Duration::from_secs(30), 50);
+        assert!(outcome.is_verified(), "{outcome:?}");
+    }
+    let report = handle.shutdown();
+
+    assert_eq!(report.stats.sessions_ok, 6, "{:?}", report.stats);
+    assert_eq!(report.stats.sessions_failed, 0, "{:?}", report.stats);
+    assert_eq!(report.stats.handshake_failed, 0, "{:?}", report.stats);
+    assert_eq!(report.stats.sessions_opened, 1, "{:?}", report.stats);
+    assert!(report.stats.partition_holds(), "{:?}", report.stats);
+    assert!(report.stats.session_partition_holds(), "{:?}", report.stats);
+    assert_eq!(report.metrics.counter("gateway.sessions_ok"), Some(6));
+    assert_eq!(report.metrics.counter("gateway.session.opened"), Some(1));
+}
+
+/// Honest agents all verify while a raw line-noise flood, a junk-frame
+/// flood and a forgery flood hit the same gateway. The forgeries reach
+/// the protocol and end in failed verdicts (never a verified one), every
+/// garbage connection dies at the handshake, and the global and
+/// per-shard partition laws hold.
+#[test]
+fn honest_fleet_verifies_under_flood() {
+    const HONEST: usize = 8;
+    const SEED: u64 = 0xDAC1_6761_7465;
+    let mut directory = DeviceDirectory::new();
+    let mut agents = Vec::new();
+    for p in 0..HONEST {
+        let (prover, verifier) = provision(p as u64);
+        let id = directory.register(verifier, prover.expected_memory().to_vec());
+        agents.push(ProverAgent::new(prover, id));
+    }
+    // The forgery flood's target: a registered device whose key the flood
+    // does not hold.
+    let (forge_prover, forge_verifier) = provision(0x80);
+    let forge_id = directory.register(forge_verifier, forge_prover.expected_memory().to_vec());
+
+    let (hub, connector) = LoopbackHub::new(DEFAULT_MAX_FRAME);
+    let handle = Gateway::start(Box::new(hub), directory, reactor_config(2, 64));
+
+    let honest: Vec<_> = agents
+        .into_iter()
+        .map(|mut agent| {
+            let connector = connector.clone();
+            thread::spawn(move || {
+                agent
+                    .attest_with_retry(dial(&connector), &patient(), Duration::from_secs(30), 50)
+                    .is_verified()
+            })
+        })
+        .collect();
+    let forge = thread::spawn({
+        let connector = connector.clone();
+        move || forgery_flood(dial(&connector), forge_id, 4, SEED, Duration::from_secs(30))
     });
-    let reactor = run(reactor_config(2, 8));
+    let junk = thread::spawn({
+        let connector = connector.clone();
+        move || junk_frame_flood(dial(&connector), 8, SEED)
+    });
+    let raw = thread::spawn({
+        let connector = connector.clone();
+        move || raw_garbage_flood(&connector, 8, SEED)
+    });
 
-    assert_eq!(pool.stats.sessions_ok, reactor.stats.sessions_ok);
-    assert_eq!(pool.stats.sessions_failed, reactor.stats.sessions_failed);
-    assert_eq!(pool.stats.handshake_failed, reactor.stats.handshake_failed);
-    assert_eq!(pool.stats.sessions_opened, reactor.stats.sessions_opened);
-    assert!(pool.stats.partition_holds(), "{:?}", pool.stats);
-    assert!(reactor.stats.partition_holds(), "{:?}", reactor.stats);
-    assert!(pool.stats.session_partition_holds());
-    assert!(reactor.stats.session_partition_holds());
-    // Same protocol work, attempt for attempt: the verified-session
-    // telemetry counters agree across drivers.
+    for (p, agent) in honest.into_iter().enumerate() {
+        assert!(
+            agent.join().expect("honest thread panicked"),
+            "honest session {p} must verify under flood"
+        );
+    }
+    let forged = forge.join().expect("forgery flood panicked");
+    let junk = junk.join().expect("junk flood panicked");
+    let raw = raw.join().expect("raw flood panicked");
+    assert!(
+        forged.forged_responses >= 1,
+        "forgery flood never reached the protocol: {forged:?}"
+    );
+    assert!(
+        forged.byes >= 1,
+        "no forged session was driven to a failed-session Bye: {forged:?}"
+    );
+
+    let shards = quiesced_shards(&handle);
+    for snap in &shards {
+        assert_eq!(snap.registered, 0, "shard {} not quiesced", snap.shard);
+        assert!(
+            snap.partition_holds(),
+            "shard conservation law violated: {snap:?}"
+        );
+    }
+    let assigned: u64 = shards.iter().map(|s| s.assigned).sum();
+    let report = handle.shutdown();
     assert_eq!(
-        pool.metrics.counter("gateway.sessions_ok"),
-        reactor.metrics.counter("gateway.sessions_ok")
+        report.stats.sessions_ok, HONEST as u64,
+        "only the honest sessions verify: {:?}",
+        report.stats
+    );
+    assert!(
+        report.stats.sessions_failed >= forged.byes,
+        "every forged Bye is a failed session: {:?}",
+        report.stats
     );
     assert_eq!(
-        pool.metrics.counter("gateway.session.opened"),
-        reactor.metrics.counter("gateway.session.opened")
+        report.stats.handshake_failed,
+        junk.attempts + raw.attempts,
+        "every garbage connection dies at the handshake: {:?}",
+        report.stats
+    );
+    assert_eq!(assigned, report.stats.enqueued);
+    assert!(
+        report.stats.partition_holds(),
+        "partition law violated: {:?}",
+        report.stats
     );
 }

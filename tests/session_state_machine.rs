@@ -532,7 +532,6 @@ mod secure_session_lifecycle {
     #[test]
     fn lifecycle_handshake_rounds_rekey_expiry_rehandshake() {
         let (handle, connector, mut agent) = session_world(GatewayConfig {
-            workers: 2,
             read_timeout_ms: 10_000,
             rekey_after_rounds: 2,
             session_idle_ms: 250,
@@ -592,7 +591,6 @@ mod secure_session_lifecycle {
     #[test]
     fn mid_session_reboot_resumes_via_sealed_freshness_record() {
         let (handle, connector, mut agent) = session_world(GatewayConfig {
-            workers: 2,
             read_timeout_ms: 10_000,
             ..GatewayConfig::default()
         });
