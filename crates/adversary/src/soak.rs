@@ -9,7 +9,7 @@
 //!
 //! - each device is a [`World`] behind a seeded [`FaultyLink`], with its
 //!   own battery and (optionally) a prover-side
-//!   [`AdmissionPolicy`](proverguard_attest::AdmissionPolicy) bucket;
+//!   [`proverguard_attest::AdmissionPolicy`] bucket;
 //! - the verifier side runs a [`FleetController`]: per-device circuit
 //!   breakers, health scores, round-robin bounded concurrency;
 //! - every round, every device is flooded with forged requests before

@@ -36,6 +36,7 @@ mod reactor;
 
 pub use reactor::ShardSnapshot;
 
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
@@ -320,7 +321,6 @@ pub struct DeviceEntry {
     /// new expected image mid-campaign (per-wave OTA targets).
     image: Mutex<DeviceImage>,
     cache: Arc<ImageCache>,
-    service_floor_ms: u64,
 }
 
 /// One device's expected image, split into the fleet-shared interned
@@ -422,18 +422,6 @@ impl DeviceDirectory {
 
     /// Registers a device; returns its `device_id`.
     pub fn register(&mut self, verifier: Verifier, expected_memory: Vec<u8>) -> u64 {
-        self.register_with_floor(verifier, expected_memory, 0)
-    }
-
-    /// Registers a device whose sessions take at least `service_floor_ms`
-    /// of wall time (a shard timer, never a sleep) — a slot-occupancy knob
-    /// used by backpressure tests and the scale bench's shed probe.
-    pub fn register_with_floor(
-        &mut self,
-        verifier: Verifier,
-        expected_memory: Vec<u8>,
-        service_floor_ms: u64,
-    ) -> u64 {
         let id = self.entries.len() as u64;
         let segment_len = verifier.segmented_params().map_or(0, |p| p.segment_len);
         let image = DeviceImage::new(&self.cache, expected_memory, segment_len);
@@ -441,7 +429,6 @@ impl DeviceDirectory {
             verifier: Mutex::new(verifier),
             image: Mutex::new(image),
             cache: Arc::clone(&self.cache),
-            service_floor_ms,
         });
         id
     }
@@ -1171,20 +1158,26 @@ impl ProverAgent {
         self.prover.reboot()
     }
 
-    /// Runs one session over an established connection.
+    /// Runs one session over an established connection: `Hello` then
+    /// answers to `AttReq`/`Command` frames, or — for a session-mode
+    /// agent — the attested handshake when no session is live and one
+    /// sealed round when one is. Frame MAC work is charged to the
+    /// device's cycle clock (`prover.session_auth` /
+    /// `prover.session_seal` spans) — that small HMAC *is* the per-round
+    /// auth cost the session amortizes the one-shot outer MAC down to.
     pub fn run_session(&mut self, conn: &mut dyn Transport, io_timeout: Duration) -> AgentOutcome {
-        if self.session_mode {
-            return self.run_secure_session(conn, io_timeout);
-        }
-        self.run_oneshot(conn, io_timeout)
-    }
-
-    fn run_oneshot(&mut self, conn: &mut dyn Transport, io_timeout: Duration) -> AgentOutcome {
         if conn.set_deadline(Some(io_timeout)).is_err() {
             return AgentOutcome::ConnectionLost;
         }
-        let hello = GatewayMsg::Hello {
-            device_id: self.device_id,
+        let hello = if self.session_mode {
+            GatewayMsg::SessHello {
+                device_id: self.device_id,
+                session_id: self.session_id(),
+            }
+        } else {
+            GatewayMsg::Hello {
+                device_id: self.device_id,
+            }
         };
         if conn.send(&hello.encode()).is_err() {
             // The gateway may have shed this connection before reading a
@@ -1192,13 +1185,15 @@ impl ProverAgent {
             // side even though the peer is gone.
             return drain_outcome(conn, 0);
         }
-        let mut requests_handled = 0u32;
+        let mut dial = Dial {
+            handshake: self.session_mode && self.session.is_none(),
+            ..Dial::default()
+        };
         let session_start = Instant::now();
         let mut last_seen = Duration::ZERO;
         loop {
-            let bytes = match conn.recv() {
-                Ok(bytes) => bytes,
-                Err(_) => return AgentOutcome::ConnectionLost,
+            let Ok(bytes) = conn.recv() else {
+                return AgentOutcome::ConnectionLost;
             };
             // Real wall time passed while we waited; let it pass for the
             // prover's simulated clock too (freshness windows, admission
@@ -1209,208 +1204,141 @@ impl ProverAgent {
             if delta_ms > 0 {
                 let _ = self.prover.advance_time_ms(delta_ms);
             }
-            match GatewayMsg::decode(&bytes) {
-                Ok(GatewayMsg::AttReq(raw)) => {
-                    let reply = match self.prover.handle_wire_request(&raw) {
-                        Ok(resp) => GatewayMsg::AttResp(resp),
-                        Err(AttestError::Rejected(reason)) => GatewayMsg::Reject(reason),
-                        Err(_) => GatewayMsg::Reject(RejectReason::Malformed),
-                    };
-                    requests_handled += 1;
-                    if conn.send(&reply.encode()).is_err() {
-                        // The gateway may have timed this attempt out and
-                        // hung up with a queued Bye.
-                        return drain_outcome(conn, requests_handled);
-                    }
-                }
-                Ok(GatewayMsg::Command(raw)) => {
-                    let reply = match crate::services::CommandRequest::from_bytes(&raw)
-                        .and_then(|request| self.prover.handle_command(&request))
-                    {
-                        Ok(receipt) => GatewayMsg::Receipt(receipt.to_bytes()),
-                        Err(AttestError::Rejected(reason)) => GatewayMsg::Reject(reason),
-                        Err(AttestError::MalformedMessage { .. }) => {
-                            GatewayMsg::Reject(RejectReason::Malformed)
-                        }
-                        // A torn flash (injected power loss) kills the
-                        // device, not the protocol: the connection just
-                        // drops, like the real board browning out.
-                        Err(AttestError::PowerLoss) => return AgentOutcome::ConnectionLost,
-                        Err(_) => GatewayMsg::Reject(RejectReason::Malformed),
-                    };
-                    requests_handled += 1;
-                    if conn.send(&reply.encode()).is_err() {
-                        return drain_outcome(conn, requests_handled);
-                    }
-                }
-                Ok(GatewayMsg::Busy) => return AgentOutcome::Busy,
-                Ok(GatewayMsg::Bye { verified }) => {
-                    return AgentOutcome::Served {
-                        requests_handled,
-                        verified,
-                    }
-                }
-                _ => return AgentOutcome::ProtocolError,
+            let reply = match self.answer(conn, &bytes, &mut dial) {
+                ControlFlow::Continue(reply) => reply,
+                ControlFlow::Break(outcome) => return outcome,
+            };
+            if conn.send(&reply.encode()).is_err() {
+                // The gateway may have timed this attempt out and hung up
+                // with a queued Bye.
+                return drain_outcome(conn, dial.requests_handled);
             }
         }
     }
 
-    /// Session-mode connection: attested handshake when no session is
-    /// live, one sealed attestation round when one is. Frame MAC work is
-    /// charged to the device's cycle clock (`prover.session_auth` /
-    /// `prover.session_seal` spans) — that small HMAC *is* the per-round
-    /// auth cost the session amortizes the one-shot outer MAC down to.
-    fn run_secure_session(
+    /// Answers one gateway frame, or ends the session with its outcome.
+    fn answer(
         &mut self,
         conn: &mut dyn Transport,
-        io_timeout: Duration,
-    ) -> AgentOutcome {
-        if conn.set_deadline(Some(io_timeout)).is_err() {
-            return AgentOutcome::ConnectionLost;
-        }
-        let resumed = self.session_id();
-        let hello = GatewayMsg::SessHello {
-            device_id: self.device_id,
-            session_id: resumed,
+        bytes: &[u8],
+        dial: &mut Dial,
+    ) -> ControlFlow<AgentOutcome, GatewayMsg> {
+        let result = match GatewayMsg::decode(bytes) {
+            Ok(GatewayMsg::AttReq(raw)) if !self.session_mode => {
+                dial.requests_handled += 1;
+                self.prover
+                    .handle_wire_request(&raw)
+                    .map(GatewayMsg::AttResp)
+            }
+            Ok(GatewayMsg::Command(raw)) if !self.session_mode => {
+                dial.requests_handled += 1;
+                crate::services::CommandRequest::from_bytes(&raw)
+                    .and_then(|request| self.prover.handle_command(&request))
+                    .map(|receipt| GatewayMsg::Receipt(receipt.to_bytes()))
+            }
+            Ok(GatewayMsg::AttReq(_) | GatewayMsg::Command(_)) => {
+                // Downgrade-to-one-shot: a session-mode agent never
+                // answers bare requests. Refused before any pipeline or
+                // key-schedule work.
+                let _ = conn.send(&GatewayMsg::Reject(RejectReason::SessionAuth).encode());
+                return ControlFlow::Break(AgentOutcome::ProtocolError);
+            }
+            Ok(GatewayMsg::SessInit(raw)) if dial.handshake => {
+                let Ok(init) = HandshakeInit::decode(&raw) else {
+                    return ControlFlow::Break(AgentOutcome::ProtocolError);
+                };
+                dial.requests_handled += 1;
+                channel::prover_accept(&mut self.prover, &init).map(|(accept, chan)| {
+                    self.session = Some(chan);
+                    GatewayMsg::SessAccept(accept.encode())
+                })
+            }
+            Ok(GatewayMsg::SessFrame(raw)) if self.session_mode => {
+                return self.answer_sealed(conn, &raw, dial);
+            }
+            Ok(GatewayMsg::Reject(RejectReason::SessionExpired)) if self.session_mode => {
+                self.session = None;
+                return ControlFlow::Break(AgentOutcome::SessionExpired);
+            }
+            Ok(GatewayMsg::Busy) => return ControlFlow::Break(AgentOutcome::Busy),
+            Ok(GatewayMsg::Bye { verified }) => {
+                if verified && dial.in_round {
+                    // Lockstep rekey: count the verified round exactly
+                    // when the gateway does. A lost Bye desyncs the
+                    // ratchet and the next round fails closed into a
+                    // re-handshake — never an accepted forgery.
+                    if let Some(session) = self.session.as_mut() {
+                        session.note_round();
+                    }
+                }
+                return ControlFlow::Break(AgentOutcome::Served {
+                    requests_handled: dial.requests_handled,
+                    verified,
+                });
+            }
+            _ => return ControlFlow::Break(AgentOutcome::ProtocolError),
         };
-        if conn.send(&hello.encode()).is_err() {
-            return drain_outcome(conn, 0);
-        }
-        let mut requests_handled = 0u32;
-        let mut in_round = false;
-        let session_start = Instant::now();
-        let mut last_seen = Duration::ZERO;
-        loop {
-            let bytes = match conn.recv() {
-                Ok(bytes) => bytes,
-                Err(_) => return AgentOutcome::ConnectionLost,
-            };
-            let elapsed = session_start.elapsed();
-            let delta_ms = (elapsed - last_seen).as_millis() as u64;
-            last_seen = elapsed;
-            if delta_ms > 0 {
-                let _ = self.prover.advance_time_ms(delta_ms);
+        pipeline_reply(result)
+    }
+
+    /// One sealed in-session round: open the request with the live
+    /// session's keys, run it through the session pipeline, seal the
+    /// reply.
+    fn answer_sealed(
+        &mut self,
+        conn: &mut dyn Transport,
+        raw: &[u8],
+        dial: &mut Dial,
+    ) -> ControlFlow<AgentOutcome, GatewayMsg> {
+        let open_cycles = self
+            .prover
+            .mcu()
+            .cost_table()
+            .mac_cost(MacAlgorithm::HmacSha1, raw.len());
+        let Some(session) = self.session.as_mut() else {
+            return ControlFlow::Break(AgentOutcome::ProtocolError);
+        };
+        // Cheap per-message auth: one short HMAC over the frame, charged
+        // to the device clock.
+        let opened = self
+            .prover
+            .charge_stage("prover.session_auth", open_cycles, |_| session.open(raw));
+        let payload = match opened {
+            Ok(payload) => payload,
+            Err(e) => {
+                // A frame our own keys cannot open: replay (drop it, stay
+                // alive) or desync/forgery (fail closed, force a
+                // re-handshake).
+                let reason = e.reject_reason().unwrap_or(RejectReason::Malformed);
+                if reason == RejectReason::SessionReplay {
+                    return ControlFlow::Continue(GatewayMsg::Reject(reason));
+                }
+                self.session = None;
+                let _ = conn.send(&GatewayMsg::Reject(reason).encode());
+                return ControlFlow::Break(AgentOutcome::SessionExpired);
             }
-            match GatewayMsg::decode(&bytes) {
-                Ok(GatewayMsg::SessInit(raw)) if resumed.is_none() => {
-                    let Ok(init) = HandshakeInit::decode(&raw) else {
-                        return AgentOutcome::ProtocolError;
-                    };
-                    requests_handled += 1;
-                    match channel::prover_accept(&mut self.prover, &init) {
-                        Ok((accept, chan)) => {
-                            self.session = Some(chan);
-                            let msg = GatewayMsg::SessAccept(accept.encode());
-                            if conn.send(&msg.encode()).is_err() {
-                                return drain_outcome(conn, requests_handled);
-                            }
-                        }
-                        Err(AttestError::Rejected(reason)) => {
-                            if conn.send(&GatewayMsg::Reject(reason).encode()).is_err() {
-                                return drain_outcome(conn, requests_handled);
-                            }
-                        }
-                        Err(AttestError::PowerLoss) => return AgentOutcome::ConnectionLost,
-                        Err(_) => {
-                            let msg = GatewayMsg::Reject(RejectReason::Malformed);
-                            if conn.send(&msg.encode()).is_err() {
-                                return drain_outcome(conn, requests_handled);
-                            }
-                        }
-                    }
-                }
-                Ok(GatewayMsg::SessFrame(raw)) if self.session.is_some() => {
-                    // Cheap per-message auth: one short HMAC over the
-                    // frame, charged to the device clock.
-                    let open_cycles = self
-                        .prover
-                        .mcu()
-                        .cost_table()
-                        .mac_cost(MacAlgorithm::HmacSha1, raw.len());
-                    let session = self.session.as_mut().expect("session checked above");
-                    let opened =
-                        self.prover
-                            .charge_stage("prover.session_auth", open_cycles, |_| {
-                                session.open(&raw)
-                            });
-                    let payload = match opened {
-                        Ok(payload) => payload,
-                        Err(e) => {
-                            // A frame our own keys cannot open: replay
-                            // (drop it, stay alive) or desync/forgery
-                            // (fail closed, force a re-handshake).
-                            let reason = e.reject_reason().unwrap_or(RejectReason::Malformed);
-                            if reason == RejectReason::SessionReplay {
-                                let msg = GatewayMsg::Reject(reason);
-                                if conn.send(&msg.encode()).is_err() {
-                                    return drain_outcome(conn, requests_handled);
-                                }
-                                continue;
-                            }
-                            self.session = None;
-                            let _ = conn.send(&GatewayMsg::Reject(reason).encode());
-                            return AgentOutcome::SessionExpired;
-                        }
-                    };
-                    let reply = match GatewayMsg::decode(&payload) {
-                        Ok(GatewayMsg::AttReq(req_raw)) => {
-                            requests_handled += 1;
-                            in_round = true;
-                            match self.prover.handle_session_wire_request(&req_raw) {
-                                Ok(resp) => GatewayMsg::AttResp(resp),
-                                Err(AttestError::Rejected(reason)) => GatewayMsg::Reject(reason),
-                                Err(AttestError::PowerLoss) => return AgentOutcome::ConnectionLost,
-                                Err(_) => GatewayMsg::Reject(RejectReason::Malformed),
-                            }
-                        }
-                        _ => return AgentOutcome::ProtocolError,
-                    };
-                    let inner = reply.encode();
-                    let seal_cycles = self
-                        .prover
-                        .mcu()
-                        .cost_table()
-                        .mac_cost(MacAlgorithm::HmacSha1, inner.len());
-                    let session = self.session.as_mut().expect("session checked above");
-                    let frame =
-                        self.prover
-                            .charge_stage("prover.session_seal", seal_cycles, |_| {
-                                session.seal_next(&inner)
-                            });
-                    if conn.send(&GatewayMsg::SessFrame(frame).encode()).is_err() {
-                        return drain_outcome(conn, requests_handled);
-                    }
-                }
-                Ok(GatewayMsg::AttReq(_) | GatewayMsg::Command(_)) => {
-                    // Downgrade-to-one-shot: a session-mode agent never
-                    // answers bare requests. Refused before any pipeline
-                    // or key-schedule work.
-                    let _ = conn.send(&GatewayMsg::Reject(RejectReason::SessionAuth).encode());
-                    return AgentOutcome::ProtocolError;
-                }
-                Ok(GatewayMsg::Reject(RejectReason::SessionExpired)) => {
-                    self.session = None;
-                    return AgentOutcome::SessionExpired;
-                }
-                Ok(GatewayMsg::Busy) => return AgentOutcome::Busy,
-                Ok(GatewayMsg::Bye { verified }) => {
-                    if verified && in_round {
-                        // Lockstep rekey: count the verified round exactly
-                        // when the gateway does. A lost Bye desyncs the
-                        // ratchet and the next round fails closed into a
-                        // re-handshake — never an accepted forgery.
-                        if let Some(session) = self.session.as_mut() {
-                            session.note_round();
-                        }
-                    }
-                    return AgentOutcome::Served {
-                        requests_handled,
-                        verified,
-                    };
-                }
-                _ => return AgentOutcome::ProtocolError,
-            }
-        }
+        };
+        let Ok(GatewayMsg::AttReq(request)) = GatewayMsg::decode(&payload) else {
+            return ControlFlow::Break(AgentOutcome::ProtocolError);
+        };
+        dial.requests_handled += 1;
+        dial.in_round = true;
+        let result = self
+            .prover
+            .handle_session_wire_request(&request)
+            .map(GatewayMsg::AttResp);
+        let inner = pipeline_reply(result)?.encode();
+        let seal_cycles = self
+            .prover
+            .mcu()
+            .cost_table()
+            .mac_cost(MacAlgorithm::HmacSha1, inner.len());
+        let frame = self
+            .prover
+            .charge_stage("prover.session_seal", seal_cycles, |_| {
+                session.seal_next(&inner)
+            });
+        ControlFlow::Continue(GatewayMsg::SessFrame(frame))
     }
 
     /// Dials, runs a session, and retries `Busy` shed with the jittered
@@ -1454,6 +1382,32 @@ impl ProverAgent {
             }
         }
     }
+}
+
+/// What one [`ProverAgent::run_session`] connection has done so far.
+#[derive(Debug, Default)]
+struct Dial {
+    /// Requests the prover processed (incl. rejected).
+    requests_handled: u32,
+    /// A session-mode dial with no live session: expects `SessInit`.
+    handshake: bool,
+    /// A sealed round was answered: its verified `Bye` steps the rekey
+    /// ratchet.
+    in_round: bool,
+}
+
+/// Maps a prover-pipeline result to its reply frame. A torn flash
+/// (injected power loss) kills the device, not the protocol: the
+/// connection just drops, like the real board browning out.
+fn pipeline_reply(
+    result: Result<GatewayMsg, AttestError>,
+) -> ControlFlow<AgentOutcome, GatewayMsg> {
+    ControlFlow::Continue(match result {
+        Ok(reply) => reply,
+        Err(AttestError::Rejected(reason)) => GatewayMsg::Reject(reason),
+        Err(AttestError::PowerLoss) => return ControlFlow::Break(AgentOutcome::ConnectionLost),
+        Err(_) => GatewayMsg::Reject(RejectReason::Malformed),
+    })
 }
 
 /// Reads out whatever verdict frames the gateway left behind after a
@@ -1749,8 +1703,7 @@ mod tests {
         let (hub, connector) = LoopbackHub::new(DEFAULT_MAX_FRAME);
         let mut directory = DeviceDirectory::new();
         let (prover, verifier) = provisioned(&config);
-        // A slow device holds its slot for ~150 ms per session.
-        directory.register_with_floor(verifier, prover.expected_memory().to_vec(), 150);
+        directory.register(verifier, prover.expected_memory().to_vec());
         let handle = Gateway::start(
             Box::new(hub),
             directory,
@@ -1770,9 +1723,10 @@ mod tests {
         // Fill both slots with silent connections (each waits out its
         // Hello read timeout).
         let pin_first = connector.connect().unwrap();
-        thread::sleep(Duration::from_millis(50));
         let pin_second = connector.connect().unwrap();
-        thread::sleep(Duration::from_millis(50));
+        while handle.shard_stats()[0].registered < 2 {
+            thread::sleep(Duration::from_millis(1));
+        }
         // An honest dial now must be shed with a cheap Busy frame.
         let mut conn = connector.connect().unwrap();
         let outcome = agent.run_session(&mut conn, Duration::from_secs(30));

@@ -14,7 +14,9 @@
 //! retry accounting (the same cursor [`crate::session::SessionDriver`]
 //! runs), [`crate::channel`] for the attested handshake and sealed
 //! rounds, the shared session table for resume, and
-//! [`super::record_conclusion`] for the fleet ledger. The global
+//! [`super::record_conclusion`] for the fleet ledger. Each protocol step
+//! has one code path: one hello path, one one-shot retry stepper, one
+//! device lookup and one request-minting helper. The global
 //! [`super::GatewayStats`] partition laws hold; each shard additionally
 //! satisfies its own law ([`ShardSnapshot::partition_holds`]).
 //!
@@ -22,6 +24,8 @@
 //! connection to the least-loaded shard, and when every shard is at
 //! `max_conns_per_shard` it sheds with a one-frame `Busy` —
 //! deterministic, cheap, and honest provers already know to back off.
+//! An acceptor error is counted (`gateway.accept_errors`) and never
+//! stops the accept thread; only shutdown does.
 //!
 //! Telemetry: every metrics counter is recorded on the shard that did
 //! the work, and each concluded connection records its
@@ -45,13 +49,15 @@ use proverguard_transport::nb::{NbTransport, RawFd, ReadySource};
 use proverguard_transport::{Acceptor, TransportError};
 
 use crate::channel::{self, HandshakeAccept, HandshakeInit};
+use crate::error::{AttestError, RejectReason};
 use crate::fleet::FleetController;
 use crate::message::{AttestRequest, AttestResponse};
 use crate::session::{AttemptOutcome, DriverCursor, DriverStep, RetryPolicy};
+use crate::verifier::Verifier;
 
 use super::{
-    record_conclusion, DeviceDirectory, GatewayConfig, GatewayHandle, GatewayMsg, GatewayShared,
-    GatewayStats, SessionEntry, SessionTable, ThreadExit,
+    record_conclusion, DeviceDirectory, DeviceEntry, GatewayConfig, GatewayHandle, GatewayMsg,
+    GatewayShared, GatewayStats, SessionEntry, SessionTable, ThreadExit,
 };
 
 /// Deadline-wheel granularity: timers fire never early and at most this
@@ -105,7 +111,7 @@ impl ShardStats {
     }
 }
 
-/// A point-in-time copy of one shard's [`ShardStats`].
+/// A point-in-time copy of one shard's live counters.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardSnapshot {
     /// Shard index (0-based).
@@ -243,7 +249,13 @@ fn accept_main(
         let conn = match acceptor.poll_accept(poll) {
             Ok(Some(conn)) => conn,
             Ok(None) => continue,
-            Err(_) => break,
+            Err(_) => {
+                // One aborted peer or a transient EMFILE must not stop
+                // the gateway accepting: count it, wait, keep listening.
+                metrics::counter_add("gateway.accept_errors", 1);
+                thread::sleep(poll);
+                continue;
+            }
         };
         ctx.stats.accepted.fetch_add(1, Ordering::SeqCst);
         metrics::counter_add("gateway.accepted", 1);
@@ -306,8 +318,6 @@ enum TimerKind {
     /// Establishment budget: first hello, and the whole attested
     /// handshake, share one deadline (slowloris defence).
     Establish,
-    /// The device's `service_floor_ms` wait (a timer, never a sleep).
-    Floor,
     /// One in-flight attempt / in-session round awaiting its response.
     Attempt,
     /// Between one-shot retries.
@@ -316,25 +326,25 @@ enum TimerKind {
     Drain,
 }
 
-/// What to start once the service-floor timer fires.
-enum AfterFloor {
+/// What a connection's first frame asks for.
+enum Opening {
+    /// `Hello`: a one-shot attestation.
     Oneshot,
+    /// `SessHello` without a session id: the attested handshake.
     Handshake,
-    Round(Box<SessionEntry>),
+    /// `SessHello` naming a session: one sealed in-session round.
+    Resume([u8; channel::SESSION_ID_SIZE]),
 }
 
 enum ConnState {
     /// Waiting for the first frame (Hello / SessHello).
     AwaitHello,
-    /// Service-floor wait; frames arriving early are buffered.
-    Floor { next: AfterFloor },
     /// One-shot attestation driven by a [`DriverCursor`]. `request` is
-    /// the in-flight attempt's request while `awaiting`, the backoff
-    /// timer owns the connection otherwise.
+    /// the in-flight attempt's request; `None` while a backoff timer owns
+    /// the connection.
     Oneshot {
         cursor: DriverCursor,
         request: Option<AttestRequest>,
-        awaiting: bool,
     },
     /// Attested handshake: `SessInit` sent, awaiting `SessAccept`.
     Handshake {
@@ -367,8 +377,6 @@ struct Conn {
     /// later attempts fail instantly instead of burning timeouts.
     link_dead: bool,
     write_interest: bool,
-    /// Frames received while a floor timer holds the connection.
-    pending: VecDeque<Vec<u8>>,
     closed: bool,
 }
 
@@ -460,30 +468,23 @@ impl Shard {
         });
         let token = Token(slot);
         let mut nb = new.nb;
-        let fd = match nb.ready_source() {
-            ReadySource::Fd(fd) => {
-                if self.poller.register(fd, token, Interest::READABLE).is_err() {
-                    // Cannot observe readiness: the connection is dead on
-                    // arrival. Same accounting as a link failure.
-                    self.free.push(slot);
-                    self.fail_handshake("gateway.handshake.link");
-                    self.stats.registered.fetch_sub(1, Ordering::SeqCst);
-                    return;
-                }
-                Some(fd)
-            }
-            ReadySource::Notify => match self.poller.notifier(token) {
-                Ok(notifier) => {
-                    nb.attach_notifier(notifier);
-                    None
-                }
-                Err(_) => {
-                    self.free.push(slot);
-                    self.fail_handshake("gateway.handshake.link");
-                    self.stats.registered.fetch_sub(1, Ordering::SeqCst);
-                    return;
-                }
-            },
+        let watched = match nb.ready_source() {
+            ReadySource::Fd(fd) => self
+                .poller
+                .register(fd, token, Interest::READABLE)
+                .map(|()| Some(fd)),
+            ReadySource::Notify => self.poller.notifier(token).map(|notifier| {
+                nb.attach_notifier(notifier);
+                None
+            }),
+        };
+        let Ok(fd) = watched else {
+            // Cannot observe readiness: the connection is dead on arrival.
+            // Same accounting as a link failure.
+            self.free.push(slot);
+            self.fail_handshake("gateway.handshake.link");
+            self.stats.registered.fetch_sub(1, Ordering::SeqCst);
+            return;
         };
         self.ctx.stats.per_worker_sessions[self.idx].fetch_add(1, Ordering::SeqCst);
         let establish_deadline_ms = self
@@ -501,7 +502,6 @@ impl Shard {
             establish_deadline_ms,
             link_dead: false,
             write_interest: false,
-            pending: VecDeque::new(),
             closed: false,
         };
         self.arm(
@@ -555,72 +555,44 @@ impl Shard {
         let Some(mut conn) = self.conns.get_mut(token.0).and_then(Option::take) else {
             return;
         };
-        let stale = conn.timer.map(|(tid, _)| tid) != Some(id);
-        if stale {
+        let Some((_, kind)) = conn.timer.filter(|&(tid, _)| tid == id) else {
+            // Stale: the connection re-armed or cleared since.
             self.conns[token.0] = Some(conn);
             return;
-        }
-        let (_, kind) = conn.timer.take().expect("timer checked above");
+        };
+        conn.timer = None;
         self.stats.deadline_expiries.fetch_add(1, Ordering::SeqCst);
         metrics::counter_add("gateway.reactor.deadline_expiries", 1);
-        match kind {
-            TimerKind::Establish => match conn.state {
-                ConnState::AwaitHello => {
-                    // The first read died: a link failure, like a hangup.
-                    self.fail_handshake("gateway.handshake.link");
-                    conn.closed = true;
-                }
-                ConnState::Handshake { .. } => {
-                    self.fail_handshake("gateway.handshake.deadline");
-                    conn.closed = true;
-                }
-                _ => {}
-            },
-            TimerKind::Floor => {
-                if let ConnState::Floor { next } =
-                    mem::replace(&mut conn.state, ConnState::Draining)
-                {
-                    match next {
-                        AfterFloor::Oneshot => self.start_oneshot(&mut conn),
-                        AfterFloor::Handshake => self.start_handshake(&mut conn),
-                        AfterFloor::Round(session) => self.start_round(&mut conn, *session),
-                    }
-                    // Frames the peer sent while the floor held us.
-                    while let Some(frame) = conn.pending.pop_front() {
-                        if conn.closed {
-                            break;
-                        }
-                        self.on_frame(&mut conn, &frame);
-                    }
-                }
+        match (kind, mem::replace(&mut conn.state, ConnState::Draining)) {
+            // The first read died: a link failure, like a hangup.
+            (TimerKind::Establish, ConnState::AwaitHello) => {
+                self.hang_up(&mut conn, "gateway.handshake.link");
             }
-            TimerKind::Attempt => match mem::replace(&mut conn.state, ConnState::Draining) {
+            (TimerKind::Establish, ConnState::Handshake { .. }) => {
+                self.hang_up(&mut conn, "gateway.handshake.deadline");
+            }
+            (
+                TimerKind::Attempt,
                 ConnState::Oneshot {
                     cursor,
-                    awaiting: true,
-                    ..
-                } => {
-                    self.advance_oneshot(&mut conn, cursor, AttemptOutcome::ResponseLost);
-                }
-                ConnState::Round { session, .. } => {
-                    self.teardown_session("gateway.session.link");
-                    drop(session);
-                    self.conclude(&mut conn, false);
-                }
-                other => conn.state = other,
-            },
-            TimerKind::Backoff => match mem::replace(&mut conn.state, ConnState::Draining) {
+                    request: Some(_),
+                },
+            ) => self.step_oneshot(&mut conn, cursor, Some(AttemptOutcome::ResponseLost)),
+            (TimerKind::Attempt, ConnState::Round { .. }) => {
+                self.fail_round(&mut conn, "gateway.session.link");
+            }
+            (
+                TimerKind::Backoff,
                 ConnState::Oneshot {
                     cursor,
-                    awaiting: false,
-                    ..
-                } => self.run_attempts(&mut conn, cursor),
-                other => conn.state = other,
-            },
-            TimerKind::Drain => {
-                // Could not flush within the write budget; drop the rest.
-                conn.closed = true;
+                    request: None,
+                },
+            ) => {
+                self.step_oneshot(&mut conn, cursor, None);
             }
+            // Could not flush within the write budget; drop the rest.
+            (TimerKind::Drain, _) => conn.closed = true,
+            (_, state) => conn.state = state,
         }
         if conn.closed {
             self.finish_close(conn);
@@ -667,28 +639,16 @@ impl Shard {
         let msg = GatewayMsg::decode(bytes);
         match mem::replace(&mut conn.state, ConnState::Draining) {
             ConnState::AwaitHello => self.on_hello(conn, msg),
-            ConnState::Floor { next } => {
-                conn.pending.push_back(bytes.to_vec());
-                conn.state = ConnState::Floor { next };
-            }
             ConnState::Oneshot {
                 cursor,
-                request,
-                awaiting,
+                request: Some(request),
             } => {
-                if !awaiting {
-                    // A response surfacing during backoff is stale: the
-                    // attempt it answers has already been recorded lost.
-                    conn.state = ConnState::Oneshot {
-                        cursor,
-                        request,
-                        awaiting,
-                    };
-                    return;
-                }
-                let outcome = self.oneshot_outcome(conn, request.as_ref(), &msg);
-                self.advance_oneshot(conn, cursor, outcome);
+                let outcome = self.judge(conn, &request, &msg);
+                self.step_oneshot(conn, cursor, Some(outcome));
             }
+            // A response surfacing during backoff is stale: the attempt it
+            // answers has already been recorded lost.
+            state @ ConnState::Oneshot { request: None, .. } => conn.state = state,
             ConnState::Handshake { init, request } => {
                 self.on_handshake_reply(conn, &init, &request, &msg);
             }
@@ -702,56 +662,39 @@ impl Shard {
         }
     }
 
-    fn on_hello(&mut self, conn: &mut Conn, msg: Result<GatewayMsg, crate::error::AttestError>) {
-        match msg {
-            Ok(GatewayMsg::Hello { device_id }) => {
-                conn.device_id = device_id;
-                let Some(entry) = self.ctx.directory.get(device_id) else {
-                    self.unknown_device(conn);
-                    return;
-                };
-                let floor = entry.service_floor_ms;
-                self.clear_timer(conn);
-                if floor > 0 {
-                    conn.state = ConnState::Floor {
-                        next: AfterFloor::Oneshot,
-                    };
-                    self.arm(conn, TimerKind::Floor, floor);
-                } else {
-                    self.start_oneshot(conn);
-                }
-            }
+    /// The one hello path: decode the opening, look the device up once,
+    /// then branch only where the protocols differ.
+    fn on_hello(&mut self, conn: &mut Conn, msg: Result<GatewayMsg, AttestError>) {
+        let (device_id, opening) = match msg {
+            Ok(GatewayMsg::Hello { device_id }) => (device_id, Opening::Oneshot),
             Ok(GatewayMsg::SessHello {
                 device_id,
-                session_id: None,
-            }) => {
-                conn.device_id = device_id;
-                let Some(entry) = self.ctx.directory.get(device_id) else {
-                    self.unknown_device(conn);
-                    return;
-                };
-                let floor = entry.service_floor_ms;
-                self.clear_timer(conn);
-                if floor > 0 {
-                    conn.state = ConnState::Floor {
-                        next: AfterFloor::Handshake,
-                    };
-                    self.arm(conn, TimerKind::Floor, floor);
-                } else {
-                    self.start_handshake(conn);
-                }
-            }
-            Ok(GatewayMsg::SessHello {
+                session_id,
+            }) => (
                 device_id,
-                session_id: Some(sid),
-            }) => {
-                conn.device_id = device_id;
-                let Some(entry) = self.ctx.directory.get(device_id) else {
-                    self.unknown_device(conn);
-                    return;
+                session_id.map_or(Opening::Handshake, Opening::Resume),
+            ),
+            Ok(_) | Err(_) => return self.hang_up(conn, "gateway.handshake.garbage"),
+        };
+        conn.device_id = device_id;
+        self.clear_timer(conn);
+        if self.ctx.directory.get(device_id).is_none() {
+            return self.refuse(
+                conn,
+                "gateway.handshake.unknown_device",
+                &[GatewayMsg::Bye { verified: false }],
+            );
+        }
+        match opening {
+            Opening::Oneshot => {
+                let policy = RetryPolicy {
+                    jitter_seed: self.ctx.config.retry.jitter_seed ^ device_id,
+                    ..self.ctx.config.retry
                 };
-                let floor = entry.service_floor_ms;
-                let now_ms = self.ctx.elapsed_ms();
+                self.step_oneshot(conn, DriverCursor::new(policy), None);
+            }
+            Opening::Handshake => self.start_handshake(conn),
+            Opening::Resume(sid) => {
                 let taken = self
                     .ctx
                     .sessions
@@ -760,141 +703,66 @@ impl Shard {
                     .take(
                         device_id,
                         sid,
-                        now_ms,
+                        self.ctx.elapsed_ms(),
                         self.ctx.config.session_idle_ms,
                         &self.ctx.stats,
                     );
-                let Some(session) = taken else {
+                match taken {
+                    Some(session) => self.start_round(conn, session),
                     // Unknown/expired/foreign sid: cheap reject, no key
                     // material consulted.
-                    self.fail_handshake("gateway.session.expired_lookup");
-                    self.enqueue_msg(conn, &GatewayMsg::Reject(channel_expired()));
-                    self.enqueue_msg(conn, &GatewayMsg::Bye { verified: false });
-                    self.begin_drain(conn);
-                    return;
-                };
-                self.clear_timer(conn);
-                if floor > 0 {
-                    conn.state = ConnState::Floor {
-                        next: AfterFloor::Round(Box::new(session)),
-                    };
-                    self.arm(conn, TimerKind::Floor, floor);
-                } else {
-                    self.start_round(conn, session);
-                }
-            }
-            Ok(_) | Err(_) => {
-                self.fail_handshake("gateway.handshake.garbage");
-                conn.closed = true;
-            }
-        }
-    }
-
-    fn unknown_device(&mut self, conn: &mut Conn) {
-        self.fail_handshake("gateway.handshake.unknown_device");
-        self.enqueue_msg(conn, &GatewayMsg::Bye { verified: false });
-        self.begin_drain(conn);
-    }
-
-    // -- one-shot path (DriverCursor) ----------------------------------------
-
-    fn start_oneshot(&mut self, conn: &mut Conn) {
-        let policy = RetryPolicy {
-            jitter_seed: self.ctx.config.retry.jitter_seed ^ conn.device_id,
-            ..self.ctx.config.retry
-        };
-        let cursor = DriverCursor::new(policy);
-        self.run_attempts(conn, cursor);
-    }
-
-    /// Launches attempts until one is in flight (awaiting I/O or a
-    /// backoff timer) or the cursor completes: the `SessionDriver::run`
-    /// loop as a continuation. A dead link burns the remaining budget
-    /// synchronously, with no backoff timers.
-    fn run_attempts(&mut self, conn: &mut Conn, mut cursor: DriverCursor) {
-        loop {
-            let outcome = if conn.link_dead {
-                Some(AttemptOutcome::RequestLost)
-            } else {
-                let entry = self
-                    .ctx
-                    .directory
-                    .get(conn.device_id)
-                    .expect("device checked at hello");
-                let request = {
-                    let mut verifier = entry.verifier.lock().expect("verifier lock poisoned");
-                    let now = self.ctx.elapsed_ms().max(verifier.now_ms());
-                    verifier.set_time_ms(now);
-                    verifier.make_request()
-                };
-                match request {
-                    Err(e) => Some(AttemptOutcome::Error(e)),
-                    Ok(request) => {
-                        match self.send_framed(conn, &GatewayMsg::AttReq(request.to_bytes())) {
-                            Ok(()) => {
-                                let timeout = cursor.timeout_ms().max(1);
-                                conn.state = ConnState::Oneshot {
-                                    cursor,
-                                    request: Some(request),
-                                    awaiting: true,
-                                };
-                                self.arm(conn, TimerKind::Attempt, timeout);
-                                return;
-                            }
-                            Err(e) => {
-                                conn.link_dead = !e.is_transient();
-                                Some(AttemptOutcome::RequestLost)
-                            }
-                        }
-                    }
-                }
-            };
-            let outcome = outcome.expect("non-inflight branches produce an outcome");
-            match cursor.record(outcome) {
-                DriverStep::Done => {
-                    let verified = cursor.report().succeeded();
-                    self.conclude(conn, verified);
-                    return;
-                }
-                DriverStep::Retry { backoff_ms } => {
-                    trace::event_with("session.backoff", backoff_ms);
-                    if conn.link_dead {
-                        continue;
-                    }
-                    let nap = backoff_ms.min(self.ctx.config.backoff_cap_ms);
-                    conn.state = ConnState::Oneshot {
-                        cursor,
-                        request: None,
-                        awaiting: false,
-                    };
-                    self.arm(conn, TimerKind::Backoff, nap);
-                    return;
+                    None => self.refuse(
+                        conn,
+                        "gateway.session.expired_lookup",
+                        &[
+                            GatewayMsg::Reject(RejectReason::SessionExpired),
+                            GatewayMsg::Bye { verified: false },
+                        ],
+                    ),
                 }
             }
         }
     }
 
-    /// Judges one received frame as the in-flight attempt's outcome.
-    fn oneshot_outcome(
-        &mut self,
-        conn: &mut Conn,
-        request: Option<&AttestRequest>,
-        msg: &Result<GatewayMsg, crate::error::AttestError>,
-    ) -> AttemptOutcome {
-        let Some(request) = request else {
-            return AttemptOutcome::BadResponse;
-        };
-        let entry = self
-            .ctx
+    // -- device access -------------------------------------------------------
+
+    /// The directory entry of the connection's device (checked at hello).
+    fn entry(&self, conn: &Conn) -> &DeviceEntry {
+        self.ctx
             .directory
             .get(conn.device_id)
-            .expect("device checked at hello");
+            .expect("device checked at hello")
+    }
+
+    /// Locks the device's verifier, brings its clock up to gateway time
+    /// and mints with `mint` — the one request-minting path (one-shot
+    /// attempt, handshake, in-session round).
+    fn mint<R>(&self, conn: &Conn, mint: impl FnOnce(&mut Verifier) -> R) -> R {
+        let mut verifier = self
+            .entry(conn)
+            .verifier
+            .lock()
+            .expect("verifier lock poisoned");
+        let now = self.ctx.elapsed_ms().max(verifier.now_ms());
+        verifier.set_time_ms(now);
+        mint(&mut verifier)
+    }
+
+    /// Judges a reply to `request` (one-shot attempt or sealed round): a
+    /// response verified through the cached expected view, or a
+    /// prover-side reject noted on the verifier.
+    fn judge(
+        &self,
+        conn: &Conn,
+        request: &AttestRequest,
+        msg: &Result<GatewayMsg, AttestError>,
+    ) -> AttemptOutcome {
+        let entry = self.entry(conn);
         match msg {
             Ok(GatewayMsg::AttResp(raw)) => {
-                let Ok(response) = AttestResponse::from_bytes(raw) else {
-                    return AttemptOutcome::BadResponse;
-                };
-                if entry.check_and_note(request, &response) {
+                let verified = AttestResponse::from_bytes(raw)
+                    .is_ok_and(|response| entry.check_and_note(request, &response));
+                if verified {
                     AttemptOutcome::Success
                 } else {
                     AttemptOutcome::BadResponse
@@ -909,31 +777,85 @@ impl Shard {
         }
     }
 
-    fn advance_oneshot(
+    /// Files a served session in the shared table as used just now.
+    fn store_session(&self, mut session: SessionEntry) {
+        let now_ms = self.ctx.elapsed_ms();
+        session.last_used_ms = now_ms;
+        self.ctx
+            .sessions
+            .lock()
+            .expect("session table lock poisoned")
+            .insert(
+                session,
+                self.ctx.config.session_capacity,
+                now_ms,
+                self.ctx.config.session_idle_ms,
+                &self.ctx.stats,
+            );
+    }
+
+    // -- one-shot path (DriverCursor) ----------------------------------------
+
+    /// The one retry stepper (the `SessionDriver::run` loop as a
+    /// continuation): records `outcome`, if an attempt just ended, on the
+    /// cursor, then concludes, arms a backoff, or launches the next
+    /// attempt. A dead link fails attempts instantly, so its remaining
+    /// budget burns synchronously with no backoff timers.
+    fn step_oneshot(
         &mut self,
         conn: &mut Conn,
         mut cursor: DriverCursor,
-        outcome: AttemptOutcome,
+        mut outcome: Option<AttemptOutcome>,
     ) {
         self.clear_timer(conn);
-        match cursor.record(outcome) {
-            DriverStep::Done => {
-                let verified = cursor.report().succeeded();
-                self.conclude(conn, verified);
+        loop {
+            if let Some(ended) = outcome.take() {
+                match cursor.record(ended) {
+                    DriverStep::Done => {
+                        let verified = cursor.report().succeeded();
+                        return self.conclude(conn, verified);
+                    }
+                    DriverStep::Retry { backoff_ms } => {
+                        trace::event_with("session.backoff", backoff_ms);
+                        if !conn.link_dead {
+                            let nap = backoff_ms.min(self.ctx.config.backoff_cap_ms);
+                            conn.state = ConnState::Oneshot {
+                                cursor,
+                                request: None,
+                            };
+                            return self.arm(conn, TimerKind::Backoff, nap);
+                        }
+                    }
+                }
             }
-            DriverStep::Retry { backoff_ms } => {
-                trace::event_with("session.backoff", backoff_ms);
-                if conn.link_dead {
-                    self.run_attempts(conn, cursor);
-                } else {
-                    let nap = backoff_ms.min(self.ctx.config.backoff_cap_ms);
+            match self.send_attempt(conn) {
+                Ok(request) => {
+                    let timeout = cursor.timeout_ms().max(1);
                     conn.state = ConnState::Oneshot {
                         cursor,
-                        request: None,
-                        awaiting: false,
+                        request: Some(request),
                     };
-                    self.arm(conn, TimerKind::Backoff, nap);
+                    return self.arm(conn, TimerKind::Attempt, timeout);
                 }
+                Err(lost) => outcome = Some(lost),
+            }
+        }
+    }
+
+    /// Mints and sends one attempt's request, or says why the attempt
+    /// failed before reaching the wire. A dead link mints nothing.
+    fn send_attempt(&mut self, conn: &mut Conn) -> Result<AttestRequest, AttemptOutcome> {
+        if conn.link_dead {
+            return Err(AttemptOutcome::RequestLost);
+        }
+        let request = self
+            .mint(conn, Verifier::make_request)
+            .map_err(AttemptOutcome::Error)?;
+        match self.send_framed(conn, &GatewayMsg::AttReq(request.to_bytes())) {
+            Ok(()) => Ok(request),
+            Err(e) => {
+                conn.link_dead = !e.is_transient();
+                Err(AttemptOutcome::RequestLost)
             }
         }
     }
@@ -941,29 +863,16 @@ impl Shard {
     // -- attested handshake path ---------------------------------------------
 
     fn start_handshake(&mut self, conn: &mut Conn) {
-        let entry = self
-            .ctx
-            .directory
-            .get(conn.device_id)
-            .expect("device checked at hello");
-        let begun = {
-            let mut verifier = entry.verifier.lock().expect("verifier lock poisoned");
-            let now = self.ctx.elapsed_ms().max(verifier.now_ms());
-            verifier.set_time_ms(now);
-            channel::verifier_begin(&mut verifier, self.ctx.config.rekey_after_rounds)
-        };
-        let Ok((init, request)) = begun else {
-            self.fail_handshake("gateway.handshake.internal");
-            conn.closed = true;
-            return;
+        let rekey_after = self.ctx.config.rekey_after_rounds;
+        let Ok((init, request)) = self.mint(conn, |v| channel::verifier_begin(v, rekey_after))
+        else {
+            return self.hang_up(conn, "gateway.handshake.internal");
         };
         if self
             .send_framed(conn, &GatewayMsg::SessInit(init.encode()))
             .is_err()
         {
-            self.fail_handshake("gateway.handshake.link");
-            conn.closed = true;
-            return;
+            return self.hang_up(conn, "gateway.handshake.link");
         }
         // The accept read runs on whatever is left of the establishment
         // budget — a peer that stalls after SessInit is cut off here.
@@ -971,9 +880,7 @@ impl Shard {
             .establish_deadline_ms
             .saturating_sub(self.ctx.elapsed_ms());
         if left == 0 {
-            self.fail_handshake("gateway.handshake.deadline");
-            conn.closed = true;
-            return;
+            return self.hang_up(conn, "gateway.handshake.deadline");
         }
         conn.state = ConnState::Handshake { init, request };
         self.arm(conn, TimerKind::Establish, left);
@@ -984,98 +891,40 @@ impl Shard {
         conn: &mut Conn,
         init: &HandshakeInit,
         request: &AttestRequest,
-        msg: &Result<GatewayMsg, crate::error::AttestError>,
+        msg: &Result<GatewayMsg, AttestError>,
     ) {
         self.clear_timer(conn);
-        match msg {
-            Ok(GatewayMsg::SessAccept(raw)) => {
-                let Ok(accept) = HandshakeAccept::decode(raw) else {
-                    self.fail_handshake("gateway.handshake.garbage");
-                    conn.closed = true;
-                    return;
-                };
-                self.confirm_handshake(conn, init, request, &accept);
-            }
-            Ok(GatewayMsg::Reject(_)) => {
-                // The prover's own defences refused the embedded
-                // attestation: a completed (failed) attempt, not a dead
-                // link.
-                self.conclude(conn, false);
-            }
-            Ok(_) | Err(_) => {
-                self.fail_handshake("gateway.handshake.garbage");
-                conn.closed = true;
-            }
-        }
-    }
-
-    fn confirm_handshake(
-        &mut self,
-        conn: &mut Conn,
-        init: &HandshakeInit,
-        request: &AttestRequest,
-        accept: &HandshakeAccept,
-    ) {
-        let entry = self
-            .ctx
-            .directory
-            .get(conn.device_id)
-            .expect("device checked at hello");
-        let confirmed = entry.confirm_session(init, request, accept);
-        match confirmed {
-            Ok(chan) => {
-                let now_ms = self.ctx.elapsed_ms();
-                self.ctx
-                    .stats
-                    .sessions_opened
-                    .fetch_add(1, Ordering::SeqCst);
-                self.ctx
-                    .stats
-                    .sessions_active
-                    .fetch_add(1, Ordering::SeqCst);
-                metrics::counter_add("gateway.session.opened", 1);
-                self.ctx
-                    .sessions
-                    .lock()
-                    .expect("session table lock poisoned")
-                    .insert(
-                        SessionEntry {
-                            device_id: conn.device_id,
-                            chan,
-                            last_used_ms: now_ms,
-                        },
-                        self.ctx.config.session_capacity,
-                        now_ms,
-                        self.ctx.config.session_idle_ms,
-                        &self.ctx.stats,
-                    );
-                self.conclude(conn, true);
-            }
-            Err(_) => {
-                metrics::counter_add("gateway.session.confirm_failed", 1);
-                self.conclude(conn, false);
-            }
-        }
+        let accept = match msg {
+            // The prover's own defences refused the embedded attestation:
+            // a completed (failed) attempt, not a dead link.
+            Ok(GatewayMsg::Reject(_)) => return self.conclude(conn, false),
+            Ok(GatewayMsg::SessAccept(raw)) => HandshakeAccept::decode(raw).ok(),
+            _ => None,
+        };
+        let Some(accept) = accept else {
+            return self.hang_up(conn, "gateway.handshake.garbage");
+        };
+        let Ok(chan) = self.entry(conn).confirm_session(init, request, &accept) else {
+            metrics::counter_add("gateway.session.confirm_failed", 1);
+            return self.conclude(conn, false);
+        };
+        let stats = &self.ctx.stats;
+        stats.sessions_opened.fetch_add(1, Ordering::SeqCst);
+        stats.sessions_active.fetch_add(1, Ordering::SeqCst);
+        metrics::counter_add("gateway.session.opened", 1);
+        self.store_session(SessionEntry {
+            device_id: conn.device_id,
+            chan,
+            last_used_ms: 0,
+        });
+        self.conclude(conn, true);
     }
 
     // -- in-session round path -----------------------------------------------
 
     fn start_round(&mut self, conn: &mut Conn, mut session: SessionEntry) {
-        let entry = self
-            .ctx
-            .directory
-            .get(conn.device_id)
-            .expect("device checked at hello");
-        let request = {
-            let mut verifier = entry.verifier.lock().expect("verifier lock poisoned");
-            let now = self.ctx.elapsed_ms().max(verifier.now_ms());
-            verifier.set_time_ms(now);
-            verifier.make_session_request()
-        };
-        let Ok(request) = request else {
-            self.teardown_session("gateway.session.internal");
-            self.conclude(conn, false);
-            return;
+        let Ok(request) = self.mint(conn, Verifier::make_session_request) else {
+            return self.fail_round(conn, "gateway.session.internal");
         };
         let payload = GatewayMsg::AttReq(request.to_bytes()).encode();
         let frame = session.chan.seal_next(&payload);
@@ -1083,9 +932,7 @@ impl Shard {
             .send_framed(conn, &GatewayMsg::SessFrame(frame))
             .is_err()
         {
-            self.teardown_session("gateway.session.link");
-            self.conclude(conn, false);
-            return;
+            return self.fail_round(conn, "gateway.session.link");
         }
         conn.state = ConnState::Round {
             session: Box::new(session),
@@ -1099,98 +946,53 @@ impl Shard {
         conn: &mut Conn,
         mut session: SessionEntry,
         request: &AttestRequest,
-        msg: &Result<GatewayMsg, crate::error::AttestError>,
+        msg: &Result<GatewayMsg, AttestError>,
     ) {
         self.clear_timer(conn);
         // Downgrade defence: inside a session only sealed frames count.
-        let sealed = match msg {
-            Ok(GatewayMsg::SessFrame(sealed)) => sealed,
-            Ok(_) => {
-                self.teardown_session("gateway.session.downgrade");
-                self.conclude(conn, false);
-                return;
-            }
-            Err(_) => {
-                self.teardown_session("gateway.session.link");
-                self.conclude(conn, false);
-                return;
-            }
-        };
-        let inner = match session.chan.open(sealed) {
-            Ok(inner) => inner,
-            Err(e) => {
-                let label = match e.reject_reason() {
-                    Some(crate::error::RejectReason::SessionReplay) => "gateway.session.replay",
+        let opened =
+            match msg {
+                Ok(GatewayMsg::SessFrame(sealed)) => session.chan.open(sealed).map_err(|e| match e
+                    .reject_reason()
+                {
+                    Some(RejectReason::SessionReplay) => "gateway.session.replay",
                     _ => "gateway.session.auth_fail",
-                };
-                self.teardown_session(label);
-                self.conclude(conn, false);
-                return;
-            }
+                }),
+                Ok(_) => Err("gateway.session.downgrade"),
+                Err(_) => Err("gateway.session.link"),
+            };
+        let inner = match opened {
+            Ok(inner) => inner,
+            Err(label) => return self.fail_round(conn, label),
         };
-        let entry = self
-            .ctx
-            .directory
-            .get(conn.device_id)
-            .expect("device checked at hello");
-        let verified = match GatewayMsg::decode(&inner) {
-            Ok(GatewayMsg::AttResp(raw)) => match AttestResponse::from_bytes(&raw) {
-                Ok(response) => entry.check_and_note(request, &response),
-                Err(_) => false,
-            },
-            Ok(GatewayMsg::Reject(_)) => {
-                let mut verifier = entry.verifier.lock().expect("verifier lock poisoned");
-                verifier.note_failed(request);
-                false
-            }
-            _ => false,
-        };
-        if verified {
-            if session.chan.note_round() {
-                // Deterministic lockstep ratchet: the old epoch retires as
-                // "rekeyed", its successor counts as newly opened.
-                self.ctx
-                    .stats
-                    .sessions_rekeyed
-                    .fetch_add(1, Ordering::SeqCst);
-                self.ctx
-                    .stats
-                    .sessions_opened
-                    .fetch_add(1, Ordering::SeqCst);
-                metrics::counter_add("gateway.session.rekeyed", 1);
-            }
-            session.last_used_ms = self.ctx.elapsed_ms();
-            let now_ms = self.ctx.elapsed_ms();
-            self.ctx
-                .sessions
-                .lock()
-                .expect("session table lock poisoned")
-                .insert(
-                    session,
-                    self.ctx.config.session_capacity,
-                    now_ms,
-                    self.ctx.config.session_idle_ms,
-                    &self.ctx.stats,
-                );
-        } else {
-            self.teardown_session("gateway.session.round_failed");
+        if !self
+            .judge(conn, request, &GatewayMsg::decode(&inner))
+            .is_success()
+        {
+            return self.fail_round(conn, "gateway.session.round_failed");
         }
-        self.conclude(conn, verified);
+        if session.chan.note_round() {
+            // Deterministic lockstep ratchet: the old epoch retires as
+            // "rekeyed", its successor counts as newly opened.
+            let stats = &self.ctx.stats;
+            stats.sessions_rekeyed.fetch_add(1, Ordering::SeqCst);
+            stats.sessions_opened.fetch_add(1, Ordering::SeqCst);
+            metrics::counter_add("gateway.session.rekeyed", 1);
+        }
+        self.store_session(session);
+        self.conclude(conn, true);
     }
 
-    /// Fail-closed retirement of a taken-out session (it is simply not
-    /// reinserted; this records the eviction).
-    fn teardown_session(&mut self, label: &'static str) {
-        self.ctx
-            .stats
-            .sessions_evicted
-            .fetch_add(1, Ordering::SeqCst);
-        self.ctx
-            .stats
-            .sessions_active
-            .fetch_sub(1, Ordering::SeqCst);
+    /// Fail-closed end of an in-session round: the taken-out session is
+    /// simply not reinserted (booked as an eviction under `label`), and
+    /// the attempt concludes unverified.
+    fn fail_round(&mut self, conn: &mut Conn, label: &'static str) {
+        let stats = &self.ctx.stats;
+        stats.sessions_evicted.fetch_add(1, Ordering::SeqCst);
+        stats.sessions_active.fetch_sub(1, Ordering::SeqCst);
         metrics::counter_add("gateway.session.evicted", 1);
         metrics::counter_add(label, 1);
+        self.conclude(conn, false);
     }
 
     // -- conclusions & accounting --------------------------------------------
@@ -1223,6 +1025,23 @@ impl Shard {
         metrics::counter_add(label, 1);
     }
 
+    /// A handshake failure that closes at once (garbage, dead link,
+    /// expired budget): the peer gets nothing more.
+    fn hang_up(&mut self, conn: &mut Conn, label: &'static str) {
+        self.fail_handshake(label);
+        conn.closed = true;
+    }
+
+    /// A handshake failure answered politely: `farewell` is flushed
+    /// before close.
+    fn refuse(&mut self, conn: &mut Conn, label: &'static str, farewell: &[GatewayMsg]) {
+        self.fail_handshake(label);
+        for msg in farewell {
+            self.enqueue_msg(conn, msg);
+        }
+        self.begin_drain(conn);
+    }
+
     fn begin_drain(&mut self, conn: &mut Conn) {
         conn.state = ConnState::Draining;
         if conn.link_dead || !conn.nb.has_pending_write() {
@@ -1242,14 +1061,10 @@ impl Shard {
             return Err(TransportError::Closed);
         }
         conn.nb.enqueue_send(&msg.encode())?;
-        match conn.nb.flush() {
-            Ok(true) => Ok(()),
-            Ok(false) => {
-                self.set_write_interest(conn, true);
-                Ok(())
-            }
-            Err(e) => Err(e),
+        if !conn.nb.flush()? {
+            self.set_write_interest(conn, true);
         }
+        Ok(())
     }
 
     /// Best-effort send for verdict frames (`Busy`/`Bye`/`Reject`): a
@@ -1282,53 +1097,36 @@ impl Shard {
         );
         conn.link_dead = true;
         match mem::replace(&mut conn.state, ConnState::Draining) {
-            ConnState::AwaitHello | ConnState::Floor { .. } => {
-                self.fail_handshake(if poisoned {
+            ConnState::AwaitHello | ConnState::Handshake { .. } => self.hang_up(
+                conn,
+                if poisoned {
                     "gateway.handshake.garbage"
                 } else {
                     "gateway.handshake.link"
-                });
-                conn.closed = true;
-            }
-            ConnState::Oneshot {
-                cursor, awaiting, ..
-            } => {
-                if awaiting {
-                    let outcome = if poisoned {
-                        // Stream poisoned by garbage — no point retrying.
+                },
+            ),
+            // An in-flight attempt is lost (a poisoned stream is not worth
+            // retrying); one that died during backoff burns the remaining
+            // budget synchronously, as dead-link attempts are instant.
+            ConnState::Oneshot { cursor, request } => {
+                let outcome = request.map(|_| {
+                    if poisoned {
                         AttemptOutcome::BadResponse
                     } else {
                         AttemptOutcome::ResponseLost
-                    };
-                    self.advance_oneshot(conn, cursor, outcome);
-                } else {
-                    // Link died during backoff: burn the remaining budget
-                    // synchronously (dead-link attempts are instant).
-                    self.clear_timer(conn);
-                    self.run_attempts(conn, cursor);
-                }
+                    }
+                });
+                self.step_oneshot(conn, cursor, outcome);
             }
-            ConnState::Handshake { .. } => {
-                self.fail_handshake("gateway.handshake.deadline");
-                conn.closed = true;
-            }
-            ConnState::Round { session, .. } => {
-                self.teardown_session("gateway.session.link");
-                drop(session);
-                self.conclude(conn, false);
-            }
-            ConnState::Draining => {
-                conn.closed = true;
-            }
+            ConnState::Round { .. } => self.fail_round(conn, "gateway.session.link"),
+            ConnState::Draining => conn.closed = true,
         }
     }
 
     // -- timers --------------------------------------------------------------
 
     fn arm(&mut self, conn: &mut Conn, kind: TimerKind, delay_ms: u64) {
-        if let Some((id, _)) = conn.timer.take() {
-            self.wheel.cancel(id);
-        }
+        self.clear_timer(conn);
         let deadline = self.ctx.elapsed_ms().saturating_add(delay_ms);
         let id = self.wheel.schedule(conn.token, deadline);
         conn.timer = Some((id, kind));
@@ -1339,10 +1137,4 @@ impl Shard {
             self.wheel.cancel(id);
         }
     }
-}
-
-/// `RejectReason::SessionExpired` spelled as a function to keep the
-/// `use` surface of this module small.
-fn channel_expired() -> crate::error::RejectReason {
-    crate::error::RejectReason::SessionExpired
 }

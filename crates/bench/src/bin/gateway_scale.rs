@@ -9,13 +9,16 @@
 //!    1k/8k/32k (CI: 256/1024) on 4 shard threads and must verify every
 //!    single session, reporting p50/p90/p99 dial-to-verdict latency and
 //!    shed rate per level.
-//! 2. **Deterministic shed.** With one shard capped at 16 connections, a
-//!    floor-pinned wave of 32 must split into exactly 16 served / 16
-//!    `Busy` — admission control stays exact at the readiness layer.
+//! 2. **Deterministic shed.** With one shard capped at 16 connections and
+//!    16 silent connections pinning every slot, a wave of 16 dials must
+//!    all come back `Busy`; once the pins hang up, a second wave of 16
+//!    must all be served — admission control stays exact at the
+//!    readiness layer, 16 served / 16 `Busy` of 32 dialed.
 //!
 //! `--ci` gates: every swept session verified with zero shed, the shed
-//! probe exact, and per-shard and global partition laws intact. Results
-//! land in `BENCH_gateway_scale.json`.
+//! probe exact (each pin booked as a handshake failure), and per-shard
+//! and global partition laws intact. Results land in
+//! `BENCH_gateway_scale.json`.
 
 use std::io::Write as _;
 use std::sync::Arc;
@@ -36,11 +39,9 @@ const CI_SEED: u64 = 0xDAC1_5CA1_E000;
 
 /// Shard threads for the sweep.
 const THREADS: usize = 4;
-/// Shed-probe geometry: one shard, capped, dialed to twice the cap.
+/// Shed-probe geometry: one shard capped at this many connections, held
+/// by as many silent pins, then dialed by two waves of this size.
 const SHED_CAP: usize = 16;
-/// Service floor pinning probe connections (must dwarf the accept-drain
-/// time of the whole wave so admission decisions are deterministic).
-const PROBE_FLOOR_MS: u64 = 500;
 
 fn sweep_levels(ci: bool) -> Vec<usize> {
     if ci {
@@ -65,9 +66,8 @@ fn device_key(index: u64) -> [u8; 16] {
     key
 }
 
-/// Provisions `count` SimDevices into a fresh directory; `floor_ms`
-/// pins each accepted session for the shed probe.
-fn provision_fleet(count: usize, floor_ms: u64) -> (DeviceDirectory, Vec<(u64, Arc<SimDevice>)>) {
+/// Provisions `count` SimDevices into a fresh directory.
+fn provision_fleet(count: usize) -> (DeviceDirectory, Vec<(u64, Arc<SimDevice>)>) {
     let mut directory = DeviceDirectory::new();
     let mut devices = Vec::with_capacity(count);
     for index in 0..count as u64 {
@@ -75,7 +75,7 @@ fn provision_fleet(count: usize, floor_ms: u64) -> (DeviceDirectory, Vec<(u64, A
         let sim = SimDevice::new(&key, sim_image(index));
         let config = proverguard_attest::prover::ProverConfig::recommended();
         let verifier = Verifier::new(&config, &key).expect("provision verifier");
-        let id = directory.register_with_floor(verifier, sim.image().to_vec(), floor_ms);
+        let id = directory.register(verifier, sim.image().to_vec());
         devices.push((id, Arc::new(sim)));
     }
     (directory, devices)
@@ -92,18 +92,25 @@ fn gateway_retry() -> RetryPolicy {
     }
 }
 
-/// Spins until every shard has released its connections, then snapshots.
-/// The wave has already joined, so this converges within the drain of
-/// the final `Bye` frames.
-fn quiesced_shards(handle: &GatewayHandle) -> Vec<ShardSnapshot> {
+/// Spins until the shards together own exactly `registered`
+/// connections (or 5 s pass), then snapshots.
+fn shards_holding(handle: &GatewayHandle, registered: u64) -> Vec<ShardSnapshot> {
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
         let snaps = handle.shard_stats();
-        if snaps.iter().all(|s| s.registered == 0) || Instant::now() > deadline {
+        let held: u64 = snaps.iter().map(|s| s.registered).sum();
+        if held == registered || Instant::now() > deadline {
             return snaps;
         }
         thread::sleep(Duration::from_millis(2));
     }
+}
+
+/// Spins until every shard has released its connections, then snapshots.
+/// The wave has already joined, so this converges within the drain of
+/// the final `Bye` frames.
+fn quiesced_shards(handle: &GatewayHandle) -> Vec<ShardSnapshot> {
+    shards_holding(handle, 0)
 }
 
 struct LevelOutcome {
@@ -117,7 +124,7 @@ struct LevelOutcome {
 /// One sweep level: a fresh gateway sized to hold `level` concurrent
 /// sessions, one dial per device, everything concurrent.
 fn run_level(level: usize, deadline: Duration) -> LevelOutcome {
-    let (directory, devices) = provision_fleet(level, 0);
+    let (directory, devices) = provision_fleet(level);
     let (hub, connector) = LoopbackHub::new(DEFAULT_MAX_FRAME);
     let handle = Gateway::start(
         Box::new(hub),
@@ -146,16 +153,19 @@ fn run_level(level: usize, deadline: Duration) -> LevelOutcome {
 }
 
 struct ProbeOutcome {
-    wave: WaveReport,
+    /// The wave dialed while silent pins hold every slot.
+    shed_wave: WaveReport,
+    /// The wave dialed after the pins hung up.
+    served_wave: WaveReport,
     shards: Vec<ShardSnapshot>,
     report: GatewayReport,
 }
 
-/// Deterministic shed at the readiness layer: one shard, `SHED_CAP`
-/// slots, `2 * SHED_CAP` floor-pinned dials.
+/// Deterministic shed at the readiness layer: one shard with `SHED_CAP`
+/// slots, all pinned by silent connections while the first wave dials,
+/// all free again for the second.
 fn run_shed_probe() -> ProbeOutcome {
-    let dialed = 2 * SHED_CAP;
-    let (directory, devices) = provision_fleet(dialed, PROBE_FLOOR_MS);
+    let (directory, devices) = provision_fleet(SHED_CAP);
     let (hub, connector) = LoopbackHub::new(DEFAULT_MAX_FRAME);
     let handle = Gateway::start(
         Box::new(hub),
@@ -169,11 +179,22 @@ fn run_shed_probe() -> ProbeOutcome {
             ..GatewayConfig::default()
         },
     );
-    let wave = drive_oneshot_wave(&connector, &devices, Duration::from_secs(60));
+    // Each pin waits out its Hello budget (`read_timeout_ms`), far
+    // longer than a wave takes, so every first-wave dial meets a full
+    // shard.
+    let pins: Vec<_> = (0..SHED_CAP)
+        .filter_map(|_| connector.connect().ok())
+        .collect();
+    shards_holding(&handle, SHED_CAP as u64);
+    let shed_wave = drive_oneshot_wave(&connector, &devices, Duration::from_secs(60));
+    drop(pins);
+    quiesced_shards(&handle);
+    let served_wave = drive_oneshot_wave(&connector, &devices, Duration::from_secs(60));
     let shards = quiesced_shards(&handle);
     let report = handle.shutdown();
     ProbeOutcome {
-        wave,
+        shed_wave,
+        served_wave,
         shards,
         report,
     }
@@ -248,7 +269,9 @@ fn write_json(
     writeln!(
         out,
         "  \"shed_probe\": {{ \"shard_cap\": {SHED_CAP}, \"dialed\": {}, \"served\": {}, \"shed\": {} }}",
-        shed.wave.dialed, shed.wave.verified, shed.wave.shed
+        shed.shed_wave.dialed + shed.served_wave.dialed,
+        shed.served_wave.verified,
+        shed.shed_wave.shed
     )?;
     writeln!(out, "}}")?;
     Ok(())
@@ -296,20 +319,32 @@ fn main() {
 
     // Phase 2 — deterministic shed at the readiness layer.
     let shed = run_shed_probe();
+    let (served, shed_count) = (shed.served_wave.verified, shed.shed_wave.shed);
     println!(
-        "shed probe (1 shard, cap {SHED_CAP}): {} served, {} Busy of {} dialed",
-        shed.wave.verified, shed.wave.shed, shed.wave.dialed
+        "shed probe (1 shard, cap {SHED_CAP}): {served} served, {shed_count} Busy of {} dialed",
+        shed.shed_wave.dialed + shed.served_wave.dialed
     );
-    if shed.wave.verified != SHED_CAP as u64 || shed.wave.shed != SHED_CAP as u64 {
+    if served != SHED_CAP as u64 || shed_count != SHED_CAP as u64 {
         violations.push(format!(
-            "shed probe not deterministic: {} served / {} shed, expected {SHED_CAP}/{SHED_CAP}",
-            shed.wave.verified, shed.wave.shed
+            "shed probe not deterministic: {served} served / {shed_count} shed, expected {SHED_CAP}/{SHED_CAP}"
         ));
     }
-    if shed.report.stats.busy_rejected != shed.wave.shed {
+    if shed.report.stats.busy_rejected != shed_count {
         violations.push(format!(
-            "busy_rejected {} disagrees with client-side shed count {}",
-            shed.report.stats.busy_rejected, shed.wave.shed
+            "busy_rejected {} disagrees with client-side shed count {shed_count}",
+            shed.report.stats.busy_rejected
+        ));
+    }
+    if shed.report.stats.handshake_failed != SHED_CAP as u64 {
+        violations.push(format!(
+            "shed probe booked {} handshake failures, expected one per pin ({SHED_CAP})",
+            shed.report.stats.handshake_failed
+        ));
+    }
+    if !shed.report.stats.partition_holds() {
+        violations.push(format!(
+            "shed probe stats partition violated: {:?}",
+            shed.report.stats
         ));
     }
     for snap in &shed.shards {

@@ -5,7 +5,7 @@ use std::ops::Range;
 use crate::strategy::Strategy;
 use crate::test_runner::TestRng;
 
-/// Strategy for `Vec<T>` with element strategy `S`; see [`vec`].
+/// Strategy for `Vec<T>` with element strategy `S`; see [`vec()`].
 #[derive(Debug, Clone)]
 pub struct VecStrategy<S> {
     element: S,

@@ -54,7 +54,7 @@ pub fn encode_frame(payload: &[u8], max: usize) -> Result<Vec<u8>, TransportErro
 }
 
 /// Decodes one complete datagram (header + payload, nothing more, nothing
-/// less) — the UDP path, where a frame never spans packets.
+/// less) — the loopback path, where a frame always arrives whole.
 ///
 /// # Errors
 ///

@@ -6,11 +6,10 @@
 //!
 //! - [`frame`] — length-prefixed framing with a hard pre-allocation
 //!   length cap (the codec-level cheap reject);
-//! - [`Transport`] — a blocking framed-message pipe, implemented three
+//! - [`Transport`] — a blocking framed-message pipe, implemented two
 //!   ways:
 //!   - [`tcp::TcpTransport`] over `std::net` TCP (partial reads, slow
 //!     peers, connection churn — the production-shaped path),
-//!   - [`udp::UdpTransport`] — one datagram per frame,
 //!   - [`mem::MemTransport`] — an in-memory loopback with the same
 //!     blocking/deadline semantics, so CI and deterministic benches run
 //!     the identical stack without touching a socket;
@@ -31,14 +30,12 @@ pub mod frame;
 pub mod mem;
 pub mod nb;
 pub mod tcp;
-pub mod udp;
 
 pub use error::TransportError;
 pub use frame::{decode_datagram, encode_frame, FrameDecoder, DEFAULT_MAX_FRAME};
 pub use mem::{loopback_pair, LoopbackConnector, LoopbackHub, MemTransport};
 pub use nb::{NbTransport, ReadySource};
 pub use tcp::{TcpAcceptor, TcpTransport};
-pub use udp::{udp_pair, UdpTransport};
 
 use std::time::Duration;
 

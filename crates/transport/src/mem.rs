@@ -1,13 +1,13 @@
 //! In-memory loopback transport.
 //!
-//! The same framed, blocking, deadline-bearing pipe as the socket
-//! transports, built on `std::sync::mpsc` — so CI containers with no
+//! The same framed, blocking, deadline-bearing pipe as the TCP
+//! transport, built on `std::sync::mpsc` — so CI containers with no
 //! network namespace, deterministic benches, and the adversary's fault
 //! wrappers all run the *identical* stack from the codec up. Frames
-//! travel whole (message semantics, like UDP) and still pass through
-//! [`decode_datagram`](crate::frame::decode_datagram) on receive, so a
-//! fault wrapper that truncates or bit-flips the framed bytes is caught
-//! by the same codec checks a real wire would hit.
+//! travel whole (message semantics, like datagrams) and still pass through
+//! [`decode_datagram`] on receive, so a fault wrapper that truncates or
+//! bit-flips the framed bytes is caught by the same codec checks a real
+//! wire would hit.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};

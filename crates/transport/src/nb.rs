@@ -23,8 +23,7 @@
 //!
 //! Conversion is [`Transport::into_nb`](crate::Transport::into_nb):
 //! implemented by the TCP and loopback transports, a structured
-//! "unsupported" error everywhere else (UDP's datagram model has no
-//! byte-stream readiness story worth faking).
+//! "unsupported" error everywhere else (e.g. adversarial wrappers).
 
 use std::fmt;
 use std::sync::Mutex;
@@ -144,7 +143,7 @@ impl fmt::Debug for SignalCell {
 }
 
 /// The error non-blocking conversion returns for transports without a
-/// readiness story (UDP, adversarial wrappers).
+/// readiness story (e.g. adversarial wrappers).
 #[must_use]
 pub fn unsupported_nb(what: &str) -> TransportError {
     TransportError::Io {

@@ -2,7 +2,7 @@
 //!
 //! This is the production-shaped path: partial reads, coalesced writes,
 //! slow peers and connection churn all happen here for real. The
-//! [`FrameDecoder`](crate::frame::FrameDecoder) underneath reassembles
+//! [`FrameDecoder`] underneath reassembles
 //! frames from whatever the kernel hands us, so a peer dribbling one byte
 //! per segment and a peer batching ten frames per segment both work.
 
@@ -307,6 +307,13 @@ impl Acceptor for TcpAcceptor {
                         None => std::thread::sleep(self.backoff.min(deadline - now)),
                     }
                 }
+                // A peer that gave up mid-handshake is gone before we
+                // saw it: nothing was accepted, the listener is fine.
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::ConnectionAborted | io::ErrorKind::ConnectionReset
+                    ) => {}
                 Err(e) => return Err(e.into()),
             }
         }

@@ -4,17 +4,15 @@
 //! and the stats partition law holds once the gateway quiesces.
 
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use proverguard_attest::gateway::{
-    DeviceDirectory, Gateway, GatewayConfig, GatewayMsg, ProverAgent,
+    DeviceDirectory, Gateway, GatewayConfig, GatewayHandle, GatewayMsg, ProverAgent,
 };
 use proverguard_attest::prover::{Prover, ProverConfig};
 use proverguard_attest::session::RetryPolicy;
 use proverguard_attest::verifier::Verifier;
 use proverguard_transport::{LoopbackConnector, LoopbackHub, Transport, DEFAULT_MAX_FRAME};
-
-const FLOOR_MS: u64 = 300;
 
 fn provision(index: u64) -> (Prover, Verifier) {
     let config = ProverConfig::recommended();
@@ -56,10 +54,22 @@ fn dial_expect_busy(connector: &LoopbackConnector) -> bool {
     }
 }
 
+/// Waits (up to 5 s) until shard 0 owns `slots` connections.
+fn wait_registered(handle: &GatewayHandle, slots: usize) {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while handle.shard_stats()[0].registered < slots as u64 {
+        assert!(
+            Instant::now() < deadline,
+            "gateway never registered {slots} connections"
+        );
+        thread::sleep(Duration::from_millis(1));
+    }
+}
+
 /// Saturate a one-shard gateway capped at four connections with exactly
-/// four floor-pinned honest sessions, then dial three more connections
-/// mid-floor: each extra dial must come back `Busy` without costing the
-/// gateway any session work, every pinned session must still verify, and
+/// four honest connections, held open before their `Hello`, then dial
+/// three more: each extra dial must come back `Busy` without costing the
+/// gateway any session work, every held session must still verify, and
 /// the final snapshot must satisfy the partition law.
 #[test]
 fn full_queue_sheds_busy_while_in_flight_sessions_complete() {
@@ -68,8 +78,7 @@ fn full_queue_sheds_busy_while_in_flight_sessions_complete() {
     let mut agents = Vec::new();
     for p in 0..slots {
         let (prover, verifier) = provision(p as u64);
-        let id =
-            directory.register_with_floor(verifier, prover.expected_memory().to_vec(), FLOOR_MS);
+        let id = directory.register(verifier, prover.expected_memory().to_vec());
         agents.push(ProverAgent::new(prover, id));
     }
 
@@ -88,33 +97,15 @@ fn full_queue_sheds_busy_while_in_flight_sessions_complete() {
         },
     );
 
-    // Fill all four slots. Staggered dials keep the fill order
-    // deterministic, so exactly four sessions are in flight when we probe.
-    let pins: Vec<_> = agents
+    // Fill all four slots from the client side: each honest connection is
+    // held open, its Hello not yet sent, until the probes are done.
+    let held: Vec<_> = agents
         .into_iter()
-        .map(|mut agent| {
-            let connector = connector.clone();
-            thread::sleep(Duration::from_millis(3));
-            thread::spawn(move || {
-                agent
-                    .attest_with_retry(
-                        || {
-                            connector
-                                .connect()
-                                .map(|conn| Box::new(conn) as Box<dyn Transport>)
-                        },
-                        &patient(),
-                        Duration::from_secs(30),
-                        50,
-                    )
-                    .is_verified()
-            })
-        })
+        .map(|agent| (agent, connector.connect().expect("held connect")))
         .collect();
+    wait_registered(&handle, slots);
 
-    // Mid-floor every slot holds a pin waiting out its service floor: the
-    // gateway MUST shed us, cheaply.
-    thread::sleep(Duration::from_millis(FLOOR_MS / 2));
+    // Every slot is held: the gateway MUST shed us, cheaply.
     let mut shed = 0u64;
     for _ in 0..3 {
         assert!(
@@ -124,6 +115,17 @@ fn full_queue_sheds_busy_while_in_flight_sessions_complete() {
         shed += 1;
     }
 
+    // The held sessions say Hello well within `read_timeout_ms`.
+    let pins: Vec<_> = held
+        .into_iter()
+        .map(|(mut agent, mut conn)| {
+            thread::spawn(move || {
+                agent
+                    .run_session(&mut conn, Duration::from_secs(30))
+                    .is_verified()
+            })
+        })
+        .collect();
     for (p, pin) in pins.into_iter().enumerate() {
         assert!(
             pin.join().expect("pinned session panicked"),

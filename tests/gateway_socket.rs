@@ -1,16 +1,14 @@
 //! End-to-end attestation over real OS sockets on 127.0.0.1: the full
-//! gateway stack on TCP, and the raw framed protocol on UDP datagrams.
-//! Everything binds port 0, so runs never collide.
+//! gateway stack on TCP. Everything binds port 0, so runs never collide.
 
 use std::thread;
 use std::time::Duration;
 
 use proverguard_attest::gateway::{DeviceDirectory, Gateway, GatewayConfig, ProverAgent};
-use proverguard_attest::message::{AttestRequest, AttestResponse};
 use proverguard_attest::prover::{Prover, ProverConfig};
 use proverguard_attest::session::RetryPolicy;
 use proverguard_attest::verifier::Verifier;
-use proverguard_transport::{udp_pair, TcpAcceptor, TcpTransport, Transport, DEFAULT_MAX_FRAME};
+use proverguard_transport::{TcpAcceptor, TcpTransport, Transport};
 
 fn provision(index: u64) -> (Prover, Verifier) {
     let config = ProverConfig::recommended();
@@ -93,58 +91,4 @@ fn gateway_attests_provers_over_tcp() {
         report.metrics.counter("transport.bytes_in").unwrap_or(0) > 0,
         "gateway-side byte counters must see real socket traffic"
     );
-}
-
-/// The framed attestation protocol over UDP datagrams: one request per
-/// datagram, the prover's cheap-reject ladder and memory MAC on one side,
-/// the verifier's expected-image check on the other. The prover side
-/// snapshots its RAM after each request, because committing counter
-/// freshness mutates the attested image before the MAC runs.
-#[test]
-fn attestation_roundtrips_over_udp_datagrams() {
-    const SESSIONS: usize = 2;
-    let (mut prover, mut verifier) = provision(7);
-
-    let (mut prover_end, mut verifier_end) =
-        udp_pair(DEFAULT_MAX_FRAME).expect("bind loopback udp pair");
-    prover_end
-        .set_deadline(Some(Duration::from_secs(10)))
-        .expect("prover deadline");
-    verifier_end
-        .set_deadline(Some(Duration::from_secs(10)))
-        .expect("verifier deadline");
-
-    let service = thread::spawn(move || {
-        let mut snapshots = Vec::new();
-        for _ in 0..SESSIONS {
-            let request = prover_end.recv().expect("prover recv");
-            let reply = prover
-                .handle_wire_request(&request)
-                .expect("honest request accepted");
-            snapshots.push(prover.expected_memory().to_vec());
-            prover_end.send(&reply).expect("prover send");
-        }
-        snapshots
-    });
-
-    let mut exchanges = Vec::new();
-    for _ in 0..SESSIONS {
-        let request = verifier.make_request().expect("make request");
-        verifier_end
-            .send(&request.to_bytes())
-            .expect("verifier send");
-        let reply = verifier_end.recv().expect("verifier recv");
-        exchanges.push((request, reply));
-    }
-    let snapshots = service.join().expect("prover thread panicked");
-
-    for (round, ((request, reply), expected)) in exchanges.iter().zip(snapshots.iter()).enumerate()
-    {
-        let request = AttestRequest::from_bytes(&request.to_bytes()).expect("request reparses");
-        let response = AttestResponse::from_bytes(reply).expect("response parses");
-        assert!(
-            verifier.check_response(&request, &response, expected),
-            "UDP session {round} must verify against the post-commit image"
-        );
-    }
 }

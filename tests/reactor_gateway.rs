@@ -1,21 +1,26 @@
 //! The event-driven gateway through its public surface: honest fleets
 //! verify, also under garbage and forgery floods; session
 //! handshake/resume/reboot/expiry work; a slowloris is cut by the
-//! establishment budget; overload sheds a deterministic `Busy`; and both
-//! the global and the per-shard stats partition laws hold. A mixed
-//! workload pins every protocol-visible count to its exact value.
+//! establishment budget; overload sheds a deterministic `Busy`; an
+//! acceptor error does not stop the gateway accepting; and both the
+//! global and the per-shard stats partition laws hold. A mixed workload
+//! pins every protocol-visible count to its exact value, and a table
+//! pins the accounting of every kind of first frame.
 
 use std::thread;
 use std::time::{Duration, Instant};
 
 use proverguard_adversary::wire::{forgery_flood, junk_frame_flood, raw_garbage_flood};
+use proverguard_attest::channel::{self, HandshakeInit, SESSION_ID_SIZE};
 use proverguard_attest::gateway::{
-    DeviceDirectory, Gateway, GatewayConfig, GatewayMsg, ProverAgent,
+    DeviceDirectory, Gateway, GatewayConfig, GatewayHandle, GatewayMsg, ProverAgent,
 };
 use proverguard_attest::prover::{Prover, ProverConfig};
 use proverguard_attest::session::RetryPolicy;
 use proverguard_attest::verifier::Verifier;
-use proverguard_transport::{LoopbackConnector, LoopbackHub, Transport, DEFAULT_MAX_FRAME};
+use proverguard_transport::{
+    Acceptor, LoopbackConnector, LoopbackHub, Transport, TransportError, DEFAULT_MAX_FRAME,
+};
 
 fn provision(index: u64) -> (Prover, Verifier) {
     let config = ProverConfig::recommended();
@@ -76,12 +81,22 @@ fn dial_expect_busy(connector: &LoopbackConnector) -> bool {
     }
 }
 
+/// Waits (up to 5 s) until shard 0 owns `slots` connections.
+fn wait_registered(handle: &GatewayHandle, slots: usize) {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while handle.shard_stats()[0].registered < slots as u64 {
+        assert!(
+            Instant::now() < deadline,
+            "gateway never registered {slots} connections"
+        );
+        thread::sleep(Duration::from_millis(1));
+    }
+}
+
 /// Polls the per-shard snapshots until every shard has released its
 /// connections (`registered == 0`). The shard law compares counters
 /// updated by two threads, so it is only exact at quiescence.
-fn quiesced_shards(
-    handle: &proverguard_attest::gateway::GatewayHandle,
-) -> Vec<proverguard_attest::gateway::ShardSnapshot> {
+fn quiesced_shards(handle: &GatewayHandle) -> Vec<proverguard_attest::gateway::ShardSnapshot> {
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
         let snaps = handle.shard_stats();
@@ -94,8 +109,7 @@ fn quiesced_shards(
 
 /// An honest 8-device fleet over 2 shards: every one-shot session
 /// verifies, the global partition law holds, each shard satisfies its own
-/// conservation law, and the reactor telemetry (readiness events,
-/// deadline expiries from the service-floor timers) is populated.
+/// conservation law, and the reactor's readiness telemetry is populated.
 #[test]
 fn honest_fleet_verifies_over_reactor() {
     const FLEET: usize = 8;
@@ -103,7 +117,7 @@ fn honest_fleet_verifies_over_reactor() {
     let mut agents = Vec::new();
     for p in 0..FLEET {
         let (prover, verifier) = provision(p as u64);
-        let id = directory.register_with_floor(verifier, prover.expected_memory().to_vec(), 30);
+        let id = directory.register(verifier, prover.expected_memory().to_vec());
         agents.push(ProverAgent::new(prover, id));
     }
 
@@ -154,7 +168,7 @@ fn honest_fleet_verifies_over_reactor() {
         report.stats
     );
     // Reactor telemetry: every admitted connection produced readiness
-    // events, and each service-floor wait fired a wheel timer.
+    // events.
     let readiness = report
         .metrics
         .counter("gateway.reactor.readiness_events")
@@ -162,14 +176,6 @@ fn honest_fleet_verifies_over_reactor() {
     assert!(
         readiness >= FLEET as u64,
         "expected ≥{FLEET} readiness events, saw {readiness}"
-    );
-    let expiries = report
-        .metrics
-        .counter("gateway.reactor.deadline_expiries")
-        .unwrap_or(0);
-    assert!(
-        expiries >= FLEET as u64,
-        "each floor-pinned session fires at least its floor timer; saw {expiries}"
     );
 }
 
@@ -288,9 +294,10 @@ fn idle_session_expires_and_rehandshakes() {
 /// Slowloris against the reactor: the peer opens an attested handshake,
 /// takes the `SessInit`, then stalls. The single establishment budget
 /// (armed at registration, never re-armed per message) cuts it within
-/// ~`read_timeout_ms`, books it on the deadline path — and, because no
-/// thread was ever parked on the stall, a concurrent honest session
-/// completes immediately rather than queueing behind it.
+/// ~`read_timeout_ms` as a wheel timer expiry, books it on the deadline
+/// path — and, because no thread was ever parked on the stall, a
+/// concurrent honest session completes immediately rather than queueing
+/// behind it.
 #[test]
 fn reactor_slowloris_cut_by_establishment_deadline() {
     let read_timeout_ms = 600u64;
@@ -349,43 +356,41 @@ fn reactor_slowloris_cut_by_establishment_deadline() {
         Some(1),
         "the stall must be booked on the deadline path, not as garbage/link"
     );
+    let expiries = report
+        .metrics
+        .counter("gateway.reactor.deadline_expiries")
+        .unwrap_or(0);
+    assert!(
+        expiries >= 1,
+        "the establishment budget is a wheel timer that fired; saw {expiries}"
+    );
     assert_eq!(report.stats.sessions_ok, 1);
     assert!(report.stats.partition_holds(), "{:?}", report.stats);
 }
 
 /// Deterministic shed: with one shard capped at 2 connections, two
-/// floor-pinned honest sessions fill the gateway, and every extra dial is
-/// answered with exactly one cheap `Busy` frame — while the pinned
-/// sessions still run to verified completion.
+/// honest connections held open before their `Hello` fill the gateway,
+/// and every extra dial is answered with exactly one cheap `Busy` frame —
+/// while the held sessions still run to verified completion.
 #[test]
 fn capacity_full_sheds_busy_deterministically() {
-    const FLOOR_MS: u64 = 400;
     let mut directory = DeviceDirectory::new();
     let mut agents = Vec::new();
     for p in 0..2 {
         let (prover, verifier) = provision(p);
-        let id =
-            directory.register_with_floor(verifier, prover.expected_memory().to_vec(), FLOOR_MS);
+        let id = directory.register(verifier, prover.expected_memory().to_vec());
         agents.push(ProverAgent::new(prover, id));
     }
 
     let (hub, connector) = LoopbackHub::new(DEFAULT_MAX_FRAME);
     let handle = Gateway::start(Box::new(hub), directory, reactor_config(1, 2));
 
-    let pins: Vec<_> = agents
+    let held: Vec<_> = agents
         .into_iter()
-        .map(|mut agent| {
-            let connector = connector.clone();
-            thread::sleep(Duration::from_millis(5));
-            thread::spawn(move || {
-                agent
-                    .attest_with_retry(dial(&connector), &patient(), Duration::from_secs(30), 50)
-                    .is_verified()
-            })
-        })
+        .map(|agent| (agent, connector.connect().expect("held connect")))
         .collect();
+    wait_registered(&handle, 2);
 
-    thread::sleep(Duration::from_millis(FLOOR_MS / 2));
     let mut shed = 0u64;
     for _ in 0..3 {
         assert!(
@@ -395,6 +400,17 @@ fn capacity_full_sheds_busy_deterministically() {
         shed += 1;
     }
 
+    // The held sessions say Hello well within `read_timeout_ms`.
+    let pins: Vec<_> = held
+        .into_iter()
+        .map(|(mut agent, mut conn)| {
+            thread::spawn(move || {
+                agent
+                    .run_session(&mut conn, Duration::from_secs(30))
+                    .is_verified()
+            })
+        })
+        .collect();
     for (p, pin) in pins.into_iter().enumerate() {
         assert!(
             pin.join().expect("pinned session panicked"),
@@ -562,4 +578,289 @@ fn honest_fleet_verifies_under_flood() {
         "partition law violated: {:?}",
         report.stats
     );
+}
+
+/// An acceptor whose first poll fails with an OS error (an aborted peer,
+/// a transient `EMFILE`) before it serves the loopback hub.
+struct FlakyAcceptor {
+    hub: LoopbackHub,
+    failed: bool,
+}
+
+impl Acceptor for FlakyAcceptor {
+    fn poll_accept(
+        &mut self,
+        timeout: Duration,
+    ) -> Result<Option<Box<dyn Transport>>, TransportError> {
+        if !self.failed {
+            self.failed = true;
+            return Err(TransportError::Io {
+                kind: std::io::ErrorKind::Other,
+                msg: "too many open files".to_string(),
+            });
+        }
+        self.hub.poll_accept(timeout)
+    }
+
+    fn local_label(&self) -> String {
+        self.hub.local_label()
+    }
+}
+
+/// One acceptor error must not stop the gateway accepting: it is counted
+/// and the accept loop keeps listening, so an honest agent dialing after
+/// it still verifies.
+#[test]
+fn acceptor_error_does_not_stop_accepting() {
+    let mut directory = DeviceDirectory::new();
+    let (prover, verifier) = provision(0);
+    let id = directory.register(verifier, prover.expected_memory().to_vec());
+    let mut agent = ProverAgent::new(prover, id);
+
+    let (hub, connector) = LoopbackHub::new(DEFAULT_MAX_FRAME);
+    let acceptor = FlakyAcceptor { hub, failed: false };
+    let handle = Gateway::start(Box::new(acceptor), directory, reactor_config(1, 64));
+
+    let outcome =
+        agent.attest_with_retry(dial(&connector), &patient(), Duration::from_secs(30), 50);
+    assert!(
+        outcome.is_verified(),
+        "the gateway must still accept after an acceptor error: {outcome:?}"
+    );
+
+    let report = handle.shutdown();
+    assert_eq!(report.metrics.counter("gateway.accept_errors"), Some(1));
+    assert_eq!(report.stats.sessions_ok, 1);
+    assert!(report.stats.partition_holds(), "{:?}", report.stats);
+}
+
+/// A peer that hangs up after taking the `SessInit` is a dead link, not
+/// an expired budget: the failure is booked as `gateway.handshake.link`,
+/// exactly as a hangup before the first frame is.
+#[test]
+fn handshake_hangup_is_booked_as_link() {
+    let mut directory = DeviceDirectory::new();
+    let (prover, verifier) = provision(0);
+    let device_id = directory.register(verifier, prover.expected_memory().to_vec());
+
+    let (hub, connector) = LoopbackHub::new(DEFAULT_MAX_FRAME);
+    // An establishment budget no test run outlasts: only the hangup can
+    // end this handshake.
+    let config = GatewayConfig {
+        read_timeout_ms: 60_000,
+        ..reactor_config(1, 64)
+    };
+    let handle = Gateway::start(Box::new(hub), directory, config);
+
+    let mut conn = connector.connect().expect("connect");
+    let _ = conn.set_deadline(Some(Duration::from_secs(30)));
+    conn.send(
+        &GatewayMsg::SessHello {
+            device_id,
+            session_id: None,
+        }
+        .encode(),
+    )
+    .expect("hello");
+    match GatewayMsg::decode(&conn.recv().expect("init")) {
+        Ok(GatewayMsg::SessInit(_)) => {}
+        other => panic!("expected SessInit, got {other:?}"),
+    }
+    drop(conn);
+
+    let report = handle.shutdown();
+    assert_eq!(report.stats.handshake_failed, 1, "{:?}", report.stats);
+    assert_eq!(report.metrics.counter("gateway.handshake.link"), Some(1));
+    assert_eq!(report.metrics.counter("gateway.handshake.deadline"), None);
+    assert!(report.stats.partition_holds(), "{:?}", report.stats);
+    assert!(report.stats.session_partition_holds(), "{:?}", report.stats);
+}
+
+/// How a gateway frame reads in the first-frame table.
+fn shape(msg: &GatewayMsg) -> String {
+    match msg {
+        GatewayMsg::AttReq(_) => "AttReq".to_string(),
+        GatewayMsg::SessInit(_) => "SessInit".to_string(),
+        other => format!("{other:?}"),
+    }
+}
+
+/// Sends `first` on a fresh connection, answers requests honestly with
+/// `prover`, and returns the shape of every frame the gateway sent until
+/// it hung up.
+fn play_first_frame(
+    connector: &LoopbackConnector,
+    prover: &mut Prover,
+    first: &[u8],
+) -> Vec<String> {
+    let mut conn = connector.connect().expect("connect");
+    let _ = conn.set_deadline(Some(Duration::from_secs(30)));
+    conn.send(first).expect("first frame");
+    let mut seen = Vec::new();
+    while let Ok(bytes) = conn.recv() {
+        let msg = GatewayMsg::decode(&bytes).expect("the gateway speaks the protocol");
+        seen.push(shape(&msg));
+        let reply = match msg {
+            GatewayMsg::AttReq(raw) => {
+                GatewayMsg::AttResp(prover.handle_wire_request(&raw).expect("honest request"))
+            }
+            GatewayMsg::SessInit(raw) => {
+                let init = HandshakeInit::decode(&raw).expect("init parses");
+                let (accept, _) = channel::prover_accept(prover, &init).expect("honest init");
+                GatewayMsg::SessAccept(accept.encode())
+            }
+            _ => continue,
+        };
+        conn.send(&reply.encode()).expect("reply");
+    }
+    seen
+}
+
+/// One row of the first-frame table.
+struct FirstFrame {
+    name: &'static str,
+    /// Open a session for device 0 first, and hand its id to `frame`.
+    with_session: bool,
+    frame: fn(Option<[u8; SESSION_ID_SIZE]>) -> Vec<u8>,
+    replies: &'static [&'static str],
+    /// The counter this first frame books (exactly once).
+    label: &'static str,
+}
+
+/// Every kind of first frame, each on a fresh gateway: the frames it is
+/// answered with, the one counter it books, and both partition laws.
+#[test]
+fn every_first_frame_is_accounted_exactly_once() {
+    const UNKNOWN: u64 = 99;
+    let rows = [
+        FirstFrame {
+            name: "hello, known device",
+            with_session: false,
+            frame: |_| GatewayMsg::Hello { device_id: 0 }.encode(),
+            replies: &["AttReq", "Bye { verified: true }"],
+            label: "gateway.sessions_ok",
+        },
+        FirstFrame {
+            name: "hello, unknown device",
+            with_session: false,
+            frame: |_| GatewayMsg::Hello { device_id: UNKNOWN }.encode(),
+            replies: &["Bye { verified: false }"],
+            label: "gateway.handshake.unknown_device",
+        },
+        FirstFrame {
+            name: "session hello, known device",
+            with_session: false,
+            frame: |_| {
+                GatewayMsg::SessHello {
+                    device_id: 0,
+                    session_id: None,
+                }
+                .encode()
+            },
+            replies: &["SessInit", "Bye { verified: true }"],
+            label: "gateway.session.opened",
+        },
+        FirstFrame {
+            name: "session hello, unknown device",
+            with_session: false,
+            frame: |_| {
+                GatewayMsg::SessHello {
+                    device_id: UNKNOWN,
+                    session_id: None,
+                }
+                .encode()
+            },
+            replies: &["Bye { verified: false }"],
+            label: "gateway.handshake.unknown_device",
+        },
+        FirstFrame {
+            name: "resume, unknown session id",
+            with_session: false,
+            frame: |_| {
+                GatewayMsg::SessHello {
+                    device_id: 0,
+                    session_id: Some([0x5a; SESSION_ID_SIZE]),
+                }
+                .encode()
+            },
+            replies: &["Reject(SessionExpired)", "Bye { verified: false }"],
+            label: "gateway.session.expired_lookup",
+        },
+        FirstFrame {
+            name: "resume, another device's session id",
+            with_session: true,
+            frame: |sid| {
+                GatewayMsg::SessHello {
+                    device_id: 1,
+                    session_id: sid,
+                }
+                .encode()
+            },
+            replies: &["Reject(SessionExpired)", "Bye { verified: false }"],
+            label: "gateway.session.expired_lookup",
+        },
+        FirstFrame {
+            name: "junk bytes",
+            with_session: false,
+            frame: |_| b"not a gateway message".to_vec(),
+            replies: &[],
+            label: "gateway.handshake.garbage",
+        },
+        FirstFrame {
+            name: "response before any request",
+            with_session: false,
+            frame: |_| GatewayMsg::AttResp(vec![0; 20]).encode(),
+            replies: &[],
+            label: "gateway.handshake.garbage",
+        },
+    ];
+    for row in rows {
+        let mut directory = DeviceDirectory::new();
+        let (mut prover, verifier) = provision(0);
+        directory.register(verifier, prover.expected_memory().to_vec());
+        let (other, other_verifier) = provision(1);
+        directory.register(other_verifier, other.expected_memory().to_vec());
+        let (hub, connector) = LoopbackHub::new(DEFAULT_MAX_FRAME);
+        // A long establishment budget, so a slow host cannot turn an
+        // honest handshake row into a deadline failure.
+        let config = GatewayConfig {
+            read_timeout_ms: 60_000,
+            ..reactor_config(1, 64)
+        };
+        let handle = Gateway::start(Box::new(hub), directory, config);
+
+        let sid = if row.with_session {
+            // Same key as `prover`, so the gateway verifies it.
+            let mut agent = ProverAgent::with_sessions(provision(0).0, 0);
+            let opened =
+                agent.attest_with_retry(dial(&connector), &patient(), Duration::from_secs(30), 50);
+            assert!(opened.is_verified(), "{}: setup handshake failed", row.name);
+            agent.session_id()
+        } else {
+            None
+        };
+        let seen = play_first_frame(&connector, &mut prover, &(row.frame)(sid));
+        let report = handle.shutdown();
+
+        assert_eq!(seen, row.replies, "{}: reply frames", row.name);
+        assert_eq!(
+            report.metrics.counter(row.label),
+            Some(1),
+            "{}: {} must be booked exactly once",
+            row.name,
+            row.label
+        );
+        assert!(
+            report.stats.partition_holds(),
+            "{}: {:?}",
+            row.name,
+            report.stats
+        );
+        assert!(
+            report.stats.session_partition_holds(),
+            "{}: {:?}",
+            row.name,
+            report.stats
+        );
+    }
 }
