@@ -16,38 +16,14 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 echo "== tier-1: build --release =="
 cargo build --release
 
-echo "== tier-1: test =="
-cargo test -q
-
-echo "== workspace tests =="
+echo "== tests (tier-1 + workspace, incl. the deterministic bench gates) =="
 cargo test --workspace -q
-
-echo "== attest pipeline conformance (segcache / imagecache / golden vectors / session model) =="
-cargo test -q --test segcache_coherence --test imagecache_coherence --test golden_vectors --test session_state_machine
-
-echo "== chaos soak (short deterministic gate) =="
-cargo run --release -q -p proverguard-bench --bin fleet_soak -- --ci
-
-echo "== telemetry trace report (phase table vs cycle model) =="
-cargo run --release -q -p proverguard-bench --bin trace_report -- --ci
-
-echo "== segcache bench (incremental attestation gate, emits BENCH_segcache.json) =="
-cargo run --release -q -p proverguard-bench --bin segcache_bench -- --ci
-
-echo "== campaign soak (staged OTA rollout gate, emits BENCH_campaign.json) =="
-cargo run --release -q -p proverguard-bench --bin campaign_soak -- --ci
-
-echo "== toctou bench (epoch-log transient-malware gate, emits BENCH_toctou.json) =="
-cargo run --release -q -p proverguard-bench --bin toctou_bench -- --ci
-
-echo "== session bench (attested-session amortization + adversary gauntlet, emits BENCH_session.json) =="
-cargo run --release -q -p proverguard-bench --bin session_bench -- --ci
 
 echo "== gateway scale (event-driven reactor concurrency gate, emits BENCH_gateway_scale.json) =="
 cargo run --release -q -p proverguard-bench --bin gateway_scale -- --ci
 
-echo "== fleet verify bench (shared digest cache gate, emits BENCH_fleet_verify.json) =="
-cargo run --release -q -p proverguard-bench --bin fleet_verify_bench -- --ci
+echo "== fleet verify bench (shared digest cache wall-clock gate, emits BENCH_fleet_verify.json) =="
+cargo run --release -q -p proverguard-bench --bin fleet_verify_bench
 
 echo "== perfbench build (standalone benchmark package) =="
 cargo build --release --offline --manifest-path perfbench/Cargo.toml

@@ -1,327 +1,18 @@
-//! Soaks the attestation-gated OTA campaign engine at fleet scale: a
-//! staged rollout over thousands of simulated devices behind the PR-2
-//! lossy-radio fault schedule, with torn flashes, roaming devices and a
-//! few compromised provers mixed in.
-//!
-//! Two scenarios run, both fully deterministic from the seed:
-//!
-//! 1. **Lossy rollout** — 2,000 devices under 300 ‰ drops / 200 ‰
-//!    delays, 5 ‰ torn flashes, 10 ‰ roaming, four compromised devices.
-//!    The campaign must converge within the tick budget, no device may
-//!    be `Healthy` without actually holding the new image, every
-//!    compromised device must end quarantined, and every `UpdateFirmware`
-//!    retry must have minted a *fresh* command counter from the real
-//!    verifier (zero reuse).
-//! 2. **Bad canary image** — the new image attests as neither image.
-//!    The campaign must auto-halt before the second wave ever starts and
-//!    roll the whole admitted fleet back to a re-attested old image.
-//!
-//! Both scenarios also check the telemetry contract: the campaign's
-//! phase spans must partition the campaign's total tick span exactly —
-//! every tick is attributed to exactly one phase.
-//!
-//! `--ci` turns violations into a non-zero exit and writes
-//! `BENCH_campaign.json`.
+//! E11 table ([`proverguard_bench::campaign`]): a lossy 2,000-device
+//! OTA rollout and a bad-canary rollback, deterministic from the seed.
+//! Writes `BENCH_campaign.json`; exits 1 on any violated invariant.
 //!
 //! ```sh
 //! cargo run --release -p proverguard-bench --bin campaign_soak
-//! cargo run --release -p proverguard-bench --bin campaign_soak -- --ci
 //! ```
 
-use std::collections::HashSet;
-use std::fmt::Write as _;
-
-use proverguard_adversary::campaign::{CampaignSimConfig, SimFlash, SimFleet};
-use proverguard_attest::campaign::{
-    CampaignAction, CampaignConfig, CampaignController, CampaignPhase, DeviceOutcome, DeviceState,
-};
-use proverguard_attest::prover::ProverConfig;
-use proverguard_attest::services::Command;
-use proverguard_attest::verifier::Verifier;
-use proverguard_bench::render_table;
-use proverguard_telemetry::trace::{self, TraceEvent};
-
-/// The fixed CI seed (recorded in EXPERIMENTS.md E11): change it and the
-/// deterministic campaign gate is a different experiment.
-const CI_SEED: u64 = 0xC0DE_07A5;
-
-/// Fleet size for the lossy rollout.
-const DEVICES: usize = 2_000;
-
-/// Convergence budget, in campaign ticks.
-const TICK_BUDGET: u64 = 400;
-
-const KEY: [u8; 16] = [0x42; 16];
-
-/// Campaign tuning shared by both scenarios: an 8-device canary growing
-/// 4× per wave; per-device budgets sized for a 44 % per-action timeout
-/// rate; a sluggish failure EWMA (α = 0.1) so scattered losses never
-/// halt, while a failing canary (≥ 8 consecutive settlements) does.
-fn campaign_config() -> CampaignConfig {
-    CampaignConfig {
-        canary_size: 8,
-        wave_growth: 4,
-        max_attempts: 6,
-        halt_failure_ewma: 0.5,
-        ewma_alpha: 0.1,
-        min_halt_samples: 8,
-        breaker_trip_halt: u64::MAX, // EWMA is the halt signal under soak
-        wave_deadline: 10,
-        max_inflight: 4_096,
-        ..CampaignConfig::default()
-    }
-}
-
-struct RunReport {
-    label: String,
-    devices: usize,
-    phase: CampaignPhase,
-    ticks: u64,
-    healthy: u64,
-    failed: u64,
-    quarantined: u64,
-    rolled_back: u64,
-    torn_events: u64,
-    parked_events: u64,
-    update_actions: u64,
-    attest_actions: u64,
-    waves_started: u64,
-    counters_minted: usize,
-    phase_spans: Vec<(String, u64)>,
-}
-
-/// Drives one campaign to a terminal phase (or the tick budget) against
-/// a simulated fleet, minting a real verifier command counter for every
-/// `SendUpdate` and recording violations of the CI invariants.
-fn run_campaign(
-    label: &str,
-    sim: CampaignSimConfig,
-    config: CampaignConfig,
-    violations: &mut Vec<String>,
-) -> RunReport {
-    let devices = sim.devices;
-    let mut fleet = SimFleet::new(sim);
-    let mut controller = CampaignController::new(devices, config);
-
-    // The real verifier mints the freshness counter for every firmware
-    // command; the gate below proves retries never reuse one.
-    let vconfig = ProverConfig::recommended();
-    let mut verifier = Verifier::new(&vconfig, &KEY).expect("verifier");
-    let mut counters: HashSet<u64> = HashSet::new();
-
-    trace::reset();
-    trace::enable();
-
-    let mut now = 0u64;
-    loop {
-        for i in fleet.poll_returns(now) {
-            controller.report(i, DeviceOutcome::CameOnline, now);
-        }
-        let actions = controller.tick(now);
-        if controller.phase().is_terminal() {
-            break;
-        }
-        for action in actions {
-            if let CampaignAction::SendUpdate { .. } = action {
-                let request = verifier.make_command(Command::UpdateFirmware {
-                    image: b"campaign soak image".to_vec(),
-                });
-                if !counters.insert(request.counter) {
-                    violations.push(format!(
-                        "{label}: command counter {} reused across retries",
-                        request.counter
-                    ));
-                }
-            }
-            let outcome = fleet.perform(action, now);
-            controller.report(action.device(), outcome, now);
-        }
-        now += 1;
-        if now > TICK_BUDGET {
-            violations.push(format!(
-                "{label}: campaign did not reach a terminal phase within {TICK_BUDGET} ticks \
-                 (phase {:?})",
-                controller.phase()
-            ));
-            break;
-        }
-    }
-    controller.finish(now);
-
-    // Telemetry contract: the campaign phase spans partition [0, now).
-    let mut spans: Vec<(u64, u64, &'static str)> = trace::drain()
-        .into_iter()
-        .filter_map(|e| match e {
-            TraceEvent::Span {
-                name,
-                start_cycles,
-                end_cycles,
-                ..
-            } if name.starts_with("campaign.phase.") => Some((start_cycles, end_cycles, name)),
-            _ => None,
-        })
-        .collect();
-    spans.sort_unstable();
-    let mut cursor = 0u64;
-    for &(start, end, name) in &spans {
-        if start != cursor {
-            violations.push(format!(
-                "{label}: phase span {name} starts at {start}, expected {cursor} — \
-                 spans do not partition the campaign"
-            ));
-        }
-        cursor = end;
-    }
-    if cursor != now {
-        violations.push(format!(
-            "{label}: phase spans cover [0, {cursor}) but the campaign ran [0, {now})"
-        ));
-    }
-
-    // Oracle: nothing the controller called Healthy may hold anything
-    // but the new image, and compromised devices are never Healthy.
-    for i in 0..devices {
-        if controller.device_state(i) == DeviceState::Healthy {
-            if fleet.flash_of(i) != SimFlash::New {
-                violations.push(format!(
-                    "{label}: device {i} is Healthy but its flash holds {:?}",
-                    fleet.flash_of(i)
-                ));
-            }
-            if fleet.is_compromised(i) {
-                violations.push(format!("{label}: compromised device {i} marked Healthy"));
-            }
-        }
-        if fleet.is_compromised(i)
-            && controller.phase() == CampaignPhase::Complete
-            && controller.device_state(i) != DeviceState::Quarantined
-        {
-            violations.push(format!(
-                "{label}: compromised device {i} ended {:?}, not Quarantined",
-                controller.device_state(i)
-            ));
-        }
-    }
-
-    let stats = controller.stats();
-    RunReport {
-        label: label.to_string(),
-        devices,
-        phase: controller.phase(),
-        ticks: now,
-        healthy: stats.healthy,
-        failed: stats.failed,
-        quarantined: stats.quarantined,
-        rolled_back: stats.rolled_back,
-        torn_events: stats.torn_events,
-        parked_events: stats.parked_events,
-        update_actions: stats.update_actions,
-        attest_actions: stats.attest_actions,
-        waves_started: stats.waves_started,
-        counters_minted: counters.len(),
-        phase_spans: spans
-            .iter()
-            .map(|&(s, e, n)| (n.trim_start_matches("campaign.phase.").to_string(), e - s))
-            .collect(),
-    }
-}
-
-fn run(violations: &mut Vec<String>) -> (RunReport, RunReport) {
-    // Scenario 1: the lossy rollout at fleet scale.
-    let lossy = run_campaign(
-        "lossy rollout",
-        CampaignSimConfig::lossy(CI_SEED, DEVICES),
-        campaign_config(),
-        violations,
-    );
-    if lossy.phase != CampaignPhase::Complete {
-        violations.push(format!(
-            "lossy rollout: expected Complete, ended {:?}",
-            lossy.phase
-        ));
-    }
-    if lossy.quarantined != (DEVICES / 500) as u64 {
-        violations.push(format!(
-            "lossy rollout: {} devices quarantined, expected {}",
-            lossy.quarantined,
-            DEVICES / 500
-        ));
-    }
-
-    // Scenario 2: the canary flashes a bad image — auto-halt + rollback.
-    let mut bad_sim = CampaignSimConfig::lossy(CI_SEED ^ 0xBAD, 256);
-    bad_sim.bad_image = true;
-    bad_sim.compromised = 0;
-    let bad = run_campaign("bad canary image", bad_sim, campaign_config(), violations);
-    if bad.phase != CampaignPhase::RolledBack {
-        violations.push(format!(
-            "bad canary: expected RolledBack, ended {:?}",
-            bad.phase
-        ));
-    }
-    if bad.waves_started != 1 {
-        violations.push(format!(
-            "bad canary: {} waves started — the halt must land before wave 2",
-            bad.waves_started
-        ));
-    }
-    if bad.healthy != 0 {
-        violations.push(format!(
-            "bad canary: {} devices Healthy on a bad image",
-            bad.healthy
-        ));
-    }
-
-    (lossy, bad)
-}
-
-fn write_json(path: &str, runs: &[&RunReport]) -> std::io::Result<()> {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"bench\": \"campaign\",");
-    let _ = writeln!(out, "  \"seed\": {CI_SEED},");
-    let _ = writeln!(out, "  \"tick_budget\": {TICK_BUDGET},");
-    let _ = writeln!(out, "  \"runs\": [");
-    for (i, r) in runs.iter().enumerate() {
-        let _ = writeln!(out, "    {{");
-        let _ = writeln!(out, "      \"label\": \"{}\",", r.label);
-        let _ = writeln!(out, "      \"devices\": {},", r.devices);
-        let _ = writeln!(out, "      \"phase\": \"{:?}\",", r.phase);
-        let _ = writeln!(out, "      \"ticks\": {},", r.ticks);
-        let _ = writeln!(out, "      \"healthy\": {},", r.healthy);
-        let _ = writeln!(out, "      \"failed\": {},", r.failed);
-        let _ = writeln!(out, "      \"quarantined\": {},", r.quarantined);
-        let _ = writeln!(out, "      \"rolled_back\": {},", r.rolled_back);
-        let _ = writeln!(out, "      \"torn_events\": {},", r.torn_events);
-        let _ = writeln!(out, "      \"parked_events\": {},", r.parked_events);
-        let _ = writeln!(out, "      \"update_actions\": {},", r.update_actions);
-        let _ = writeln!(out, "      \"attest_actions\": {},", r.attest_actions);
-        let _ = writeln!(out, "      \"waves_started\": {},", r.waves_started);
-        let _ = writeln!(out, "      \"counters_minted\": {},", r.counters_minted);
-        let _ = writeln!(out, "      \"phase_spans\": [");
-        for (j, (name, ticks)) in r.phase_spans.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "        {{\"phase\": \"{name}\", \"ticks\": {ticks}}}{}",
-                if j + 1 == r.phase_spans.len() {
-                    ""
-                } else {
-                    ","
-                }
-            );
-        }
-        let _ = writeln!(out, "      ]");
-        let _ = writeln!(out, "    }}{}", if i + 1 == runs.len() { "" } else { "," });
-    }
-    out.push_str("  ]\n}\n");
-    std::fs::write(path, out)
-}
+use proverguard_bench::{campaign, finish, render_table};
 
 fn main() {
-    let ci_mode = std::env::args().any(|a| a == "--ci");
-    let mut violations = Vec::new();
-    let (lossy, bad) = run(&mut violations);
+    let report = campaign::run();
+    let (lossy, bad) = (&report.lossy, &report.bad);
 
-    let rows: Vec<Vec<String>> = [&lossy, &bad]
+    let rows: Vec<Vec<String>> = [lossy, bad]
         .iter()
         .map(|r| {
             vec![
@@ -329,17 +20,20 @@ fn main() {
                 format!("{}", r.devices),
                 format!("{:?}", r.phase),
                 format!("{}", r.ticks),
-                format!("{}", r.waves_started),
-                format!("{}", r.healthy),
-                format!("{}", r.rolled_back),
-                format!("{}", r.quarantined),
-                format!("{}", r.failed),
-                format!("{}", r.torn_events),
-                format!("{}", r.parked_events),
+                format!("{}", r.stats.waves_started),
+                format!("{}", r.stats.healthy),
+                format!("{}", r.stats.rolled_back),
+                format!("{}", r.stats.quarantined),
+                format!("{}", r.stats.failed),
+                format!("{}", r.stats.torn_events),
+                format!("{}", r.stats.parked_events),
             ]
         })
         .collect();
-    println!("attestation-gated OTA campaign soak (seed {CI_SEED:#x})\n");
+    println!(
+        "attestation-gated OTA campaign soak (seed {:#x})\n",
+        campaign::SEED
+    );
     println!(
         "{}",
         render_table(
@@ -354,33 +48,18 @@ fn main() {
     println!(
         "lossy rollout: {} update + {} attest actions, {} fresh command counters minted \
          (zero reuse); phase spans partition all {} ticks.",
-        lossy.update_actions, lossy.attest_actions, lossy.counters_minted, lossy.ticks
+        lossy.stats.update_actions, lossy.stats.attest_actions, lossy.counters_minted, lossy.ticks
     );
     println!(
         "bad canary: halted in wave 1 and re-attested the old image on {} of {} devices \
          ({} exhausted their retry budget).",
-        bad.rolled_back, bad.devices, bad.failed
+        bad.stats.rolled_back, bad.devices, bad.stats.failed
     );
 
-    if ci_mode {
-        let json_path = "BENCH_campaign.json";
-        if let Err(e) = write_json(json_path, &[&lossy, &bad]) {
-            eprintln!("CAMPAIGN SOAK: failed to write {json_path}: {e}");
-            std::process::exit(1);
-        }
-        println!("wrote {json_path}");
-        if violations.is_empty() {
-            println!("all campaign invariants held");
-            return;
-        }
-        for violation in &violations {
-            eprintln!("CAMPAIGN INVARIANT VIOLATION: {violation}");
-        }
-        std::process::exit(1);
-    } else if !violations.is_empty() {
-        for violation in &violations {
-            eprintln!("CAMPAIGN INVARIANT VIOLATION: {violation}");
-        }
-        std::process::exit(1);
-    }
+    finish(
+        Some(&report.rows()),
+        report.violations,
+        "CAMPAIGN INVARIANT VIOLATION",
+        "all campaign invariants held",
+    );
 }

@@ -8,18 +8,17 @@
 //! `DeviceDirectory` machinery both gateway drivers use) pays one
 //! freshness-segment digest + one outer MAC per verification; the
 //! uncached reference re-clones and re-sweeps the full expected image
-//! every time — exactly what the gateway did before the cache. Default
-//! mode prints the cost-per-device curve; `--ci` gates on the curve
-//! flattening (cached ≥ 5× cheaper than uncached at 1 000 devices /
-//! 3 images, ≥ 99 % steady-state hit rate, stats conservation law) and
-//! writes `BENCH_fleet_verify.json`.
+//! every time — exactly what the gateway did before the cache. Prints
+//! the cost-per-device curve, writes `BENCH_fleet_verify.json`, and
+//! exits 1 unless the curve flattens (cached ≥ 5× cheaper than uncached
+//! at 1 000 devices / 3 images, ≥ 99 % steady-state hit rate, stats
+//! conservation law). The speedup is a wall-clock ratio, so this gate
+//! runs as a release binary in `ci.sh`, not in the debug test suite.
 //!
 //! ```sh
 //! cargo run --release -p proverguard-bench --bin fleet_verify_bench
-//! cargo run --release -p proverguard-bench --bin fleet_verify_bench -- --ci
 //! ```
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
 use proverguard_attest::freshness::patch_expected_image;
@@ -28,7 +27,7 @@ use proverguard_attest::message::{AttestRequest, AttestResponse, AttestScope};
 use proverguard_attest::prover::ProverConfig;
 use proverguard_attest::segcache::{combined_input, segment_digest, segment_digests};
 use proverguard_attest::verifier::Verifier;
-use proverguard_bench::render_table;
+use proverguard_bench::{finish, render_table, splitmix64, Rows};
 use proverguard_crypto::mac::MacKey;
 
 const KEY: [u8; 16] = [0x42; 16];
@@ -47,23 +46,15 @@ const CACHED_ROUNDS: usize = 4;
 /// Rounds per device in the uncached reference phase.
 const UNCACHED_ROUNDS: usize = 2;
 
-/// CI gate: cached cost per verification must be at most 1/5 of the
+/// Gate: cached cost per verification must be at most 1/5 of the
 /// uncached cost at the largest fleet size.
-const CI_MIN_SPEEDUP: f64 = 5.0;
+const MIN_SPEEDUP: f64 = 5.0;
 
-/// CI gate: steady-state cache hit rate.
-const CI_MIN_HIT_RATE: f64 = 0.99;
+/// Gate: steady-state cache hit rate.
+const MIN_HIT_RATE: f64 = 0.99;
 
 /// Seed for the deterministic image contents.
 const SEED: u64 = 0xF1EE_7CAC_4E01;
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// One firmware version: baseline bytes plus the precomputed digest
 /// vector the honest-device fabricator answers from (setup cost, outside
@@ -222,40 +213,32 @@ fn run_fleet(devices: usize, violations: &mut Vec<String>) -> Row {
     }
 }
 
-fn write_json(path: &str, rows: &[Row], violations: &[String]) -> std::io::Result<()> {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"bench\": \"fleet_verify\",");
-    let _ = writeln!(out, "  \"images\": {IMAGES},");
-    let _ = writeln!(out, "  \"image_len\": {IMAGE_LEN},");
-    let _ = writeln!(out, "  \"cached_rounds\": {CACHED_ROUNDS},");
-    let _ = writeln!(out, "  \"uncached_rounds\": {UNCACHED_ROUNDS},");
-    let _ = writeln!(out, "  \"min_speedup\": {CI_MIN_SPEEDUP},");
-    let _ = writeln!(out, "  \"min_hit_rate\": {CI_MIN_HIT_RATE},");
-    let _ = writeln!(out, "  \"rows\": [");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "    {{\"devices\": {}, \"cached_ns_per_verify\": {:.0}, \
-             \"uncached_ns_per_verify\": {:.0}, \"speedup\": {:.2}, \"hit_rate\": {:.4}, \
-             \"digest_sweeps\": {}, \"scratch_rebuilds\": {}}}{}",
-            r.devices,
-            r.cached_ns,
-            r.uncached_ns,
-            r.speedup(),
-            r.hit_rate,
-            r.digest_sweeps,
-            r.scratch_rebuilds,
-            if i + 1 == rows.len() { "" } else { "," }
-        );
+fn bench_rows(fleets: &[Row], violations: usize) -> Rows {
+    let mut rows = Rows::new("fleet_verify", SEED);
+    for (metric, value, unit) in [
+        ("images", IMAGES as f64, "images"),
+        ("image_len", IMAGE_LEN as f64, "bytes"),
+        ("cached_rounds", CACHED_ROUNDS as f64, "rounds"),
+        ("uncached_rounds", UNCACHED_ROUNDS as f64, "rounds"),
+        ("min_speedup", MIN_SPEEDUP, "ratio"),
+        ("min_hit_rate", MIN_HIT_RATE, "ratio"),
+        ("violations", violations as f64, "count"),
+    ] {
+        rows.push(metric, value, unit);
     }
-    out.push_str("  ],\n");
-    let _ = writeln!(out, "  \"violations\": {}", violations.len());
-    out.push_str("}\n");
-    std::fs::write(path, out)
+    for r in fleets {
+        let name = |field: &str| format!("devices[{}].{field}", r.devices);
+        rows.push(name("cached_ns_per_verify"), r.cached_ns, "ns");
+        rows.push(name("uncached_ns_per_verify"), r.uncached_ns, "ns");
+        rows.push(name("speedup"), r.speedup(), "ratio");
+        rows.push(name("hit_rate"), r.hit_rate, "ratio");
+        rows.push(name("digest_sweeps"), r.digest_sweeps as f64, "count");
+        rows.push(name("scratch_rebuilds"), r.scratch_rebuilds as f64, "count");
+    }
+    rows
 }
 
 fn main() {
-    let ci_mode = std::env::args().any(|a| a == "--ci");
     let mut violations = Vec::new();
 
     let fleet_sizes = [64usize, 256, 1000];
@@ -301,38 +284,26 @@ fn main() {
          total — the per-device curve flattens instead of re-sweeping per attempt."
     );
 
-    // CI gates on the largest fleet.
+    // The gates judge the largest fleet.
     let largest = rows.last().expect("at least one fleet size");
-    if largest.speedup() < CI_MIN_SPEEDUP {
+    if largest.speedup() < MIN_SPEEDUP {
         violations.push(format!(
-            "cached path only {:.2}x cheaper than uncached at {} devices (gate {CI_MIN_SPEEDUP}x)",
+            "cached path only {:.2}x cheaper than uncached at {} devices (gate {MIN_SPEEDUP}x)",
             largest.speedup(),
             largest.devices
         ));
     }
-    if largest.hit_rate < CI_MIN_HIT_RATE {
+    if largest.hit_rate < MIN_HIT_RATE {
         violations.push(format!(
-            "steady-state hit rate {:.4} below {CI_MIN_HIT_RATE}",
+            "steady-state hit rate {:.4} below {MIN_HIT_RATE}",
             largest.hit_rate
         ));
     }
 
-    if ci_mode {
-        let json_path = "BENCH_fleet_verify.json";
-        if let Err(e) = write_json(json_path, &rows, &violations) {
-            eprintln!("FLEET VERIFY BENCH: failed to write {json_path}: {e}");
-            std::process::exit(1);
-        }
-        println!("wrote {json_path}");
-        if violations.is_empty() {
-            println!("all fleet-verify invariants held");
-            return;
-        }
-    }
-    if !violations.is_empty() {
-        for violation in &violations {
-            eprintln!("FLEET VERIFY INVARIANT VIOLATION: {violation}");
-        }
-        std::process::exit(1);
-    }
+    finish(
+        Some(&bench_rows(&rows, violations.len())),
+        violations,
+        "FLEET VERIFY INVARIANT VIOLATION",
+        "all fleet-verify invariants held",
+    );
 }

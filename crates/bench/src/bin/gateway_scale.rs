@@ -15,12 +15,12 @@
 //!    must all be served — admission control stays exact at the
 //!    readiness layer, 16 served / 16 `Busy` of 32 dialed.
 //!
-//! `--ci` gates: every swept session verified with zero shed, the shed
-//! probe exact (each pin booked as a handshake failure), and per-shard
-//! and global partition laws intact. Results land in
+//! Gates: every swept session verified with zero shed, the shed probe
+//! exact (each pin booked as a handshake failure), and per-shard and
+//! global partition laws intact; the bin exits 1 on any violation.
+//! `--ci` only shrinks the sweep to 256/1024. Results land in
 //! `BENCH_gateway_scale.json`.
 
-use std::io::Write as _;
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -31,11 +31,11 @@ use proverguard_attest::gateway::{
 };
 use proverguard_attest::session::RetryPolicy;
 use proverguard_attest::verifier::Verifier;
-use proverguard_bench::render_table;
+use proverguard_bench::{finish, render_table, Rows};
 use proverguard_transport::{LoopbackHub, DEFAULT_MAX_FRAME};
 
-/// Seed for the `--ci` gate (recorded in EXPERIMENTS.md).
-const CI_SEED: u64 = 0xDAC1_5CA1_E000;
+/// Seed for the device keys and retry jitter (recorded in EXPERIMENTS.md).
+const SEED: u64 = 0xDAC1_5CA1_E000;
 
 /// Shard threads for the sweep.
 const THREADS: usize = 4;
@@ -62,7 +62,7 @@ fn sim_image(index: u64) -> Vec<u8> {
 
 fn device_key(index: u64) -> [u8; 16] {
     let mut key = [0x42u8; 16];
-    key[..8].copy_from_slice(&(index ^ CI_SEED).to_le_bytes());
+    key[..8].copy_from_slice(&(index ^ SEED).to_le_bytes());
     key
 }
 
@@ -88,7 +88,7 @@ fn gateway_retry() -> RetryPolicy {
         backoff_base_ms: 5,
         backoff_factor: 2,
         jitter_per_mille: 500,
-        jitter_seed: CI_SEED,
+        jitter_seed: SEED,
     }
 }
 
@@ -236,45 +236,37 @@ fn check_level(outcome: &LevelOutcome, violations: &mut Vec<String>) {
     }
 }
 
-fn write_json(
-    path: &str,
-    ci: bool,
-    levels: &[LevelOutcome],
-    shed: &ProbeOutcome,
-) -> std::io::Result<()> {
-    let mut out = std::fs::File::create(path)?;
-    writeln!(out, "{{")?;
-    writeln!(out, "  \"bench\": \"gateway_scale\",")?;
-    writeln!(out, "  \"mode\": \"{}\",", if ci { "ci" } else { "full" })?;
-    writeln!(out, "  \"threads\": {THREADS},")?;
-    writeln!(out, "  \"reactor_levels\": [")?;
-    for (i, o) in levels.iter().enumerate() {
-        let comma = if i + 1 == levels.len() { "" } else { "," };
-        writeln!(
-            out,
-            "    {{ \"connections\": {}, \"verified\": {}, \"shed\": {}, \"failed\": {}, \"shed_rate\": {:.4}, \"p50_us\": {}, \"p90_us\": {}, \"p99_us\": {}, \"wall_ms\": {}, \"sessions_per_sec\": {:.1} }}{comma}",
-            o.level,
-            o.wave.verified,
-            o.wave.shed,
-            o.wave.failed,
-            o.wave.shed_rate(),
-            o.wave.latency_percentile(50),
-            o.wave.latency_percentile(90),
-            o.wave.latency_percentile(99),
-            o.wall.as_millis(),
-            o.wave.verified as f64 / o.wall.as_secs_f64().max(1e-9),
-        )?;
+fn bench_rows(levels: &[LevelOutcome], shed: &ProbeOutcome) -> Rows {
+    let mut rows = Rows::new("gateway_scale", SEED);
+    let dialed = shed.shed_wave.dialed + shed.served_wave.dialed;
+    for (metric, value, unit) in [
+        ("threads", THREADS as u64, "threads"),
+        ("shed_probe.shard_cap", SHED_CAP as u64, "connections"),
+        ("shed_probe.dialed", dialed, "connections"),
+        ("shed_probe.served", shed.served_wave.verified, "sessions"),
+        ("shed_probe.shed", shed.shed_wave.shed, "sessions"),
+    ] {
+        rows.push(metric, value as f64, unit);
     }
-    writeln!(out, "  ],")?;
-    writeln!(
-        out,
-        "  \"shed_probe\": {{ \"shard_cap\": {SHED_CAP}, \"dialed\": {}, \"served\": {}, \"shed\": {} }}",
-        shed.shed_wave.dialed + shed.served_wave.dialed,
-        shed.served_wave.verified,
-        shed.shed_wave.shed
-    )?;
-    writeln!(out, "}}")?;
-    Ok(())
+    for o in levels {
+        let (w, wall) = (&o.wave, o.wall);
+        let name = |field: &str| format!("level[{}].{field}", o.level);
+        let rate = w.verified as f64 / wall.as_secs_f64().max(1e-9);
+        for (field, value, unit) in [
+            ("verified", w.verified as f64, "sessions"),
+            ("shed", w.shed as f64, "sessions"),
+            ("failed", w.failed as f64, "sessions"),
+            ("shed_rate", w.shed_rate(), "ratio"),
+            ("p50_us", w.latency_percentile(50) as f64, "us"),
+            ("p90_us", w.latency_percentile(90) as f64, "us"),
+            ("p99_us", w.latency_percentile(99) as f64, "us"),
+            ("wall_ms", wall.as_millis() as f64, "ms"),
+            ("sessions_per_sec", rate, "1/s"),
+        ] {
+            rows.push(name(field), value, unit);
+        }
+    }
+    rows
 }
 
 fn main() {
@@ -370,23 +362,16 @@ fn main() {
         )
     );
 
-    if let Err(e) = write_json("BENCH_gateway_scale.json", ci, &levels, &shed) {
-        violations.push(format!("failed to write BENCH_gateway_scale.json: {e}"));
-    } else {
-        println!("wrote BENCH_gateway_scale.json");
-    }
-
     println!("\nreading the table: the gateway holds every swept connection");
     println!("count on {THREADS} shard threads, so the verifier's session");
     println!("capacity is bounded by memory and protocol work, not by OS");
     println!("threads.");
 
-    if violations.is_empty() {
-        println!("\nall gateway-scale invariants held");
-    } else {
-        for v in &violations {
-            eprintln!("GATEWAY SCALE VIOLATION: {v}");
-        }
-        std::process::exit(1);
-    }
+    println!();
+    finish(
+        Some(&bench_rows(&levels, &shed)),
+        violations,
+        "GATEWAY SCALE VIOLATION",
+        "all gateway-scale invariants held",
+    );
 }

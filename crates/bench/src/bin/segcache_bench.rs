@@ -1,242 +1,32 @@
-//! Measures what the segment cache buys: device cycles per attestation
-//! as a function of how much RAM actually changed since the last round.
-//!
-//! The paper's §3.1 whole-memory MAC costs ~754 ms on the reference MCU
-//! *every* round, even when nothing changed. The segmented prover
-//! re-digests only dirty segments, so a mostly-idle device answers in a
-//! small fraction of that. Default mode prints the dirty-fraction sweep
-//! next to the whole-memory baseline; `--ci` runs a short deterministic
-//! gate — repeat attestation with 1/16 of the segments dirty must cost
-//! < 15 % of a full sweep, and on every round (including seeded random
-//! write storms) the served digests must equal a from-scratch
-//! recomputation — and writes `BENCH_segcache.json` with the cycle
-//! counts.
+//! E10 table ([`proverguard_bench::segcache`]): device cycles per
+//! attestation vs dirty fraction, next to the whole-memory baseline.
+//! Writes `BENCH_segcache.json`; exits 1 on any violated invariant.
 //!
 //! ```sh
 //! cargo run --release -p proverguard-bench --bin segcache_bench
-//! cargo run --release -p proverguard-bench --bin segcache_bench -- --ci
 //! ```
 
-use std::fmt::Write as _;
-
-use proverguard_attest::prover::{Prover, ProverConfig};
-use proverguard_attest::segcache::segment_digests;
-use proverguard_attest::verifier::Verifier;
-use proverguard_bench::{fmt_ms, render_table};
-use proverguard_mcu::map;
-
-const KEY: [u8; 16] = [0x42; 16];
-
-/// CI acceptance threshold: a 1/16-dirty round must cost less than this
-/// fraction of the cold full sweep (recorded in EXPERIMENTS.md E10).
-const CI_MAX_RATIO: f64 = 0.15;
-
-/// Seed for the randomized oracle rounds of the `--ci` gate.
-const CI_SEED: u64 = 0x5E6C_AC4E;
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-fn pair() -> (Prover, Verifier) {
-    let config = ProverConfig::recommended_segmented();
-    let prover = Prover::provision(config.clone(), &KEY, b"segcache bench app").expect("provision");
-    let verifier = Verifier::new(&config, &KEY).expect("verifier");
-    (prover, verifier)
-}
-
-struct Round {
-    label: String,
-    dirty_segments: usize,
-    recomputed: u32,
-    cached: u32,
-    cycles: u64,
-    ms: f64,
-}
-
-/// One attestation with the coherence oracle: the verifier must accept
-/// and the cache must match a from-scratch recomputation.
-fn attest(prover: &mut Prover, verifier: &mut Verifier, violations: &mut Vec<String>) -> u64 {
-    let request = verifier.make_request().expect("request");
-    let response = prover.handle_request(&request).expect("accepted");
-    if !verifier.check_response(&request, &response, prover.expected_memory()) {
-        violations.push("segmented response failed verification".to_string());
-    }
-    let cache = prover.segment_cache().expect("segmented prover");
-    let oracle = segment_digests(prover.expected_memory(), cache.segment_len());
-    match cache.all() {
-        Some(cached) if cached == oracle => {}
-        Some(_) => violations.push("cached digests diverge from from-scratch oracle".to_string()),
-        None => violations.push("cache incomplete after attestation".to_string()),
-    }
-    let cost = prover.last_cost();
-    if cost.mac_recomputed_segments as usize + cost.mac_cached_segments as usize
-        != cache.segment_count()
-    {
-        violations.push(format!(
-            "cost partition broken: {} recomputed + {} cached != {} segments",
-            cost.mac_recomputed_segments,
-            cost.mac_cached_segments,
-            cache.segment_count()
-        ));
-    }
-    cost.response_cycles
-}
-
-/// Dirties `count` distinct app-RAM segments (never segment 0, which the
-/// freshness commit dirties on every round anyway).
-fn dirty_segments(prover: &mut Prover, count: usize) {
-    let seg_len = prover
-        .segment_cache()
-        .expect("segmented prover")
-        .segment_len() as u32;
-    let total = (map::RAM.len() / seg_len) as usize;
-    assert!(count < total, "keep at least segment 0 implicit");
-    for i in 0..count {
-        let addr = map::RAM.start + (1 + i as u32) * seg_len + 64;
-        prover
-            .mcu_mut()
-            .bus_write(addr, &[0xA5], map::APP_CODE)
-            .expect("app write");
-    }
-}
-
-fn run(ci: bool) -> (Vec<Round>, u64, u64, Vec<String>) {
-    let mut violations = Vec::new();
-    let (mut prover, mut verifier) = pair();
-    let segment_count = prover.segment_cache().expect("segmented").segment_count();
-
-    // Round 0: cold cache — the full sweep every later round is judged
-    // against.
-    let full_cycles = attest(&mut prover, &mut verifier, &mut violations);
-    let mut rounds = vec![Round {
-        label: "cold (full sweep)".to_string(),
-        dirty_segments: segment_count,
-        recomputed: prover.last_cost().mac_recomputed_segments,
-        cached: prover.last_cost().mac_cached_segments,
-        cycles: full_cycles,
-        ms: prover.last_cost().total_ms(),
-    }];
-
-    // Warm rounds at increasing dirty fractions. `k` counts app segments
-    // scribbled on; the counter segment recomputes on top of that.
-    for k in [
-        0usize,
-        segment_count / 16,
-        segment_count / 4,
-        segment_count / 2,
-    ] {
-        dirty_segments(&mut prover, k);
-        let cycles = attest(&mut prover, &mut verifier, &mut violations);
-        rounds.push(Round {
-            label: format!("{k}/{segment_count} dirty"),
-            dirty_segments: k,
-            recomputed: prover.last_cost().mac_recomputed_segments,
-            cached: prover.last_cost().mac_cached_segments,
-            cycles,
-            ms: prover.last_cost().total_ms(),
-        });
-    }
-
-    // The whole-memory baseline: the same image under the paper's
-    // construction, which has no cache to warm.
-    let whole_config = ProverConfig::recommended();
-    let mut whole_prover =
-        Prover::provision(whole_config.clone(), &KEY, b"segcache bench app").expect("provision");
-    let mut whole_verifier = Verifier::new(&whole_config, &KEY).expect("verifier");
-    let wreq = whole_verifier.make_request().expect("request");
-    let wresp = whole_prover.handle_request(&wreq).expect("accepted");
-    if !whole_verifier.check_response(&wreq, &wresp, whole_prover.expected_memory()) {
-        violations.push("whole-memory baseline failed verification".to_string());
-    }
-    let whole_cycles = whole_prover.last_cost().response_cycles;
-
-    if ci {
-        // Gate 1: the 1/16-dirty warm round beats the threshold.
-        let sparse = &rounds[2];
-        assert_eq!(sparse.dirty_segments, segment_count / 16);
-        let ratio = sparse.cycles as f64 / full_cycles as f64;
-        if ratio >= CI_MAX_RATIO {
-            violations.push(format!(
-                "1/16-dirty round cost {:.1}% of a full sweep (budget {:.0}%)",
-                ratio * 100.0,
-                CI_MAX_RATIO * 100.0
-            ));
-        }
-        // Gate 2: seeded random write storms — arbitrary offsets, lengths
-        // and straddled boundaries — never desynchronize cache and RAM.
-        let mut rng = CI_SEED;
-        for _ in 0..24 {
-            let word = splitmix64(&mut rng);
-            match word % 5 {
-                4 => {
-                    prover.reboot().expect("reboot");
-                }
-                _ => {
-                    let span = u64::from(map::RAM.end - map::APP_RAM.start - 600);
-                    let off = map::APP_RAM.start + ((word >> 8) % span) as u32;
-                    let len = 1 + (word >> 40) as usize % 512;
-                    prover
-                        .mcu_mut()
-                        .bus_write(off, &vec![word as u8; len], map::APP_CODE)
-                        .expect("app write");
-                }
-            }
-            attest(&mut prover, &mut verifier, &mut violations);
-        }
-    }
-
-    (rounds, full_cycles, whole_cycles, violations)
-}
-
-fn write_json(
-    path: &str,
-    rounds: &[Round],
-    full_cycles: u64,
-    whole_cycles: u64,
-) -> std::io::Result<()> {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"bench\": \"segcache\",");
-    let _ = writeln!(out, "  \"threshold_ratio\": {CI_MAX_RATIO},");
-    let _ = writeln!(out, "  \"full_sweep_cycles\": {full_cycles},");
-    let _ = writeln!(out, "  \"whole_memory_mac_cycles\": {whole_cycles},");
-    let _ = writeln!(out, "  \"rounds\": [");
-    for (i, r) in rounds.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "    {{\"label\": \"{}\", \"dirty_segments\": {}, \"recomputed\": {}, \
-             \"cached\": {}, \"cycles\": {}, \"ratio_vs_full\": {:.4}}}{}",
-            r.label,
-            r.dirty_segments,
-            r.recomputed,
-            r.cached,
-            r.cycles,
-            r.cycles as f64 / full_cycles as f64,
-            if i + 1 == rounds.len() { "" } else { "," }
-        );
-    }
-    out.push_str("  ]\n}\n");
-    std::fs::write(path, out)
-}
+use proverguard_bench::{finish, fmt_ms, render_table, segcache};
 
 fn main() {
-    let ci_mode = std::env::args().any(|a| a == "--ci");
-    let (rounds, full_cycles, whole_cycles, violations) = run(ci_mode);
+    let report = segcache::run();
+    let full_cycles = report.full_cycles;
+    let whole_cycles = report.whole_cycles;
 
-    let rows: Vec<Vec<String>> = rounds
+    let rows: Vec<Vec<String>> = report
+        .rounds
         .iter()
         .map(|r| {
             vec![
                 r.label.clone(),
-                format!("{}", r.recomputed),
-                format!("{}", r.cached),
-                format!("{}", r.cycles),
-                fmt_ms(r.ms),
-                format!("{:.1}%", r.cycles as f64 / full_cycles as f64 * 100.0),
+                format!("{}", r.cost.mac_recomputed_segments),
+                format!("{}", r.cost.mac_cached_segments),
+                format!("{}", r.cost.response_cycles),
+                fmt_ms(r.cost.total_ms()),
+                format!(
+                    "{:.1}%",
+                    r.cost.response_cycles as f64 / full_cycles as f64 * 100.0
+                ),
             ]
         })
         .collect();
@@ -260,28 +50,13 @@ fn main() {
         "whole-memory MAC baseline (no cache possible): {whole_cycles} cycles — the\n\
          segmented full sweep costs {:.1}% of it; a quiescent warm round costs {:.2}%.",
         full_cycles as f64 / whole_cycles as f64 * 100.0,
-        rounds[1].cycles as f64 / whole_cycles as f64 * 100.0,
+        report.rounds[1].cost.response_cycles as f64 / whole_cycles as f64 * 100.0,
     );
 
-    if ci_mode {
-        let json_path = "BENCH_segcache.json";
-        if let Err(e) = write_json(json_path, &rounds, full_cycles, whole_cycles) {
-            eprintln!("SEGCACHE BENCH: failed to write {json_path}: {e}");
-            std::process::exit(1);
-        }
-        println!("wrote {json_path}");
-        if violations.is_empty() {
-            println!("all segcache invariants held");
-            return;
-        }
-        for violation in &violations {
-            eprintln!("SEGCACHE INVARIANT VIOLATION: {violation}");
-        }
-        std::process::exit(1);
-    } else if !violations.is_empty() {
-        for violation in &violations {
-            eprintln!("SEGCACHE INVARIANT VIOLATION: {violation}");
-        }
-        std::process::exit(1);
-    }
+    finish(
+        Some(&report.rows()),
+        report.violations,
+        "SEGCACHE INVARIANT VIOLATION",
+        "all segcache invariants held",
+    );
 }

@@ -1,235 +1,19 @@
-//! Measures the epoch-log defence against transient (TOCTOU) malware:
-//! the detection matrix across attestation scopes, and what a `History`
-//! round costs relative to a full sweep.
-//!
-//! The adversary infects a segment of the application image, acts, and
-//! restores the original bytes between rounds. Content sweeps (`Whole`,
-//! `Segmented`) see pristine memory and verify — time-of-check vs
-//! time-of-use. A `History` round reports the authenticated set of
-//! segments *written* since the last verified round, so the restore
-//! cannot hide the write event — and because it ships a bitmap plus
-//! fresh digests only for modified segments, a quiescent round costs a
-//! tiny fraction of a full sweep.
-//!
-//! Default mode prints the detection matrix and the cycle costs; `--ci`
-//! additionally gates that (1) the transient strike defeats `Whole` and
-//! `Segmented` but is flagged by `History`, (2) a quiescent History
-//! round costs < 3 % of the cold full sweep, and writes
-//! `BENCH_toctou.json`.
+//! E12 table ([`proverguard_bench::toctou`]): the transient-malware
+//! detection matrix per attestation scope and the History round costs.
+//! Writes `BENCH_toctou.json`; exits 1 on any violated invariant.
 //!
 //! ```sh
 //! cargo run --release -p proverguard-bench --bin toctou_bench
-//! cargo run --release -p proverguard-bench --bin toctou_bench -- --ci
 //! ```
 
-use std::fmt::Write as _;
-
-use proverguard_adversary::toctou::{toctou_alarm, TransientMalware};
-use proverguard_adversary::world::World;
-use proverguard_attest::prover::ProverConfig;
-use proverguard_attest::verifier::ScopePolicy;
-use proverguard_bench::{fmt_ms, render_table};
-use proverguard_mcu::DEFAULT_SEGMENT_LEN;
-
-/// CI acceptance threshold: a quiescent History round must cost less
-/// than this fraction of the cold full sweep (recorded in EXPERIMENTS.md
-/// E12).
-const CI_MAX_RATIO: f64 = 0.03;
-
-/// One scope's fate against the infect/act/restore adversary.
-struct MatrixRow {
-    scope: &'static str,
-    verified_after_strike: bool,
-    detected: bool,
-}
-
-/// Drives one attestation round end to end, including the verifier-side
-/// bookkeeping hooks a session link would call.
-fn round(world: &mut World) -> bool {
-    let request = world.verifier.make_request().expect("request");
-    let Ok(response) = world.prover.handle_request(&request) else {
-        world.verifier.note_failed(&request);
-        return false;
-    };
-    let expected = world.prover.expected_memory().to_vec();
-    let ok = world
-        .verifier
-        .check_response(&request, &response, &expected);
-    if ok {
-        world.verifier.note_verified(&request, &response, &expected);
-    } else {
-        world.verifier.note_failed(&request);
-    }
-    ok
-}
-
-/// Runs baseline round → strike → post-strike round under `config`, and
-/// reports whether the post-strike round verified and whether the TOCTOU
-/// alarm fired.
-fn matrix_row(
-    scope: &'static str,
-    config: ProverConfig,
-    policy: Option<ScopePolicy>,
-    violations: &mut Vec<String>,
-) -> MatrixRow {
-    let mut world = World::new(config).expect("provision");
-    if let Some(policy) = policy {
-        world.verifier.set_scope_policy(policy);
-    }
-    if !round(&mut world) {
-        violations.push(format!("{scope}: baseline round failed"));
-    }
-    let mut malware = TransientMalware::default();
-    malware.strike(&mut world).expect("strike");
-    let verified = round(&mut world);
-    let detected = world
-        .verifier
-        .last_history()
-        .is_some_and(|outcome| toctou_alarm(outcome, seg_len(&world)));
-    MatrixRow {
-        scope,
-        verified_after_strike: verified,
-        detected,
-    }
-}
-
-fn seg_len(world: &World) -> u32 {
-    world
-        .prover
-        .segment_cache()
-        .map_or(DEFAULT_SEGMENT_LEN, |c| c.segment_len() as u32)
-}
-
-struct Costs {
-    full_sweep_cycles: u64,
-    full_sweep_ms: f64,
-    quiescent_cycles: u64,
-    quiescent_ms: f64,
-    strike_cycles: u64,
-}
-
-/// Measures History-round costs: the cold bootstrap (full coverage), a
-/// quiescent warm round, and a warm round right after a strike.
-fn measure_costs(violations: &mut Vec<String>) -> Costs {
-    let mut world = World::new(ProverConfig::recommended_segmented()).expect("provision");
-    world
-        .verifier
-        .set_scope_policy(ScopePolicy::History { full_every: 0 });
-
-    // Bootstrap: History { since_round: 0 } recomputes every segment —
-    // this is the full sweep every later round is judged against.
-    if !round(&mut world) {
-        violations.push("history bootstrap round failed".to_string());
-    }
-    let full_sweep_cycles = world.prover.last_cost().response_cycles;
-    let full_sweep_ms = world.prover.last_cost().total_ms();
-
-    // Quiescent: nothing wrote app RAM since; only the freshness-commit
-    // segment re-digests.
-    if !round(&mut world) {
-        violations.push("quiescent history round failed".to_string());
-    }
-    let quiescent_cycles = world.prover.last_cost().response_cycles;
-    let quiescent_ms = world.prover.last_cost().total_ms();
-
-    // Post-strike: one more segment in the modified set.
-    TransientMalware::default()
-        .strike(&mut world)
-        .expect("strike");
-    if !round(&mut world) {
-        violations.push("post-strike history round failed".to_string());
-    }
-    let strike_cycles = world.prover.last_cost().response_cycles;
-
-    Costs {
-        full_sweep_cycles,
-        full_sweep_ms,
-        quiescent_cycles,
-        quiescent_ms,
-        strike_cycles,
-    }
-}
-
-fn write_json(path: &str, matrix: &[MatrixRow], costs: &Costs) -> std::io::Result<()> {
-    let ratio = costs.quiescent_cycles as f64 / costs.full_sweep_cycles as f64;
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"bench\": \"toctou\",");
-    let _ = writeln!(out, "  \"threshold_ratio\": {CI_MAX_RATIO},");
-    let _ = writeln!(out, "  \"full_sweep_cycles\": {},", costs.full_sweep_cycles);
-    let _ = writeln!(
-        out,
-        "  \"quiescent_history_cycles\": {},",
-        costs.quiescent_cycles
-    );
-    let _ = writeln!(out, "  \"quiescent_ratio_vs_full\": {ratio:.4},");
-    let _ = writeln!(
-        out,
-        "  \"post_strike_history_cycles\": {},",
-        costs.strike_cycles
-    );
-    let _ = writeln!(out, "  \"detection\": [");
-    for (i, row) in matrix.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "    {{\"scope\": \"{}\", \"verified_after_strike\": {}, \"detected\": {}}}{}",
-            row.scope,
-            row.verified_after_strike,
-            row.detected,
-            if i + 1 == matrix.len() { "" } else { "," }
-        );
-    }
-    out.push_str("  ]\n}\n");
-    std::fs::write(path, out)
-}
+use proverguard_bench::{finish, fmt_ms, render_table, toctou};
 
 fn main() {
-    let ci_mode = std::env::args().any(|a| a == "--ci");
-    let mut violations = Vec::new();
+    let report = toctou::run();
+    let costs = &report.costs;
 
-    let matrix = vec![
-        matrix_row("whole", ProverConfig::recommended(), None, &mut violations),
-        matrix_row(
-            "segmented",
-            ProverConfig::recommended_segmented(),
-            None,
-            &mut violations,
-        ),
-        matrix_row(
-            "history",
-            ProverConfig::recommended_segmented(),
-            Some(ScopePolicy::History { full_every: 0 }),
-            &mut violations,
-        ),
-    ];
-    let costs = measure_costs(&mut violations);
-
-    // The matrix is the point: every scope verifies the restored memory,
-    // only History sees the write events.
-    for row in &matrix {
-        if !row.verified_after_strike {
-            violations.push(format!(
-                "{}: restored memory failed verification (content is pristine)",
-                row.scope
-            ));
-        }
-        let should_detect = row.scope == "history";
-        if row.detected != should_detect {
-            violations.push(format!(
-                "{}: detected={} (expected {})",
-                row.scope, row.detected, should_detect
-            ));
-        }
-    }
-    let ratio = costs.quiescent_cycles as f64 / costs.full_sweep_cycles as f64;
-    if ratio >= CI_MAX_RATIO {
-        violations.push(format!(
-            "quiescent history round cost {:.2}% of a full sweep (budget {:.0}%)",
-            ratio * 100.0,
-            CI_MAX_RATIO * 100.0
-        ));
-    }
-
-    let rows: Vec<Vec<String>> = matrix
+    let rows: Vec<Vec<String>> = report
+        .matrix
         .iter()
         .map(|r| {
             vec![
@@ -252,30 +36,18 @@ fn main() {
     println!(
         "history round cost: bootstrap (full coverage) {} cycles ({}), quiescent\n\
          {} cycles ({}) = {:.2}% of full; post-strike {} cycles.",
-        costs.full_sweep_cycles,
-        fmt_ms(costs.full_sweep_ms),
-        costs.quiescent_cycles,
-        fmt_ms(costs.quiescent_ms),
-        ratio * 100.0,
-        costs.strike_cycles,
+        costs.bootstrap.response_cycles,
+        fmt_ms(costs.bootstrap.total_ms()),
+        costs.quiescent.response_cycles,
+        fmt_ms(costs.quiescent.total_ms()),
+        costs.ratio() * 100.0,
+        costs.strike.response_cycles,
     );
 
-    if ci_mode {
-        let json_path = "BENCH_toctou.json";
-        if let Err(e) = write_json(json_path, &matrix, &costs) {
-            eprintln!("TOCTOU BENCH: failed to write {json_path}: {e}");
-            std::process::exit(1);
-        }
-        println!("wrote {json_path}");
-    }
-    if violations.is_empty() {
-        if ci_mode {
-            println!("all toctou invariants held");
-        }
-        return;
-    }
-    for violation in &violations {
-        eprintln!("TOCTOU INVARIANT VIOLATION: {violation}");
-    }
-    std::process::exit(1);
+    finish(
+        Some(&report.rows()),
+        report.violations,
+        "TOCTOU INVARIANT VIOLATION",
+        "all toctou invariants held",
+    );
 }

@@ -1,81 +1,15 @@
-//! Cycle-accurate phase report for the prover pipeline, built on the
-//! telemetry subsystem — and a validation of that subsystem against the
-//! paper's cycle model.
-//!
-//! The workload replays the README quickstart (driven attestation
-//! sessions over a direct link) plus a forgery flood and a garbage flood
-//! against one prover, with the tracer on. It then prints the per-phase
-//! table (parse → admission → auth → freshness → attest-MAC): where the
-//! cycles died, which is the paper's whole argument in one table.
-//!
-//! `--ci` runs the same workload and gates on four checks:
-//!
-//! 1. the `prover.*` phase table sums exactly to
-//!    `ProverStats.attestation_cycles` (the spans measure the same clock
-//!    the stats account);
-//! 2. the measured attest-MAC phase matches
-//!    `CostTable::whole_memory_mac` for the device's RAM size within 1 %
-//!    (telemetry agrees with Table 1);
-//! 3. re-running the identical workload with the tracer *disabled* spends
-//!    exactly the same number of device cycles (instrumentation is free
-//!    when off);
-//! 4. no trace events were dropped.
-//!
-//! `--jsonl PATH` / `--chrome PATH` additionally export the trace.
+//! The prover pipeline's per-phase cycle table (parse → admission → auth
+//! → freshness → attest-MAC), cross-checked against the cycle model by
+//! [`proverguard_bench::trace_report`]; exits 1 on any violated
+//! telemetry invariant. `--jsonl PATH` / `--chrome PATH` also export the
+//! trace.
 
-use proverguard_adversary::world::World;
-use proverguard_attest::message::{AttestRequest, AttestScope, FreshnessField};
-use proverguard_attest::prover::ProverConfig;
-use proverguard_attest::session::{DirectLink, SessionDriver};
-use proverguard_mcu::{map, CLOCK_HZ};
-use proverguard_telemetry::export::PhaseTable;
-use proverguard_telemetry::{metrics, trace};
-
-/// Driven sessions in the workload (the quickstart, three times over).
-const SESSIONS: u64 = 3;
-/// Forged (bad-auth) requests in the flood phase.
-const FORGERIES: u64 = 40;
-/// Malformed wire blobs in the garbage phase.
-const GARBAGE: u64 = 25;
-
-/// Replays the fixed workload against a fresh world and returns it for
-/// inspection. Fully deterministic: same requests, same cycle counts,
-/// every run — which is what makes the tracer-overhead check meaningful.
-fn run_workload() -> World {
-    let mut world = World::new(ProverConfig::recommended()).expect("provisioning");
-    world.advance_ms(1000).expect("idle");
-
-    for _ in 0..SESSIONS {
-        let mut link = DirectLink::new(&mut world.verifier, &mut world.prover);
-        let _ = SessionDriver::default().run(&mut link);
-    }
-
-    for i in 0..FORGERIES {
-        // Adv_ext: plausible header (fresh-looking counter), garbage MAC.
-        let bogus = AttestRequest {
-            scope: AttestScope::Whole,
-            freshness: FreshnessField::Counter(1_000 + i),
-            challenge: [0xbb; 16],
-            auth: vec![0u8; 8],
-        };
-        let _ = world.prover.handle_wire_request(&bogus.to_bytes());
-        let _ = world.advance_ms(5);
-    }
-
-    for i in 0..GARBAGE {
-        // Line noise: wrong version byte, then filler of varying length.
-        let mut blob = vec![0xff_u8];
-        blob.extend((0..(i % 48)).map(|j| (i ^ j) as u8));
-        let _ = world.prover.handle_wire_request(&blob);
-        let _ = world.advance_ms(5);
-    }
-
-    world
-}
+use proverguard_bench::finish;
+use proverguard_bench::trace_report::{self, FORGERIES, GARBAGE, SESSIONS};
+use proverguard_mcu::CLOCK_HZ;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let ci_mode = args.iter().any(|a| a == "--ci");
     let path_after = |flag: &str| {
         args.iter()
             .position(|a| a == flag)
@@ -83,27 +17,18 @@ fn main() {
             .cloned()
     };
 
-    // Instrumented run.
-    trace::reset();
-    metrics::reset();
-    trace::enable();
-    let world = run_workload();
-    trace::disable();
-    let events = trace::drain();
-    let dropped = trace::dropped();
-    let stats = *world.prover.stats();
-
-    let prover_phases = PhaseTable::from_events_with_prefix(&events, "prover.");
-    let crypto_phases = PhaseTable::from_events_with_prefix(&events, "crypto.");
+    let report = trace_report::run();
+    let stats = report.stats;
 
     if let Some(path) = path_after("--jsonl") {
-        std::fs::write(&path, proverguard_telemetry::to_jsonl(&events)).expect("write jsonl");
-        println!("wrote {} events to {path}", events.len());
+        std::fs::write(&path, proverguard_telemetry::to_jsonl(&report.events))
+            .expect("write jsonl");
+        println!("wrote {} events to {path}", report.events.len());
     }
     if let Some(path) = path_after("--chrome") {
         std::fs::write(
             &path,
-            proverguard_telemetry::to_chrome_trace(&events, CLOCK_HZ),
+            proverguard_telemetry::to_chrome_trace(&report.events, CLOCK_HZ),
         )
         .expect("write chrome trace");
         println!("wrote Chrome trace to {path} (open in chrome://tracing)");
@@ -118,87 +43,31 @@ fn main() {
         "prover pipeline phases (device cycles @ {} MHz):",
         CLOCK_HZ / 1_000_000
     );
-    println!("{}", prover_phases.render(CLOCK_HZ));
+    println!("{}", report.prover_phases.render(CLOCK_HZ));
     println!("host crypto primitives (call counts; spans ride the device clock):");
-    println!("{}", crypto_phases.render(CLOCK_HZ));
+    println!("{}", report.crypto_phases.render(CLOCK_HZ));
     println!("metrics:");
-    println!("{}", metrics::snapshot().render());
+    println!("{}", report.metrics.render());
 
-    // ---- validation (always computed; gating only under --ci) ----------
-    let mut failures: Vec<String> = Vec::new();
-
-    // 1. Phase table vs ProverStats accounting.
-    let phase_sum = prover_phases.total_cycles();
-    if phase_sum != stats.attestation_cycles {
-        failures.push(format!(
-            "phase table sums to {phase_sum} cycles but ProverStats.attestation_cycles is {}",
-            stats.attestation_cycles
-        ));
+    if let Some((measured, model)) = report.attest_mac {
+        println!(
+            "attest-MAC cross-check: measured {measured} cycles/call vs model {model} \
+             ({:.4} % deviation)",
+            trace_report::deviation((measured, model)) * 100.0
+        );
     }
-
-    // 2. Attest-MAC phase vs the paper's cycle model. The per-call cost
-    //    also covers the MACed request header (~2 of 8194 HMAC blocks),
-    //    so it sits a hair above the bare whole-memory figure — well
-    //    inside the 1 % gate.
-    let model = world
-        .prover
-        .mcu()
-        .cost_table()
-        .whole_memory_mac(map::RAM.len() as usize);
-    match prover_phases.row("prover.attest_mac") {
-        None => failures.push("no prover.attest_mac phase was recorded".to_string()),
-        Some(row) => {
-            let measured = row.cycles_per_call();
-            let deviation = measured.abs_diff(model) as f64 / model as f64;
-            println!(
-                "attest-MAC cross-check: measured {measured} cycles/call vs model {model} \
-                 ({:.4} % deviation)",
-                deviation * 100.0
-            );
-            if deviation > 0.01 {
-                failures.push(format!(
-                    "attest-MAC phase deviates {:.2} % from CostTable::whole_memory_mac \
-                     (measured {measured}, model {model})",
-                    deviation * 100.0
-                ));
-            }
-        }
-    }
-
-    // 3. Disabled-tracer overhead must be zero device cycles.
-    metrics::reset();
-    let quiet = run_workload();
-    let quiet_cycles = quiet.prover.stats().attestation_cycles;
-    if quiet_cycles != stats.attestation_cycles {
-        failures.push(format!(
-            "tracer overhead is not zero: {} cycles traced vs {} untraced",
-            stats.attestation_cycles, quiet_cycles
-        ));
-    } else {
+    if report.quiet_cycles == stats.attestation_cycles {
         println!(
             "disabled-tracer overhead: 0 cycles ({} == {})",
-            stats.attestation_cycles, quiet_cycles
+            stats.attestation_cycles, report.quiet_cycles
         );
     }
 
-    // 4. The ring held the whole workload.
-    if dropped > 0 {
-        failures.push(format!("{dropped} trace events were dropped"));
-    }
-
-    if ci_mode {
-        if failures.is_empty() {
-            println!("\ntrace_report --ci: all telemetry invariants held");
-            return;
-        }
-        for f in &failures {
-            eprintln!("TELEMETRY VIOLATION: {f}");
-        }
-        std::process::exit(1);
-    } else if !failures.is_empty() {
-        println!("\nwarnings (fatal under --ci):");
-        for f in &failures {
-            println!("  - {f}");
-        }
-    }
+    println!();
+    finish(
+        None,
+        report.violations,
+        "TELEMETRY VIOLATION",
+        "all telemetry invariants held",
+    );
 }

@@ -5,8 +5,9 @@
 //! accounting: device-side work consumes *cycles* from a [`CostTable`]
 //! whose constants are the paper's measurements converted to cycles at
 //! 24 MHz. This substitution is documented in `DESIGN.md` §3 — the
-//! absolute constants come from the paper, while our own host-measured
-//! Criterion benchmarks independently validate the *relative* shape.
+//! absolute constants come from the paper, while the host timings of our
+//! own primitives (`table1`, `perfbench --trace 1`) independently
+//! validate the *relative* shape.
 
 use std::time::Duration;
 

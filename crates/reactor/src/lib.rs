@@ -5,8 +5,8 @@
 //! OS thread count. This crate is the in-repo replacement for the event
 //! layer a production verifier would take from `mio`/`tokio` — built
 //! from raw syscalls in the same offline spirit as the workspace's
-//! `proptest`/`criterion` shims, because the build environment has no
-//! crates.io access:
+//! `proptest` shim, because the build environment has no crates.io
+//! access:
 //!
 //! - [`Poller`] — a readiness selector with two selectable backends:
 //!   `epoll(7)` (Linux fast path) and portable `poll(2)` (fallback, and

@@ -1,9 +1,9 @@
 //! Raw libc bindings for the selector backends.
 //!
 //! The build environment has no crates.io access, so — like the in-repo
-//! `proptest`/`criterion` shims — we declare the handful of syscall
-//! wrappers we need directly against the platform C library instead of
-//! pulling in `libc`/`mio`. Only the symbols the reactor actually uses
+//! `proptest` shim — we declare the handful of syscall wrappers we need
+//! directly against the platform C library instead of pulling in
+//! `libc`/`mio`. Only the symbols the reactor actually uses
 //! are declared, with x86/x86_64 Linux layout notes where the ABI is
 //! subtle (`epoll_event` is packed there).
 

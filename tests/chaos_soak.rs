@@ -1,5 +1,6 @@
 //! Integration: the deterministic CI chaos soak and its liveness
-//! invariants (the gate `ci.sh` also runs via the `fleet_soak` binary).
+//! invariants. This test is the gate; the `fleet_soak` binary only
+//! prints the defence-ladder comparison.
 //!
 //! One fixed-seed scenario, the full stack: a 4-device fleet (one
 //! compromised, one behind a lossy radio that heals mid-run) under a
