@@ -19,6 +19,9 @@ cargo build --release
 echo "== tests (tier-1 + workspace, incl. the deterministic bench gates) =="
 cargo test --workspace -q
 
+echo "== crypto tests, optimised build (the SHA-1 kernel as perfbench compiles it) =="
+cargo test --release -q -p proverguard-crypto
+
 echo "== gateway scale (event-driven reactor concurrency gate, emits BENCH_gateway_scale.json) =="
 cargo run --release -q -p proverguard-bench --bin gateway_scale -- --ci
 

@@ -73,10 +73,10 @@ impl SimDevice {
         let request = AttestRequest::from_bytes(raw_request).ok()?;
         let mut image = (*self.image).clone();
         patch_expected_image(&mut image, &request.freshness);
-        let mut macced = request.signed_bytes();
-        macced.extend_from_slice(&image);
         let response = AttestResponse {
-            report: self.response_key.compute(&macced),
+            report: self
+                .response_key
+                .compute_parts(&[&request.signed_bytes(), &image]),
         };
         Some(response.to_bytes())
     }
@@ -210,19 +210,26 @@ pub fn drive_oneshot_wave(
             .notifier(Token(slot))
             .expect("register client notifier");
         nb.attach_notifier(notifier);
-        let hello = GatewayMsg::Hello {
-            device_id: *device_id,
-        };
-        if nb.enqueue_send(&hello.encode()).is_err() || nb.flush().is_err() {
-            report.failed += 1;
-            clients.push(None);
-            continue;
-        }
-        clients.push(Some(Client {
+        let mut client = Client {
             nb,
             sim: Arc::clone(sim),
             dialed_at,
-        }));
+        };
+        let hello = GatewayMsg::Hello {
+            device_id: *device_id,
+        };
+        if client.nb.enqueue_send(&hello.encode()).is_err() || client.nb.flush().is_err() {
+            // A full gateway writes `Busy` and hangs up at accept, which
+            // can beat the hello; the `Busy` frame is still readable.
+            if matches!(pump_client(&mut client), Verdict::Shed) {
+                report.shed += 1;
+            } else {
+                report.failed += 1;
+            }
+            clients.push(None);
+            continue;
+        }
+        clients.push(Some(client));
         remaining += 1;
     }
 

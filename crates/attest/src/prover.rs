@@ -996,24 +996,24 @@ impl Prover {
     }
 
     /// Whole-memory response: MAC over the request header followed by all
-    /// of RAM (§3.1's 754 ms).
+    /// of RAM (§3.1's 754 ms), read in place. The MPU span check runs
+    /// before any cycle is charged, so a denied read costs nothing.
     fn respond_whole(
         &mut self,
         message: Vec<u8>,
         cost: &mut CostBreakdown,
     ) -> Result<Vec<u8>, AttestError> {
-        let ram = self.mcu.ram_snapshot(map::ATTEST_PC)?;
+        let ram_len = self.mcu.ram_view(map::ATTEST_PC)?.len();
         cost.response_cycles = self
             .mcu
             .cost_table()
-            .mac_cost(self.config.response_mac, ram.len() + message.len());
-        Ok(
-            self.charge_stage("prover.attest_mac", cost.response_cycles, |p| {
-                let mut macced = message;
-                macced.extend_from_slice(&ram);
-                p.response_key.compute(&macced)
-            }),
-        )
+            .mac_cost(self.config.response_mac, ram_len + message.len());
+        self.charge_stage("prover.attest_mac", cost.response_cycles, |p| {
+            // The view cannot outlive the clock advance, so borrow it again
+            // here; the MPU rules have not changed since the check above.
+            let ram = p.mcu.ram_view(map::ATTEST_PC)?;
+            Ok(p.response_key.compute_parts(&[&message, ram]))
+        })
     }
 
     /// Segmented response: scan the hardware dirty bits, re-digest only
@@ -1035,7 +1035,7 @@ impl Prover {
             self.fault_mark = self.mcu.fault_log().len();
         }
 
-        let ram = self.mcu.ram_snapshot(map::ATTEST_PC)?;
+        let ram_len = self.mcu.ram_view(map::ATTEST_PC)?.len();
         let seg_len = self.mcu.segment_len() as usize;
         let seg_count = self.mcu.segment_count();
 
@@ -1049,23 +1049,14 @@ impl Prover {
                 .collect()
         });
 
-        // Recompute: SHA-1 over each stale segment, acknowledging its
-        // dirty bit as Code_Attest once the digest is in hand.
-        let recompute_cycles: u64 = todo
-            .iter()
-            .map(|&i| {
-                let len = ram[i * seg_len..].len().min(seg_len);
-                self.mcu
-                    .cost_table()
-                    .sha1_digest_cost(segcache::SEGMENT_PREFIX_LEN + len)
-            })
-            .sum();
+        // Recompute: SHA-1 over each stale segment, read in place,
+        // acknowledging its dirty bit as Code_Attest once the digest is in
+        // hand.
+        let recompute_cycles = self.recompute_cycles(&todo, seg_len, ram_len);
         let ack_result: Result<(), AttestError> =
             self.charge_stage("prover.attest_mac.recomputed", recompute_cycles, |p| {
                 for &i in &todo {
-                    let start = i * seg_len;
-                    let end = (start + seg_len).min(ram.len());
-                    let digest = segcache::segment_digest(i as u32, &ram[start..end]);
+                    let digest = p.digest_segment(i, seg_len)?;
                     p.segcache
                         .as_mut()
                         .expect("segmented scope requires cache")
@@ -1133,7 +1124,7 @@ impl Prover {
             self.fault_mark = self.mcu.fault_log().len();
         }
 
-        let ram = self.mcu.ram_snapshot(map::ATTEST_PC)?;
+        let ram_len = self.mcu.ram_view(map::ATTEST_PC)?.len();
         let seg_len = self.mcu.segment_len() as usize;
         let seg_count = self.mcu.segment_count();
         let round = self.mcu.epoch();
@@ -1151,22 +1142,12 @@ impl Prover {
         // Recompute fresh digests for the modified set only, warming the
         // shared segment cache and acknowledging dirty bits exactly as the
         // segmented path does.
-        let recompute_cycles: u64 = todo
-            .iter()
-            .map(|&i| {
-                let len = ram[i * seg_len..].len().min(seg_len);
-                self.mcu
-                    .cost_table()
-                    .sha1_digest_cost(segcache::SEGMENT_PREFIX_LEN + len)
-            })
-            .sum();
+        let recompute_cycles = self.recompute_cycles(&todo, seg_len, ram_len);
         let digest_result: Result<Vec<[u8; DIGEST_SIZE]>, AttestError> =
             self.charge_stage("prover.attest_mac.recomputed", recompute_cycles, |p| {
                 let mut fresh = Vec::with_capacity(todo.len());
                 for &i in &todo {
-                    let start = i * seg_len;
-                    let end = (start + seg_len).min(ram.len());
-                    let digest = segcache::segment_digest(i as u32, &ram[start..end]);
+                    let digest = p.digest_segment(i, seg_len)?;
                     if let Some(cache) = p.segcache.as_mut() {
                         cache.store(i, digest);
                     }
@@ -1250,6 +1231,32 @@ impl Prover {
         let result = f(self);
         drop(span);
         result
+    }
+
+    /// Modelled cost of re-digesting the segments in `todo` (the last
+    /// segment may be short).
+    fn recompute_cycles(&self, todo: &[usize], seg_len: usize, ram_len: usize) -> u64 {
+        todo.iter()
+            .map(|&i| {
+                let len = ram_len.saturating_sub(i * seg_len).min(seg_len);
+                self.mcu
+                    .cost_table()
+                    .sha1_digest_cost(segcache::SEGMENT_PREFIX_LEN + len)
+            })
+            .sum()
+    }
+
+    /// Digests segment `i` straight from RAM, under the same MPU span
+    /// check as every `Code_Attest` read.
+    fn digest_segment(
+        &mut self,
+        i: usize,
+        seg_len: usize,
+    ) -> Result<[u8; DIGEST_SIZE], AttestError> {
+        let ram = self.mcu.ram_view(map::ATTEST_PC)?;
+        let start = i * seg_len;
+        let end = (start + seg_len).min(ram.len());
+        Ok(segcache::segment_digest(i as u32, &ram[start..end]))
     }
 
     fn finish(&mut self, cost: CostBreakdown) {

@@ -354,11 +354,10 @@ impl Verifier {
         expected: &ExpectedView<'_>,
     ) -> bool {
         match request.scope {
-            AttestScope::Whole => {
-                let mut macced = request.signed_bytes();
-                macced.extend_from_slice(expected.memory());
-                self.response_key.verify(&macced, &response.report)
-            }
+            AttestScope::Whole => self.response_key.verify_parts(
+                &[&request.signed_bytes(), expected.memory()],
+                &response.report,
+            ),
             AttestScope::Segmented => {
                 let Some(params) = &self.segmented else {
                     return false;
@@ -403,19 +402,31 @@ impl Verifier {
         response: &AttestResponse,
         expected: &ExpectedView<'_>,
     ) -> Option<(HistoryReport, Vec<[u8; DIGEST_SIZE]>)> {
-        let params = self.segmented.as_ref()?;
-        let seg_len = params.segment_len as usize;
-        let seg_count = expected.memory().len().div_ceil(seg_len);
-        let (report, _tag) = HistoryReport::decode(&response.report, seg_count)?;
-        if report.modified.len() != seg_count || report.round <= since_round {
-            return None;
-        }
+        let report = self.decode_history(since_round, response, expected)?;
+        let seg_len = self.segmented.as_ref()?.segment_len as usize;
         let digests = report
             .modified_indices()
             .into_iter()
             .map(|i| expected.segment_digest_at(i, seg_len))
             .collect();
         Some((report, digests))
+    }
+
+    /// The structural half of [`Verifier::parse_history`]: decodes the
+    /// report and checks the bitmap length and the round, reading only
+    /// the expected image's length. The note step uses it after a
+    /// successful check, so a History verify digests each modified
+    /// segment once.
+    fn decode_history(
+        &self,
+        since_round: u64,
+        response: &AttestResponse,
+        expected: &ExpectedView<'_>,
+    ) -> Option<HistoryReport> {
+        let seg_len = self.segmented.as_ref()?.segment_len as usize;
+        let seg_count = expected.memory().len().div_ceil(seg_len);
+        let (report, _tag) = HistoryReport::decode(&response.report, seg_count)?;
+        (report.modified.len() == seg_count && report.round > since_round).then_some(report)
     }
 
     /// Records a round that completed and verified. Drives the History
@@ -434,7 +445,8 @@ impl Verifier {
     }
 
     /// View-based variant of [`Verifier::note_verified`] — same policy
-    /// effects, sharing the baseline digest vector when one is attached.
+    /// effects. It reads only the view's length: the response was already
+    /// checked, so noting it computes no digest.
     pub fn note_verified_view(
         &mut self,
         request: &AttestRequest,
@@ -454,7 +466,7 @@ impl Verifier {
                 None
             }
             AttestScope::History { since_round } => {
-                let (report, _) = self.parse_history(since_round, response, expected)?;
+                let report = self.decode_history(since_round, response, expected)?;
                 self.rounds_since_full = self.rounds_since_full.saturating_add(1);
                 self.last_verified_round = Some(report.round);
                 self.last_history = Some(HistoryOutcome {
@@ -585,6 +597,36 @@ mod tests {
                 .compute(&macced),
         };
         assert!(!v.check_response(&req, &whole, &memory));
+    }
+
+    #[test]
+    fn history_note_step_reads_no_segment_bytes() {
+        let config = ProverConfig::recommended_segmented();
+        let seg_len = config.segmented.unwrap().segment_len as usize;
+        let mut prover = crate::prover::Prover::provision(config.clone(), &KEY, b"app").unwrap();
+        let mut v = Verifier::new(&config, &KEY).unwrap();
+        v.set_scope_policy(ScopePolicy::History { full_every: 0 });
+        let mut verified_round = |v: &mut Verifier| {
+            let req = v.make_request().unwrap();
+            let resp = prover.handle_request(&req).unwrap();
+            let expected = prover.expected_memory().to_vec();
+            assert!(v.check_response(&req, &resp, &expected));
+            (req, resp, expected)
+        };
+        let (req, resp, expected) = verified_round(&mut v);
+        v.note_verified(&req, &resp, &expected);
+
+        // A quiescent round: only the freshness word's segment is modified.
+        let (req, resp, expected) = verified_round(&mut v);
+        let mut other = v.clone();
+        let honest = v.note_verified(&req, &resp, &expected).cloned().unwrap();
+        assert!(!honest.modified.is_empty());
+        let mut garbled = expected;
+        for &i in &honest.modified {
+            garbled[i * seg_len] ^= 0xff;
+        }
+        assert!(!other.check_response(&req, &resp, &garbled));
+        assert_eq!(other.note_verified(&req, &resp, &garbled), Some(&honest));
     }
 
     #[test]

@@ -6,7 +6,6 @@
 //! and CBC-MAC with length prepending (so the fixed-length messages used by
 //! the attestation protocol are MACed securely).
 
-use crate::ct::ct_eq;
 use crate::error::CryptoError;
 use crate::BlockCipher;
 
@@ -106,6 +105,28 @@ fn check_lengths<C: BlockCipher>(iv: &[u8], data: &[u8]) -> Result<(), CryptoErr
 /// ```
 #[must_use]
 pub fn cbc_mac<C: BlockCipher>(cipher: &C, message: &[u8]) -> Vec<u8> {
+    cbc_mac_parts(cipher, &[message])
+}
+
+/// Computes the CBC-MAC of the concatenation of `parts` without building
+/// it: equal to `cbc_mac(cipher, &parts.concat())`. The length block
+/// carries the total length, and a block that straddles two parts is
+/// completed in the chaining state before it is encrypted.
+///
+/// # Example
+///
+/// ```
+/// use proverguard_crypto::aes::Aes128;
+/// use proverguard_crypto::cbc::{cbc_mac, cbc_mac_parts};
+///
+/// # fn main() -> Result<(), proverguard_crypto::CryptoError> {
+/// let cipher = Aes128::new(&[3u8; 16])?;
+/// assert_eq!(cbc_mac_parts(&cipher, &[b"attreq|", b"memory"]), cbc_mac(&cipher, b"attreq|memory"));
+/// # Ok(())
+/// # }
+/// ```
+#[must_use]
+pub fn cbc_mac_parts<C: BlockCipher>(cipher: &C, parts: &[&[u8]]) -> Vec<u8> {
     let _span = proverguard_telemetry::trace::span(match C::NAME {
         "aes128" => "crypto.aes128_cbc",
         "speck64_128" => "crypto.speck64_cbc",
@@ -114,24 +135,46 @@ pub fn cbc_mac<C: BlockCipher>(cipher: &C, message: &[u8]) -> Vec<u8> {
     let bs = C::BLOCK_SIZE;
     // Length-prepend block: u64 big-endian length, zero padded to block size.
     let mut state = vec![0u8; bs];
-    let len_bytes = (message.len() as u64).to_be_bytes();
+    let total: usize = parts.iter().map(|part| part.len()).sum();
+    let len_bytes = (total as u64).to_be_bytes();
     let copy = len_bytes.len().min(bs);
     state[bs - copy..].copy_from_slice(&len_bytes[len_bytes.len() - copy..]);
     cipher.encrypt_block(&mut state);
 
-    for chunk in message.chunks(bs) {
-        for (s, m) in state.iter_mut().zip(chunk.iter()) {
-            *s ^= m;
+    // `filled` message bytes of the current block are already XORed into
+    // `state`; the block is encrypted once it is full (or at the end, which
+    // zero-pads it).
+    let mut filled = 0;
+    for mut part in parts.iter().copied() {
+        if filled > 0 {
+            let take = (bs - filled).min(part.len());
+            xor_into(&mut state[filled..filled + take], &part[..take]);
+            filled += take;
+            part = &part[take..];
+            if filled < bs {
+                continue;
+            }
+            cipher.encrypt_block(&mut state);
         }
+        let mut chunks = part.chunks_exact(bs);
+        for chunk in &mut chunks {
+            xor_into(&mut state, chunk);
+            cipher.encrypt_block(&mut state);
+        }
+        let rest = chunks.remainder();
+        xor_into(&mut state[..rest.len()], rest);
+        filled = rest.len();
+    }
+    if filled > 0 {
         cipher.encrypt_block(&mut state);
     }
     state
 }
 
-/// Verifies a CBC-MAC `tag` in constant time.
-#[must_use]
-pub fn cbc_mac_verify<C: BlockCipher>(cipher: &C, message: &[u8], tag: &[u8]) -> bool {
-    ct_eq(&cbc_mac(cipher, message), tag)
+fn xor_into(state: &mut [u8], data: &[u8]) {
+    for (s, m) in state.iter_mut().zip(data) {
+        *s ^= m;
+    }
 }
 
 #[cfg(test)]
@@ -222,8 +265,7 @@ mod tests {
         let t1 = cbc_mac(&cipher, b"message one");
         let t2 = cbc_mac(&cipher, b"message two");
         assert_ne!(t1, t2);
-        assert!(cbc_mac_verify(&cipher, b"message one", &t1));
-        assert!(!cbc_mac_verify(&cipher, b"message two", &t1));
+        assert_eq!(cbc_mac(&cipher, b"message one"), t1);
     }
 
     #[test]
@@ -242,6 +284,6 @@ mod tests {
         let cipher = Speck64_128::from_key(&[1; 16]);
         let t = cbc_mac(&cipher, b"");
         assert_eq!(t.len(), 8);
-        assert!(cbc_mac_verify(&cipher, b"", &t));
+        assert_eq!(cbc_mac(&cipher, b""), t);
     }
 }

@@ -25,10 +25,14 @@ const IPAD: u8 = 0x36;
 const OPAD: u8 = 0x5c;
 
 /// Streaming HMAC-SHA1.
+///
+/// Both keyed hash states are computed once in [`HmacSha1::new`]; cloning a
+/// keyed instance and feeding it a message skips the two key-pad
+/// compressions.
 #[derive(Debug, Clone)]
 pub struct HmacSha1 {
     inner: Sha1,
-    opad_key: [u8; BLOCK_SIZE],
+    outer: Sha1,
 }
 
 impl HmacSha1 {
@@ -54,7 +58,9 @@ impl HmacSha1 {
 
         let mut inner = Sha1::new();
         inner.update(&ipad_key);
-        HmacSha1 { inner, opad_key }
+        let mut outer = Sha1::new();
+        outer.update(&opad_key);
+        HmacSha1 { inner, outer }
     }
 
     /// Absorbs more message bytes.
@@ -65,10 +71,8 @@ impl HmacSha1 {
     /// Finishes the computation and returns the 20-byte tag.
     #[must_use]
     pub fn finalize(self) -> [u8; DIGEST_SIZE] {
-        let inner_digest = self.inner.finalize();
-        let mut outer = Sha1::new();
-        outer.update(&self.opad_key);
-        outer.update(&inner_digest);
+        let mut outer = self.outer;
+        outer.update(&self.inner.finalize());
         outer.finalize()
     }
 

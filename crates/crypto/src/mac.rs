@@ -21,7 +21,8 @@
 //! ```
 
 use crate::aes::Aes128;
-use crate::cbc::{cbc_mac, cbc_mac_verify};
+use crate::cbc::cbc_mac_parts;
+use crate::ct::ct_eq;
 use crate::error::CryptoError;
 use crate::hmac::HmacSha1;
 use crate::speck::Speck64_128;
@@ -84,7 +85,8 @@ impl std::fmt::Display for MacAlgorithm {
 }
 
 /// A MAC key with its primitive state expanded (the paper's "key expansion
-/// done in advance" assumption).
+/// done in advance" assumption): the AES and Speck round keys, or the two
+/// keyed SHA-1 states of HMAC, computed once in [`MacKey::new`].
 #[derive(Clone)]
 pub struct MacKey {
     algorithm: MacAlgorithm,
@@ -93,7 +95,9 @@ pub struct MacKey {
 
 #[derive(Clone)]
 enum MacKeyInner {
-    Hmac(Vec<u8>),
+    /// Boxed: two keyed SHA-1 states would make every `MacKey` holder
+    /// (request checkers, verifiers) 240 bytes wide.
+    Hmac(Box<HmacSha1>),
     Aes(Aes128),
     Speck(Speck64_128),
 }
@@ -116,7 +120,7 @@ impl MacKey {
     /// key that is not 16 bytes.
     pub fn new(algorithm: MacAlgorithm, key: &[u8]) -> Result<Self, CryptoError> {
         let inner = match algorithm {
-            MacAlgorithm::HmacSha1 => MacKeyInner::Hmac(key.to_vec()),
+            MacAlgorithm::HmacSha1 => MacKeyInner::Hmac(Box::new(HmacSha1::new(key))),
             MacAlgorithm::Aes128Cbc => MacKeyInner::Aes(Aes128::new(key)?),
             MacAlgorithm::Speck64Cbc => MacKeyInner::Speck(Speck64_128::new(key)?),
         };
@@ -132,21 +136,37 @@ impl MacKey {
     /// Computes the tag over `message`.
     #[must_use]
     pub fn compute(&self, message: &[u8]) -> Vec<u8> {
-        match &self.inner {
-            MacKeyInner::Hmac(key) => HmacSha1::mac(key, message).to_vec(),
-            MacKeyInner::Aes(cipher) => cbc_mac(cipher, message),
-            MacKeyInner::Speck(cipher) => cbc_mac(cipher, message),
-        }
+        self.compute_parts(&[message])
     }
 
     /// Verifies `tag` over `message` in constant time.
     #[must_use]
     pub fn verify(&self, message: &[u8], tag: &[u8]) -> bool {
+        self.verify_parts(&[message], tag)
+    }
+
+    /// Computes the tag over the concatenation of `parts`, streaming each
+    /// part where it lies instead of building the concatenation.
+    #[must_use]
+    pub fn compute_parts(&self, parts: &[&[u8]]) -> Vec<u8> {
         match &self.inner {
-            MacKeyInner::Hmac(key) => HmacSha1::verify(key, message, tag),
-            MacKeyInner::Aes(cipher) => cbc_mac_verify(cipher, message, tag),
-            MacKeyInner::Speck(cipher) => cbc_mac_verify(cipher, message, tag),
+            MacKeyInner::Hmac(keyed) => {
+                let _span = proverguard_telemetry::trace::span("crypto.hmac_sha1");
+                let mut h = HmacSha1::clone(keyed);
+                for part in parts {
+                    h.update(part);
+                }
+                h.finalize().to_vec()
+            }
+            MacKeyInner::Aes(cipher) => cbc_mac_parts(cipher, parts),
+            MacKeyInner::Speck(cipher) => cbc_mac_parts(cipher, parts),
         }
+    }
+
+    /// Verifies `tag` over the concatenation of `parts` in constant time.
+    #[must_use]
+    pub fn verify_parts(&self, parts: &[&[u8]], tag: &[u8]) -> bool {
+        ct_eq(&self.compute_parts(parts), tag)
     }
 }
 

@@ -2,10 +2,15 @@
 //!
 //! SHA-1 is the hash underlying the paper's HMAC measurements (Table 1) and
 //! the attestation MAC computed over the prover's writable memory. The
-//! implementation is a straightforward streaming Merkle–Damgård construction
-//! over the 512-bit (64-byte) compression function — the same 64-byte block
+//! implementation is a streaming Merkle–Damgård construction over one
+//! 512-bit (64-byte) compression function — the same 64-byte block
 //! granularity the paper uses when it computes
 //! `(512 KB / 64 B) · t_block + t_fix` for a whole-memory MAC.
+//!
+//! The compression function is safe scalar Rust, fully unrolled, and reads
+//! whole blocks straight from the caller's slice. It is the only kernel:
+//! there is no SIMD path and no runtime CPU dispatch, so the digest every
+//! host computes comes from the same code the tests pin.
 //!
 //! # Example
 //!
@@ -85,7 +90,8 @@ impl Sha1 {
         h.finalize()
     }
 
-    /// Absorbs more input.
+    /// Absorbs more input. Whole blocks are compressed straight from
+    /// `data`; only a partial block at either end is buffered.
     pub fn update(&mut self, mut data: &[u8]) {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
         if self.buffered > 0 {
@@ -93,61 +99,43 @@ impl Sha1 {
             self.buffer[self.buffered..self.buffered + take].copy_from_slice(&data[..take]);
             self.buffered += take;
             data = &data[take..];
-            if self.buffered == BLOCK_SIZE {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffered = 0;
+            if self.buffered < BLOCK_SIZE {
+                return;
             }
+            self.blocks_processed += 1;
+            compress(&mut self.state, &self.buffer);
+            self.buffered = 0;
         }
-        while data.len() >= BLOCK_SIZE {
-            let (block, rest) = data.split_at(BLOCK_SIZE);
-            let mut b = [0u8; BLOCK_SIZE];
-            b.copy_from_slice(block);
-            self.compress(&b);
-            data = rest;
+        let (blocks, rest) = data.as_chunks::<BLOCK_SIZE>();
+        self.blocks_processed += blocks.len() as u64;
+        for block in blocks {
+            compress(&mut self.state, block);
         }
-        if !data.is_empty() {
-            self.buffer[..data.len()].copy_from_slice(data);
-            self.buffered = data.len();
-        }
+        self.buffer[..rest.len()].copy_from_slice(rest);
+        self.buffered = rest.len();
     }
 
     /// Pads, compresses the final block(s) and returns the digest.
     #[must_use]
     pub fn finalize(mut self) -> [u8; DIGEST_SIZE] {
-        let bit_len = self.total_len.wrapping_mul(8);
-        // Append 0x80 then zeros until 8 bytes remain in the block.
-        let mut pad = [0u8; BLOCK_SIZE * 2];
-        pad[0] = 0x80;
-        let pad_len = if self.buffered < 56 {
-            56 - self.buffered
-        } else {
-            BLOCK_SIZE + 56 - self.buffered
-        };
-        // `update` must not re-count padding bytes into total_len; splice manually.
+        // Buffered bytes, 0x80, zeros, then the 64-bit bit length: one
+        // block if the length fits after the buffered bytes, else two.
         let mut tail = [0u8; BLOCK_SIZE * 2];
-        tail[..pad_len].copy_from_slice(&pad[..pad_len]);
-        tail[pad_len..pad_len + 8].copy_from_slice(&bit_len.to_be_bytes());
-        let tail_len = pad_len + 8;
-
-        let mut offset = 0;
-        while offset < tail_len {
-            let take = (BLOCK_SIZE - self.buffered).min(tail_len - offset);
-            self.buffer[self.buffered..self.buffered + take]
-                .copy_from_slice(&tail[offset..offset + take]);
-            self.buffered += take;
-            offset += take;
-            if self.buffered == BLOCK_SIZE {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffered = 0;
-            }
+        tail[..self.buffered].copy_from_slice(&self.buffer[..self.buffered]);
+        tail[self.buffered] = 0x80;
+        let tail_len = if self.buffered < BLOCK_SIZE - 8 {
+            BLOCK_SIZE
+        } else {
+            BLOCK_SIZE * 2
+        };
+        tail[tail_len - 8..tail_len].copy_from_slice(&self.total_len.wrapping_mul(8).to_be_bytes());
+        for block in tail[..tail_len].as_chunks::<BLOCK_SIZE>().0 {
+            compress(&mut self.state, block);
         }
-        debug_assert_eq!(self.buffered, 0);
 
         let mut out = [0u8; DIGEST_SIZE];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+        for (bytes, word) in out.as_chunks_mut::<4>().0.iter_mut().zip(self.state) {
+            *bytes = word.to_be_bytes();
         }
         out
     }
@@ -157,44 +145,79 @@ impl Sha1 {
     pub fn blocks_processed(&self) -> u64 {
         self.blocks_processed
     }
+}
 
-    fn compress(&mut self, block: &[u8; BLOCK_SIZE]) {
-        self.blocks_processed += 1;
-        let mut w = [0u32; 80];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-        }
-        for i in 16..80 {
-            w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
-        }
-
-        let [mut a, mut b, mut c, mut d, mut e] = self.state;
-        for (i, &wi) in w.iter().enumerate() {
-            let (f, k) = match i {
-                0..=19 => ((b & c) | ((!b) & d), 0x5a82_7999),
-                20..=39 => (b ^ c ^ d, 0x6ed9_eba1),
-                40..=59 => ((b & c) | (b & d) | (c & d), 0x8f1b_bcdc),
-                _ => (b ^ c ^ d, 0xca62_c1d6),
-            };
-            let tmp = a
-                .rotate_left(5)
-                .wrapping_add(f)
-                .wrapping_add(e)
-                .wrapping_add(k)
-                .wrapping_add(wi);
-            e = d;
-            d = c;
-            c = b.rotate_left(30);
-            b = a;
-            a = tmp;
-        }
-
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
+/// The SHA-1 compression function: folds one 64-byte block into `state`.
+///
+/// The 80 steps are unrolled as 4 × 20 by macro. Each step writes its
+/// result into the register that holds `e` and rotates `b`; the next step
+/// renames the roles (`e` becomes the new `a`) instead of moving five
+/// values. The message schedule is a rolling 16-word window: step `t ≥ 16`
+/// stores `w[t]` in slot `t mod 16`, over `w[t - 16]`, which no later step
+/// reads.
+fn compress(state: &mut [u32; 5], block: &[u8; BLOCK_SIZE]) {
+    let mut w = [0u32; 16];
+    for (word, bytes) in w.iter_mut().zip(block.as_chunks::<4>().0) {
+        *word = u32::from_be_bytes(*bytes);
     }
+    let [mut a, mut b, mut c, mut d, mut e] = *state;
+
+    macro_rules! step {
+        ($t:expr, $f:ident, $k:expr, $a:ident, $b:ident, $c:ident, $d:ident, $e:ident) => {
+            if $t >= 16 {
+                // w[t] = rotl1(w[t-3] ^ w[t-8] ^ w[t-14] ^ w[t-16]), mod 16.
+                w[$t % 16] = (w[($t + 13) % 16] ^ w[($t + 8) % 16] ^ w[($t + 2) % 16] ^ w[$t % 16])
+                    .rotate_left(1);
+            }
+            $e = $e
+                .wrapping_add($a.rotate_left(5))
+                .wrapping_add($f($b, $c, $d))
+                .wrapping_add($k)
+                .wrapping_add(w[$t % 16]);
+            $b = $b.rotate_left(30);
+        };
+    }
+    // Five steps bring the register roles back to `a, b, c, d, e`.
+    macro_rules! five {
+        ($t:expr, $f:ident, $k:expr) => {
+            step!($t, $f, $k, a, b, c, d, e);
+            step!($t + 1, $f, $k, e, a, b, c, d);
+            step!($t + 2, $f, $k, d, e, a, b, c);
+            step!($t + 3, $f, $k, c, d, e, a, b);
+            step!($t + 4, $f, $k, b, c, d, e, a);
+        };
+    }
+    macro_rules! twenty {
+        ($t:expr, $f:ident, $k:expr) => {
+            five!($t, $f, $k);
+            five!($t + 5, $f, $k);
+            five!($t + 10, $f, $k);
+            five!($t + 15, $f, $k);
+        };
+    }
+    twenty!(0, ch, 0x5a82_7999);
+    twenty!(20, parity, 0x6ed9_eba1);
+    twenty!(40, maj, 0x8f1b_bcdc);
+    twenty!(60, parity, 0xca62_c1d6);
+
+    for (s, v) in state.iter_mut().zip([a, b, c, d, e]) {
+        *s = s.wrapping_add(v);
+    }
+}
+
+#[inline(always)]
+fn ch(b: u32, c: u32, d: u32) -> u32 {
+    d ^ (b & (c ^ d))
+}
+
+#[inline(always)]
+fn parity(b: u32, c: u32, d: u32) -> u32 {
+    b ^ c ^ d
+}
+
+#[inline(always)]
+fn maj(b: u32, c: u32, d: u32) -> u32 {
+    (b & c) | (d & (b | c))
 }
 
 /// Renders a digest (or any byte slice) as lowercase hex.
@@ -249,7 +272,7 @@ mod tests {
 
     #[test]
     fn streaming_matches_one_shot_at_every_split() {
-        let data: Vec<u8> = (0..200u16).map(|i| (i % 251) as u8).collect();
+        let data: Vec<u8> = (0..300u16).map(|i| (i % 251) as u8).collect();
         let expected = Sha1::digest(&data);
         for split in 0..data.len() {
             let mut h = Sha1::new();

@@ -105,6 +105,33 @@ proptest! {
         prop_assert!(!mac.verify(&msg, &tag));
     }
 
+    #[test]
+    fn mac_parts_equal_mac_of_concatenation(
+        key in any::<[u8; 16]>(),
+        lens in proptest::collection::vec(0usize..160, 1..5),
+        empty_mask in any::<u8>(),
+        fill in any::<u8>(),
+    ) {
+        // Lengths 0..160 straddle the 8-, 16- and 64-byte blocks of all
+        // three primitives; `empty_mask` empties about half the parts.
+        let parts: Vec<Vec<u8>> = lens
+            .iter()
+            .enumerate()
+            .map(|(i, &len)| {
+                let len = if empty_mask & (1 << i) != 0 { 0 } else { len };
+                (0..len).map(|j| fill.wrapping_add((i * 61 + j) as u8)).collect()
+            })
+            .collect();
+        let refs: Vec<&[u8]> = parts.iter().map(Vec::as_slice).collect();
+        let concat = parts.concat();
+        for alg in MacAlgorithm::ALL {
+            let mac = MacKey::new(alg, &key).expect("key");
+            let tag = mac.compute(&concat);
+            prop_assert_eq!(mac.compute_parts(&refs), tag.clone());
+            prop_assert!(mac.verify_parts(&refs, &tag));
+        }
+    }
+
     // ---- DRBG ------------------------------------------------------------------
 
     #[test]

@@ -436,17 +436,20 @@ impl Mcu {
         &self.memory
     }
 
-    /// MPU-checked snapshot of the whole RAM (what `Code_Attest` MACs).
+    /// MPU-checked view of the whole RAM, in place (what `Code_Attest`
+    /// MACs). One span check covers every byte, and a denial is logged
+    /// once. The borrow holds `&mut self`, so no bus write can land while
+    /// the view is read: the measurement is atomic without a copy.
     ///
     /// # Errors
     ///
     /// [`McuError::MpuViolation`] if `pc` may not read some protected RAM
     /// word.
-    pub fn ram_snapshot(&mut self, pc: u32) -> Result<Vec<u8>, McuError> {
+    pub fn ram_view(&mut self, pc: u32) -> Result<&[u8], McuError> {
         self.mpu
             .check_span(pc, map::RAM.start, map::RAM.len(), AccessKind::Read)
             .inspect_err(|e| self.fault_log.push(e.clone()))?;
-        Ok(self.memory.ram().to_vec())
+        Ok(self.memory.ram())
     }
 
     // ---- dirty-region tracking ---------------------------------------------
@@ -830,7 +833,7 @@ mod tests {
     }
 
     #[test]
-    fn ram_snapshot_is_mpu_checked() {
+    fn ram_view_is_mpu_checked() {
         let mut mcu = Mcu::new();
         // Seal a RAM word against everyone except Code_Clock.
         mcu.reconfigure_mpu(map::BOOT_PC, |mpu| {
@@ -842,8 +845,10 @@ mod tests {
             ))
         })
         .unwrap();
-        assert!(mcu.ram_snapshot(map::APP_CODE).is_err());
-        assert!(mcu.ram_snapshot(map::CLOCK_PC).is_ok());
+        let faults = mcu.fault_log().len();
+        assert!(mcu.ram_view(map::APP_CODE).is_err());
+        assert_eq!(mcu.fault_log().len(), faults + 1, "one denial, one entry");
+        assert!(mcu.ram_view(map::CLOCK_PC).is_ok());
     }
 
     #[test]
@@ -997,11 +1002,11 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_sees_bus_writes() {
+    fn ram_view_sees_bus_writes() {
         let mut mcu = Mcu::new();
         mcu.bus_write(map::APP_RAM.start, b"hello", map::APP_CODE)
             .unwrap();
-        let snap = mcu.ram_snapshot(map::APP_CODE).unwrap();
+        let snap = mcu.ram_view(map::APP_CODE).unwrap();
         let off = (map::APP_RAM.start - map::RAM.start) as usize;
         assert_eq!(&snap[off..off + 5], b"hello");
     }

@@ -106,7 +106,7 @@ fn fault_log_accumulates_and_clears() {
 }
 
 #[test]
-fn whole_ram_snapshot_roundtrips_bus_writes() {
+fn whole_ram_view_roundtrips_bus_writes() {
     let mut mcu = Mcu::new();
     // Scatter writes across the RAM.
     for i in 0..64u32 {
@@ -116,7 +116,7 @@ fn whole_ram_snapshot_roundtrips_bus_writes() {
                 .expect("write");
         }
     }
-    let snap = mcu.ram_snapshot(map::APP_CODE).expect("snapshot");
+    let snap = mcu.ram_view(map::APP_CODE).expect("view");
     assert_eq!(snap.len(), map::RAM.len() as usize);
     for i in 0..64u32 {
         let addr = map::APP_RAM.start + i * 8 * 1024;
