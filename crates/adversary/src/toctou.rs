@@ -22,7 +22,7 @@
 
 use proverguard_attest::error::AttestError;
 use proverguard_attest::verifier::HistoryOutcome;
-use proverguard_mcu::map;
+use proverguard_mcu::{map, SegmentLayout};
 
 use crate::world::World;
 
@@ -80,24 +80,30 @@ impl TransientMalware {
     /// The segment index the strikes land in, at `segment_len` granularity.
     #[must_use]
     pub fn target_segment(&self, segment_len: u32) -> usize {
-        ((self.target_addr - map::RAM.start) / segment_len.max(1)) as usize
+        SegmentLayout::ram(segment_len).index_of((self.target_addr - map::RAM.start) as usize)
     }
 }
 
 /// Indices of the segments that lie entirely inside the application image
-/// mirror — the region a healthy application never writes. The bottom
-/// segment is excluded (it also holds `counter_R` and the other protected
-/// words, which legitimately change every round), as is any trailing
-/// segment that spills past the mirror into application scratch RAM.
+/// mirror — the region a healthy application never writes. The mirror
+/// starts where the reserved head ends, and that is always a segment
+/// boundary ([`SegmentLayout`]), so the mirror's first byte is graded too:
+/// only the head (`counter_R` and the other protected words, which
+/// legitimately change every round) stays outside, together with any
+/// trailing segment that spills past the mirror into application scratch
+/// RAM.
 #[must_use]
 pub fn immutable_segments(segment_len: u32) -> Vec<usize> {
-    let seg = u64::from(segment_len.max(1));
-    let ram_start = u64::from(map::RAM.start);
-    let first_byte = u64::from(map::APP_IMAGE_MIRROR.start) - ram_start;
-    let last_byte = u64::from(map::APP_IMAGE_MIRROR.end) - ram_start;
-    let first = first_byte.div_ceil(seg); // fully inside: starts at/after the mirror
-    let last = last_byte / seg; // fully inside: ends at/before the mirror end
-    (first..last).map(|i| i as usize).collect()
+    let layout = SegmentLayout::ram(segment_len);
+    let first = (map::APP_IMAGE_MIRROR.start - map::RAM.start) as usize;
+    let end = (map::APP_IMAGE_MIRROR.end - map::RAM.start) as usize;
+    layout
+        .covering(first, end - first)
+        .filter(|&i| {
+            let span = layout.span(i);
+            span.start >= first && span.end <= end
+        })
+        .collect()
 }
 
 /// Verifier-side TOCTOU policy: `true` iff a verified History round's
@@ -211,10 +217,38 @@ mod tests {
     }
 
     #[test]
+    fn strike_at_the_first_mirror_byte_is_detected() {
+        let mut world = history_world();
+        let mut malware = TransientMalware {
+            target_addr: map::APP_IMAGE_MIRROR.start,
+            ..TransientMalware::default()
+        };
+        assert!(run_round(&mut world)); // bootstrap
+        assert!(run_round(&mut world)); // quiescent: only the head moved
+        malware.strike(&mut world).unwrap();
+        assert!(run_round(&mut world), "digests all match — MAC verifies");
+        let seg_len = world.prover.segment_cache().unwrap().segment_len() as u32;
+        let outcome = world.verifier.last_history().unwrap();
+        assert_ne!(
+            malware.target_segment(seg_len),
+            0,
+            "the mirror must not share the counter's segment"
+        );
+        assert!(outcome.modified.contains(&malware.target_segment(seg_len)));
+        assert!(
+            toctou_alarm(outcome, seg_len),
+            "a write to the first mirror byte must raise the alarm: {:?}",
+            outcome.modified
+        );
+    }
+
+    #[test]
     fn immutable_segments_exclude_protected_words_and_scratch() {
         let segs = immutable_segments(8192);
         // Segment 0 holds counter_R — must not be graded immutable.
         assert!(!segs.contains(&0));
+        // Everything from the mirror's first byte on is graded.
+        assert_eq!(segs.first(), Some(&1));
         // The default strike target is graded.
         assert!(segs.contains(&TransientMalware::default().target_segment(8192)));
         // Sorted, for the binary search in `toctou_alarm`.

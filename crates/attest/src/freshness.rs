@@ -13,6 +13,7 @@
 
 use proverguard_mcu::device::Mcu;
 use proverguard_mcu::map;
+use proverguard_mcu::SegmentLayout;
 
 use crate::error::{AttestError, RejectReason};
 use crate::message::{FreshnessField, NONCE_SIZE};
@@ -190,8 +191,8 @@ pub fn counter_r_offset() -> usize {
     (map::COUNTER_R.start - map::RAM.start) as usize
 }
 
-/// Like [`patch_expected_image`], but reports which segment (at
-/// `segment_len`-byte granularity) the patch wrote into, so an
+/// Like [`patch_expected_image`], but reports which segment (of the
+/// [`SegmentLayout`] at `segment_len`) the patch wrote into, so an
 /// image-digest cache can re-derive exactly one segment digest instead of
 /// sweeping the whole image. Returns `None` when the image was left
 /// untouched (nonce / no-freshness field, or an image too short to hold
@@ -211,7 +212,7 @@ pub fn patch_expected_image_tracked(
     if !touches || segment_len == 0 || image.len() < off + 8 {
         return None;
     }
-    Some(off / segment_len as usize)
+    Some(SegmentLayout::new(image.len(), segment_len as usize).index_of(off))
 }
 
 /// Patches a verifier-side expected RAM image so its gated-command

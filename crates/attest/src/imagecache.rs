@@ -54,6 +54,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use proverguard_crypto::sha1::{Sha1, DIGEST_SIZE};
+use proverguard_mcu::SegmentLayout;
 use proverguard_telemetry::metrics;
 
 use crate::segcache;
@@ -492,11 +493,14 @@ impl<'a> ExpectedView<'a> {
         self.memory
     }
 
-    fn baseline_at(&self, segment_len: usize) -> Option<&'a CachedImage> {
+    fn layout(&self, segment_len: usize) -> SegmentLayout {
+        SegmentLayout::new(self.memory.len(), segment_len)
+    }
+
+    fn baseline_at(&self, layout: SegmentLayout) -> Option<&'a CachedImage> {
         let base = self.baseline?;
-        (base.segment_len() as usize == segment_len
-            && base.digests().len() == self.memory.len().div_ceil(segment_len.max(1)))
-        .then_some(base)
+        (base.segment_len() as usize == layout.seg_len() && base.digests().len() == layout.count())
+            .then_some(base)
     }
 
     /// The full digest vector of [`Self::memory`] at `segment_len`
@@ -505,20 +509,41 @@ impl<'a> ExpectedView<'a> {
     /// otherwise.
     #[must_use]
     pub fn digests(&self, segment_len: usize) -> Vec<[u8; DIGEST_SIZE]> {
-        let seg_len = segment_len.max(1);
-        if let Some(base) = self.baseline_at(seg_len) {
-            let mut out = base.digests().to_vec();
-            for &i in self.patched {
-                if let Some(slot) = out.get_mut(i) {
-                    *slot = self.digest_of(i, seg_len);
-                }
-            }
-            metrics::counter_add("imagecache.digest_patched", self.patched.len() as u64);
-            out
-        } else {
+        let mut out = Vec::with_capacity(self.layout(segment_len).count());
+        self.for_each_digest_run(segment_len, |run| out.extend_from_slice(run));
+        out
+    }
+
+    /// Feeds the digest vector of [`Self::memory`] to `emit` in segment
+    /// order, as runs of consecutive digests, without allocating: the
+    /// stretches between patched segments come straight from the shared
+    /// baseline vector, and each patched segment is re-digested alone.
+    /// Without a matching baseline every segment is digested (a full
+    /// sweep, counted as `imagecache.digest_sweep_fallback`). Every digest
+    /// computed here counts as `imagecache.segment_digests`.
+    pub fn for_each_digest_run(
+        &self,
+        segment_len: usize,
+        mut emit: impl FnMut(&[[u8; DIGEST_SIZE]]),
+    ) {
+        let layout = self.layout(segment_len);
+        let Some(base) = self.baseline_at(layout) else {
             metrics::counter_add("imagecache.digest_sweep_fallback", 1);
-            segcache::segment_digests(self.memory, seg_len)
+            for i in 0..layout.count() {
+                emit(&[self.digest_of(i, layout)]);
+            }
+            return;
+        };
+        let digests = base.digests();
+        let mut run_start = 0;
+        for i in 0..digests.len() {
+            if self.patched.contains(&i) {
+                emit(&digests[run_start..i]);
+                emit(&[self.digest_of(i, layout)]);
+                run_start = i + 1;
+            }
         }
+        emit(&digests[run_start..]);
     }
 
     /// The digest of segment `index` alone: straight from the baseline
@@ -526,21 +551,21 @@ impl<'a> ExpectedView<'a> {
     /// bytes otherwise.
     #[must_use]
     pub fn segment_digest_at(&self, index: usize, segment_len: usize) -> [u8; DIGEST_SIZE] {
-        let seg_len = segment_len.max(1);
+        let layout = self.layout(segment_len);
         if !self.patched.contains(&index) {
-            if let Some(base) = self.baseline_at(seg_len) {
-                if let Some(d) = base.digests().get(index) {
-                    return *d;
-                }
+            if let Some(d) = self
+                .baseline_at(layout)
+                .and_then(|base| base.digests().get(index))
+            {
+                return *d;
             }
         }
-        self.digest_of(index, seg_len)
+        self.digest_of(index, layout)
     }
 
-    fn digest_of(&self, index: usize, seg_len: usize) -> [u8; DIGEST_SIZE] {
-        let start = (index * seg_len).min(self.memory.len());
-        let end = (start + seg_len).min(self.memory.len());
-        segcache::segment_digest(index as u32, &self.memory[start..end])
+    fn digest_of(&self, index: usize, layout: SegmentLayout) -> [u8; DIGEST_SIZE] {
+        metrics::counter_add("imagecache.segment_digests", 1);
+        segcache::segment_digest(index as u32, &self.memory[layout.span(index)])
     }
 }
 

@@ -95,34 +95,77 @@ pub struct AttestRequest {
     pub auth: Vec<u8>,
 }
 
+/// Capacity of [`SignedBytes`]: one 64-byte HMAC block, which every
+/// request header fits (the largest, history × nonce, is 43 bytes).
+const SIGNED_BYTES_CAP: usize = 64;
+
+/// The authenticated header of a request, held inline. Derefs to the
+/// bytes, so it goes wherever a `&[u8]` does without touching the heap.
+#[derive(Clone, Copy)]
+pub struct SignedBytes {
+    buf: [u8; SIGNED_BYTES_CAP],
+    len: usize,
+}
+
+impl SignedBytes {
+    fn push(&mut self, bytes: &[u8]) {
+        self.buf[self.len..self.len + bytes.len()].copy_from_slice(bytes);
+        self.len += bytes.len();
+    }
+}
+
+impl std::ops::Deref for SignedBytes {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.buf[..self.len]
+    }
+}
+
+impl PartialEq for SignedBytes {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for SignedBytes {}
+
+impl std::fmt::Debug for SignedBytes {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 impl AttestRequest {
     /// The bytes the authenticator covers: everything except `auth`.
     #[must_use]
-    pub fn signed_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(3 + 8 + 16 + CHALLENGE_SIZE);
-        out.push(VERSION);
-        out.push(self.scope.scope_byte());
+    pub fn signed_bytes(&self) -> SignedBytes {
+        let mut out = SignedBytes {
+            buf: [0; SIGNED_BYTES_CAP],
+            len: 0,
+        };
+        out.push(&[VERSION, self.scope.scope_byte()]);
         // The scope *parameter* sits under the authenticator next to its
         // byte: tampering with `since_round` (to widen or narrow the
         // window) is a cheap `BadAuth` reject like any other downgrade.
         if let AttestScope::History { since_round } = self.scope {
-            out.extend_from_slice(&since_round.to_be_bytes());
+            out.push(&since_round.to_be_bytes());
         }
-        out.push(self.freshness.kind_byte());
+        out.push(&[self.freshness.kind_byte()]);
         match self.freshness {
             FreshnessField::None => {}
-            FreshnessField::Nonce(n) => out.extend_from_slice(&n),
-            FreshnessField::Counter(c) => out.extend_from_slice(&c.to_be_bytes()),
-            FreshnessField::Timestamp(t) => out.extend_from_slice(&t.to_be_bytes()),
+            FreshnessField::Nonce(n) => out.push(&n),
+            FreshnessField::Counter(c) => out.push(&c.to_be_bytes()),
+            FreshnessField::Timestamp(t) => out.push(&t.to_be_bytes()),
         }
-        out.extend_from_slice(&self.challenge);
+        out.push(&self.challenge);
         out
     }
 
     /// Serializes the full request (header ‖ auth-length ‖ auth).
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = self.signed_bytes();
+        let mut out = self.signed_bytes().to_vec();
         out.extend_from_slice(&(self.auth.len() as u16).to_be_bytes());
         out.extend_from_slice(&self.auth);
         out

@@ -632,7 +632,9 @@ mod tests {
         assert_eq!(r.epoch, mcu.epoch());
         assert_eq!(r.segment_len, mcu.segment_len());
         assert_eq!(r.segment_epochs.len(), mcu.segment_count());
-        let seg = ((map::APP_RAM.start - map::RAM.start) / mcu.segment_len()) as usize;
+        let seg = mcu
+            .segment_layout()
+            .index_of((map::APP_RAM.start - map::RAM.start) as usize);
         assert_eq!(r.segment_epochs[seg], mcu.epoch());
     }
 

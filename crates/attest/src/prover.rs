@@ -14,7 +14,7 @@ use proverguard_mcu::device::Mcu;
 use proverguard_mcu::map;
 use proverguard_mcu::rtc::HwRtc;
 use proverguard_mcu::timer::TIMER_WRAP_VECTOR;
-use proverguard_mcu::CLOCK_HZ;
+use proverguard_mcu::{SegmentLayout, CLOCK_HZ};
 
 use crate::admission::{
     AdmissionController, AdmissionDecision, AdmissionPolicy, AdmissionSnapshot,
@@ -972,10 +972,10 @@ impl Prover {
         // full-memory MAC; segmented scope re-digests only dirty segments
         // and pays one short combine MAC.
         let report = match request.scope {
-            AttestScope::Whole => self.respond_whole(message, &mut cost)?,
-            AttestScope::Segmented => self.respond_segmented(message, &mut cost)?,
+            AttestScope::Whole => self.respond_whole(&message, &mut cost)?,
+            AttestScope::Segmented => self.respond_segmented(&message, &mut cost)?,
             AttestScope::History { since_round } => {
-                self.respond_history(message, since_round, &mut cost)?
+                self.respond_history(&message, since_round, &mut cost)?
             }
         };
 
@@ -1000,7 +1000,7 @@ impl Prover {
     /// before any cycle is charged, so a denied read costs nothing.
     fn respond_whole(
         &mut self,
-        message: Vec<u8>,
+        message: &[u8],
         cost: &mut CostBreakdown,
     ) -> Result<Vec<u8>, AttestError> {
         let ram_len = self.mcu.ram_view(map::ATTEST_PC)?.len();
@@ -1012,7 +1012,7 @@ impl Prover {
             // The view cannot outlive the clock advance, so borrow it again
             // here; the MPU rules have not changed since the check above.
             let ram = p.mcu.ram_view(map::ATTEST_PC)?;
-            Ok(p.response_key.compute_parts(&[&message, ram]))
+            Ok(p.response_key.compute_parts(&[message, ram]))
         })
     }
 
@@ -1024,7 +1024,7 @@ impl Prover {
     /// the cache can go stale-conservative but never stale-trusted.
     fn respond_segmented(
         &mut self,
-        message: Vec<u8>,
+        message: &[u8],
         cost: &mut CostBreakdown,
     ) -> Result<Vec<u8>, AttestError> {
         // An EA-MPU violation since the cache was last known good means
@@ -1035,9 +1035,11 @@ impl Prover {
             self.fault_mark = self.mcu.fault_log().len();
         }
 
-        let ram_len = self.mcu.ram_view(map::ATTEST_PC)?.len();
-        let seg_len = self.mcu.segment_len() as usize;
-        let seg_count = self.mcu.segment_count();
+        // The MPU check up front: a denied read fails before any cycle is
+        // charged.
+        self.mcu.ram_view(map::ATTEST_PC)?;
+        let layout = self.mcu.segment_layout();
+        let seg_count = layout.count();
 
         // Scan: one dirty-bit test per segment. A segment is served from
         // cache only when its hardware bit is clear AND a digest is live.
@@ -1052,11 +1054,11 @@ impl Prover {
         // Recompute: SHA-1 over each stale segment, read in place,
         // acknowledging its dirty bit as Code_Attest once the digest is in
         // hand.
-        let recompute_cycles = self.recompute_cycles(&todo, seg_len, ram_len);
+        let recompute_cycles = self.recompute_cycles(&todo, layout);
         let ack_result: Result<(), AttestError> =
             self.charge_stage("prover.attest_mac.recomputed", recompute_cycles, |p| {
                 for &i in &todo {
-                    let digest = p.digest_segment(i, seg_len)?;
+                    let digest = p.digest_segment(i, layout)?;
                     p.segcache
                         .as_mut()
                         .expect("segmented scope requires cache")
@@ -1085,7 +1087,7 @@ impl Prover {
 
         // Combine: one keyed MAC over header ‖ seg-header ‖ digest list —
         // the only per-request cryptography, a few dozen blocks.
-        let combined = segcache::combined_input(&message, seg_len as u32, &digests);
+        let combined = segcache::combined_input(message, self.mcu.segment_len(), &digests);
         let combine_cycles = self
             .mcu
             .cost_table()
@@ -1113,7 +1115,7 @@ impl Prover {
     /// identically.
     fn respond_history(
         &mut self,
-        message: Vec<u8>,
+        message: &[u8],
         since_round: u64,
         cost: &mut CostBreakdown,
     ) -> Result<Vec<u8>, AttestError> {
@@ -1124,9 +1126,11 @@ impl Prover {
             self.fault_mark = self.mcu.fault_log().len();
         }
 
-        let ram_len = self.mcu.ram_view(map::ATTEST_PC)?.len();
-        let seg_len = self.mcu.segment_len() as usize;
-        let seg_count = self.mcu.segment_count();
+        // The MPU check up front: a denied read fails before any cycle is
+        // charged.
+        self.mcu.ram_view(map::ATTEST_PC)?;
+        let layout = self.mcu.segment_layout();
+        let seg_count = layout.count();
         let round = self.mcu.epoch();
 
         // Scan: one epoch compare per segment — a load, a compare and a
@@ -1142,12 +1146,12 @@ impl Prover {
         // Recompute fresh digests for the modified set only, warming the
         // shared segment cache and acknowledging dirty bits exactly as the
         // segmented path does.
-        let recompute_cycles = self.recompute_cycles(&todo, seg_len, ram_len);
+        let recompute_cycles = self.recompute_cycles(&todo, layout);
         let digest_result: Result<Vec<[u8; DIGEST_SIZE]>, AttestError> =
             self.charge_stage("prover.attest_mac.recomputed", recompute_cycles, |p| {
                 let mut fresh = Vec::with_capacity(todo.len());
                 for &i in &todo {
-                    let digest = p.digest_segment(i, seg_len)?;
+                    let digest = p.digest_segment(i, layout)?;
                     if let Some(cache) = p.segcache.as_mut() {
                         cache.store(i, digest);
                     }
@@ -1172,7 +1176,8 @@ impl Prover {
         // Combine: one keyed MAC binding the round, the modified-set
         // bitmap and the fresh digests to the authenticated request.
         let report = HistoryReport { round, modified };
-        let input = segcache::history_input(&message, seg_len as u32, &report, &modified_digests);
+        let input =
+            segcache::history_input(message, self.mcu.segment_len(), &report, &modified_digests);
         let combine_cycles = self
             .mcu
             .cost_table()
@@ -1233,15 +1238,14 @@ impl Prover {
         result
     }
 
-    /// Modelled cost of re-digesting the segments in `todo` (the last
-    /// segment may be short).
-    fn recompute_cycles(&self, todo: &[usize], seg_len: usize, ram_len: usize) -> u64 {
+    /// Modelled cost of re-digesting the segments in `todo`, each at its
+    /// real length (the head and the last segment may be short).
+    fn recompute_cycles(&self, todo: &[usize], layout: SegmentLayout) -> u64 {
         todo.iter()
             .map(|&i| {
-                let len = ram_len.saturating_sub(i * seg_len).min(seg_len);
                 self.mcu
                     .cost_table()
-                    .sha1_digest_cost(segcache::SEGMENT_PREFIX_LEN + len)
+                    .sha1_digest_cost(segcache::SEGMENT_PREFIX_LEN + layout.span(i).len())
             })
             .sum()
     }
@@ -1251,12 +1255,10 @@ impl Prover {
     fn digest_segment(
         &mut self,
         i: usize,
-        seg_len: usize,
+        layout: SegmentLayout,
     ) -> Result<[u8; DIGEST_SIZE], AttestError> {
         let ram = self.mcu.ram_view(map::ATTEST_PC)?;
-        let start = i * seg_len;
-        let end = (start + seg_len).min(ram.len());
-        Ok(segcache::segment_digest(i as u32, &ram[start..end]))
+        Ok(segcache::segment_digest(i as u32, &ram[layout.span(i)]))
     }
 
     fn finish(&mut self, cost: CostBreakdown) {
@@ -1816,7 +1818,8 @@ mod tests {
         // Transient malware: infect a segment, act, then restore the
         // original bytes before the next round. Content is back, but the
         // writes latched epochs.
-        let addr = map::RAM.start + 5 * 8192 + 16;
+        let layout = prover.mcu().segment_layout();
+        let addr = map::RAM.start + layout.span(5).start as u32 + 16;
         let mut original = [0u8; 32];
         prover
             .mcu_mut()

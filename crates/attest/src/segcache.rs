@@ -31,6 +31,7 @@
 //! observed EA-MPU violation drops it wholesale.
 
 use proverguard_crypto::sha1::{Sha1, DIGEST_SIZE};
+use proverguard_mcu::SegmentLayout;
 
 use crate::error::AttestError;
 
@@ -102,17 +103,30 @@ pub fn segment_digest(index: u32, bytes: &[u8]) -> [u8; DIGEST_SIZE] {
     h.finalize()
 }
 
-/// Digests every segment of `memory` from scratch — the verifier's
-/// expected-side computation, and the coherence oracle the property tests
-/// compare the cache against. A trailing partial segment is digested at
-/// its real length.
+/// Digests every segment of `memory` from scratch, cut by
+/// [`SegmentLayout`] — the verifier's expected-side computation, and the
+/// coherence oracle the property tests compare the cache against. A
+/// trailing partial segment is digested at its real length.
 #[must_use]
 pub fn segment_digests(memory: &[u8], segment_len: usize) -> Vec<[u8; DIGEST_SIZE]> {
-    memory
-        .chunks(segment_len.max(1))
-        .enumerate()
-        .map(|(i, chunk)| segment_digest(i as u32, chunk))
+    let layout = SegmentLayout::new(memory.len(), segment_len);
+    (0..layout.count())
+        .map(|i| segment_digest(i as u32, &memory[layout.span(i)]))
         .collect()
+}
+
+/// Length of [`combine_header`].
+pub const COMBINE_HEADER_LEN: usize = COMBINE_MAGIC.len() + 8;
+
+/// The segment header of the combine-MAC input, between the request
+/// header and the digests: `COMBINE_MAGIC ‖ segment_len ‖ digest count`.
+#[must_use]
+pub fn combine_header(segment_len: u32, count: usize) -> [u8; COMBINE_HEADER_LEN] {
+    let mut out = [0u8; COMBINE_HEADER_LEN];
+    out[..6].copy_from_slice(COMBINE_MAGIC);
+    out[6..10].copy_from_slice(&segment_len.to_le_bytes());
+    out[10..].copy_from_slice(&(count as u32).to_le_bytes());
+    out
 }
 
 /// Builds the combine-MAC input:
@@ -120,14 +134,10 @@ pub fn segment_digests(memory: &[u8], segment_len: usize) -> Vec<[u8; DIGEST_SIZ
 #[must_use]
 pub fn combined_input(message: &[u8], segment_len: u32, digests: &[[u8; DIGEST_SIZE]]) -> Vec<u8> {
     let mut out =
-        Vec::with_capacity(message.len() + COMBINE_MAGIC.len() + 8 + digests.len() * DIGEST_SIZE);
+        Vec::with_capacity(message.len() + COMBINE_HEADER_LEN + digests.len() * DIGEST_SIZE);
     out.extend_from_slice(message);
-    out.extend_from_slice(COMBINE_MAGIC);
-    out.extend_from_slice(&segment_len.to_le_bytes());
-    out.extend_from_slice(&(digests.len() as u32).to_le_bytes());
-    for d in digests {
-        out.extend_from_slice(d);
-    }
+    out.extend_from_slice(&combine_header(segment_len, digests.len()));
+    out.extend_from_slice(digests.as_flattened());
     out
 }
 
@@ -191,34 +201,96 @@ impl HistoryReport {
 
     /// Parses a body serialized by [`HistoryReport::encode`] from the
     /// front of `bytes`; returns the report and the remaining suffix (the
-    /// response MAC). `None` on truncation, a segment count above
-    /// `max_segments`, or a nonzero padding bit — strict parsing keeps
-    /// the encoding canonical so the MAC covers exactly one byte string
-    /// per report.
+    /// response MAC). Accepts exactly what [`HistoryBody::parse`] does.
     #[must_use]
     pub fn decode(bytes: &[u8], max_segments: usize) -> Option<(Self, &[u8])> {
+        let (body, tag) = HistoryBody::parse(bytes, max_segments)?;
+        let modified = (0..body.segment_count())
+            .map(|i| body.is_modified(i))
+            .collect();
+        Some((
+            HistoryReport {
+                round: body.round(),
+                modified,
+            },
+            tag,
+        ))
+    }
+}
+
+/// A History report body read in place from the wire: the same fields
+/// as [`HistoryReport`], borrowed instead of decoded, so a verify can MAC
+/// the body bytes as received and walk the modified set without
+/// allocating.
+#[derive(Debug, Clone, Copy)]
+pub struct HistoryBody<'a> {
+    encoded: &'a [u8],
+    count: usize,
+}
+
+impl<'a> HistoryBody<'a> {
+    /// Parses a body from the front of `bytes`; returns it and the
+    /// remaining suffix (the response MAC). `None` on truncation, a
+    /// segment count above `max_segments`, or a nonzero padding bit —
+    /// strict parsing keeps the encoding canonical so the MAC covers
+    /// exactly one byte string per report.
+    #[must_use]
+    pub fn parse(bytes: &'a [u8], max_segments: usize) -> Option<(Self, &'a [u8])> {
         if bytes.len() < 12 {
             return None;
         }
-        let round = u64::from_be_bytes(bytes[..8].try_into().expect("8 bytes"));
         let count = u32::from_be_bytes(bytes[8..12].try_into().expect("4 bytes")) as usize;
         if count > max_segments {
             return None;
         }
-        let bitmap_len = count.div_ceil(8);
-        let rest = bytes.get(12..)?;
-        if rest.len() < bitmap_len {
+        let body_len = 12 + count.div_ceil(8);
+        if bytes.len() < body_len {
             return None;
         }
-        let (bits, tag) = rest.split_at(bitmap_len);
-        let modified: Vec<bool> = (0..count)
-            .map(|i| bits[i / 8] & (1 << (i % 8)) != 0)
-            .collect();
+        let (encoded, tag) = bytes.split_at(body_len);
         // Padding bits beyond `count` must be zero.
-        if !count.is_multiple_of(8) && bits[bitmap_len - 1] >> (count % 8) != 0 {
+        if !count.is_multiple_of(8) && encoded[body_len - 1] >> (count % 8) != 0 {
             return None;
         }
-        Some((HistoryReport { round, modified }, tag))
+        Some((HistoryBody { encoded, count }, tag))
+    }
+
+    /// The prover's round.
+    #[must_use]
+    pub fn round(&self) -> u64 {
+        u64::from_be_bytes(self.encoded[..8].try_into().expect("8 bytes"))
+    }
+
+    /// Number of segments the bitmap covers.
+    #[must_use]
+    pub fn segment_count(&self) -> usize {
+        self.count
+    }
+
+    /// Whether segment `index` is in the modified set.
+    #[must_use]
+    pub fn is_modified(&self, index: usize) -> bool {
+        index < self.count && self.encoded[12 + index / 8] & (1 << (index % 8)) != 0
+    }
+
+    /// Indices of the modified segments, in order.
+    pub fn modified(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.count).filter(|&i| self.is_modified(i))
+    }
+
+    /// Size of the modified set (padding bits are zero, so a popcount).
+    #[must_use]
+    pub fn modified_count(&self) -> usize {
+        self.encoded[12..]
+            .iter()
+            .map(|b| b.count_ones() as usize)
+            .sum()
+    }
+
+    /// The body exactly as received — what the response MAC covers.
+    #[must_use]
+    pub fn encoded(&self) -> &'a [u8] {
+        self.encoded
     }
 }
 
@@ -239,15 +311,25 @@ pub fn history_input(
 ) -> Vec<u8> {
     let body = report.encode();
     let mut out = Vec::with_capacity(
-        message.len() + HISTORY_MAGIC.len() + 4 + body.len() + modified_digests.len() * DIGEST_SIZE,
+        message.len() + HISTORY_HEADER_LEN + body.len() + modified_digests.len() * DIGEST_SIZE,
     );
     out.extend_from_slice(message);
-    out.extend_from_slice(HISTORY_MAGIC);
-    out.extend_from_slice(&segment_len.to_le_bytes());
+    out.extend_from_slice(&history_header(segment_len));
     out.extend_from_slice(&body);
-    for d in modified_digests {
-        out.extend_from_slice(d);
-    }
+    out.extend_from_slice(modified_digests.as_flattened());
+    out
+}
+
+/// Length of [`history_header`].
+pub const HISTORY_HEADER_LEN: usize = HISTORY_MAGIC.len() + 4;
+
+/// The history header of the response-MAC input, between the request
+/// header and the report body: `HISTORY_MAGIC ‖ segment_len`.
+#[must_use]
+pub fn history_header(segment_len: u32) -> [u8; HISTORY_HEADER_LEN] {
+    let mut out = [0u8; HISTORY_HEADER_LEN];
+    out[..7].copy_from_slice(HISTORY_MAGIC);
+    out[7..].copy_from_slice(&segment_len.to_le_bytes());
     out
 }
 
@@ -260,10 +342,10 @@ pub struct SegmentCache {
 
 impl SegmentCache {
     /// An empty cache for a `memory_len`-byte region at `segment_len`
-    /// granularity.
+    /// granularity, one slot per [`SegmentLayout`] segment.
     #[must_use]
     pub fn new(segment_len: usize, memory_len: usize) -> Self {
-        let count = memory_len.div_ceil(segment_len.max(1));
+        let count = SegmentLayout::new(memory_len, segment_len).count();
         SegmentCache {
             segment_len: segment_len.max(1),
             digests: vec![None; count],
@@ -363,6 +445,10 @@ mod tests {
             let (parsed, tag) = HistoryReport::decode(&bytes, 64).unwrap();
             assert_eq!(parsed, report);
             assert_eq!(tag, &[0xAA; 20]);
+            let (body, _) = HistoryBody::parse(&bytes, 64).unwrap();
+            assert_eq!(body.encoded(), &report.encode()[..]);
+            assert_eq!(body.modified_count(), report.modified_indices().len());
+            assert!(body.modified().eq(report.modified_indices()));
         }
         // Truncation, count overflow and dirty padding bits all refuse.
         let report = HistoryReport {

@@ -10,6 +10,7 @@
 use proverguard_crypto::drbg::HmacDrbg;
 use proverguard_crypto::mac::MacKey;
 use proverguard_crypto::sha1::DIGEST_SIZE;
+use proverguard_mcu::SegmentLayout;
 
 use crate::auth::{AuthMethod, RequestSigner};
 use crate::error::AttestError;
@@ -19,7 +20,7 @@ use crate::message::{
     AttestRequest, AttestResponse, AttestScope, FreshnessField, CHALLENGE_SIZE, NONCE_SIZE,
 };
 use crate::prover::ProverConfig;
-use crate::segcache::{self, HistoryReport, SegmentedParams};
+use crate::segcache::{self, HistoryBody, SegmentedParams};
 
 /// How the verifier picks the scope of each round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -353,80 +354,73 @@ impl Verifier {
         response: &AttestResponse,
         expected: &ExpectedView<'_>,
     ) -> bool {
+        let signed = request.signed_bytes();
         match request.scope {
-            AttestScope::Whole => self.response_key.verify_parts(
-                &[&request.signed_bytes(), expected.memory()],
-                &response.report,
-            ),
+            AttestScope::Whole => self
+                .response_key
+                .verify_parts(&[&signed, expected.memory()], &response.report),
             AttestScope::Segmented => {
                 let Some(params) = &self.segmented else {
                     return false;
                 };
-                let digests = expected.digests(params.segment_len as usize);
-                let combined =
-                    segcache::combined_input(&request.signed_bytes(), params.segment_len, &digests);
-                self.response_key.verify(&combined, &response.report)
+                // MAC the combine input where its pieces lie: the shared
+                // baseline digests are streamed in place and only the
+                // patched segments are digested, so nothing is copied.
+                let seg_len = params.segment_len as usize;
+                let count = SegmentLayout::new(expected.memory().len(), seg_len).count();
+                let header = segcache::combine_header(params.segment_len, count);
+                let mut mac = self
+                    .response_key
+                    .stream(signed.len() + header.len() + count * DIGEST_SIZE);
+                mac.update(&signed);
+                mac.update(&header);
+                expected.for_each_digest_run(seg_len, |run| mac.update(run.as_flattened()));
+                mac.verify(&response.report)
             }
             AttestScope::History { since_round } => {
                 let Some(params) = &self.segmented else {
                     return false;
                 };
-                let Some((report, modified_digests)) =
-                    self.parse_history(since_round, response, expected)
-                else {
+                let Some((body, tag)) = self.decode_history(since_round, response, expected) else {
                     return false;
                 };
-                let input = segcache::history_input(
-                    &request.signed_bytes(),
-                    params.segment_len,
-                    &report,
-                    &modified_digests,
+                // The body is MACed as received; the expected digests of
+                // the modified segments follow it, each computed (or read
+                // from the baseline) on the spot.
+                let seg_len = params.segment_len as usize;
+                let header = segcache::history_header(params.segment_len);
+                let mut mac = self.response_key.stream(
+                    signed.len()
+                        + header.len()
+                        + body.encoded().len()
+                        + body.modified_count() * DIGEST_SIZE,
                 );
-                self.response_key.verify(
-                    &input,
-                    response.report.get(report.encoded_len()..).unwrap_or(&[]),
-                )
+                mac.update(&signed);
+                mac.update(&header);
+                mac.update(body.encoded());
+                for i in body.modified() {
+                    mac.update(&expected.segment_digest_at(i, seg_len));
+                }
+                mac.verify(tag)
             }
         }
     }
 
-    /// Decodes a History report against the expected image: the bitmap
-    /// must cover exactly the expected segment count, the prover's round
-    /// must postdate `since_round` (the register is strictly ahead of
-    /// every completed round), and the expected digests of the modified
-    /// segments are recomputed from `expected_memory` — the unmodified
-    /// ones are exactly what round `since_round` already vouched for.
-    fn parse_history(
+    /// Reads a History report in place against the expected image: the
+    /// bitmap must cover exactly the expected segment count and the
+    /// prover's round must postdate `since_round` (the register is
+    /// strictly ahead of every completed round). Reads only the expected
+    /// image's length; returns the body and the response MAC after it.
+    fn decode_history<'r>(
         &self,
         since_round: u64,
-        response: &AttestResponse,
+        response: &'r AttestResponse,
         expected: &ExpectedView<'_>,
-    ) -> Option<(HistoryReport, Vec<[u8; DIGEST_SIZE]>)> {
-        let report = self.decode_history(since_round, response, expected)?;
+    ) -> Option<(HistoryBody<'r>, &'r [u8])> {
         let seg_len = self.segmented.as_ref()?.segment_len as usize;
-        let digests = report
-            .modified_indices()
-            .into_iter()
-            .map(|i| expected.segment_digest_at(i, seg_len))
-            .collect();
-        Some((report, digests))
-    }
-
-    /// The structural half of [`Verifier::parse_history`]: decodes the
-    /// report and checks the bitmap length and the round, reading only
-    /// the expected image's length. The note step uses it after a
-    /// successful check, so a History verify digests each modified
-    /// segment once.
-    fn decode_history(
-        &self,
-        since_round: u64,
-        response: &AttestResponse,
-        expected: &ExpectedView<'_>,
-    ) -> Option<HistoryReport> {
-        let seg_len = self.segmented.as_ref()?.segment_len as usize;
-        let seg_count = expected.memory().len().div_ceil(seg_len);
-        let (report, _tag) = HistoryReport::decode(&response.report, seg_count)?;
-        (report.modified.len() == seg_count && report.round > since_round).then_some(report)
+        let seg_count = SegmentLayout::new(expected.memory().len(), seg_len).count();
+        let (body, tag) = HistoryBody::parse(&response.report, seg_count)?;
+        (body.segment_count() == seg_count && body.round() > since_round).then_some((body, tag))
     }
 
     /// Records a round that completed and verified. Drives the History
@@ -466,13 +460,13 @@ impl Verifier {
                 None
             }
             AttestScope::History { since_round } => {
-                let report = self.decode_history(since_round, response, expected)?;
+                let (body, _tag) = self.decode_history(since_round, response, expected)?;
                 self.rounds_since_full = self.rounds_since_full.saturating_add(1);
-                self.last_verified_round = Some(report.round);
+                self.last_verified_round = Some(body.round());
                 self.last_history = Some(HistoryOutcome {
-                    round: report.round,
+                    round: body.round(),
                     since_round,
-                    modified: report.modified_indices(),
+                    modified: body.modified().collect(),
                 });
                 self.last_history.as_ref()
             }
@@ -589,7 +583,7 @@ mod tests {
         assert!(!v.check_response(&req, &good, &tampered));
         // A whole-memory-construction response must not pass a segmented
         // check (downgrade detection).
-        let mut macced = req.signed_bytes();
+        let mut macced = req.signed_bytes().to_vec();
         macced.extend_from_slice(&memory);
         let whole = AttestResponse {
             report: MacKey::new(MacAlgorithm::HmacSha1, &KEY)
@@ -621,9 +615,10 @@ mod tests {
         let mut other = v.clone();
         let honest = v.note_verified(&req, &resp, &expected).cloned().unwrap();
         assert!(!honest.modified.is_empty());
+        let layout = SegmentLayout::new(expected.len(), seg_len);
         let mut garbled = expected;
         for &i in &honest.modified {
-            garbled[i * seg_len] ^= 0xff;
+            garbled[layout.span(i).start] ^= 0xff;
         }
         assert!(!other.check_response(&req, &resp, &garbled));
         assert_eq!(other.note_verified(&req, &resp, &garbled), Some(&honest));
@@ -635,7 +630,7 @@ mod tests {
         let req = v.make_request().unwrap();
         let memory = vec![0u8; 1024];
         // Fabricate the response the prover would produce.
-        let mut macced = req.signed_bytes();
+        let mut macced = req.signed_bytes().to_vec();
         macced.extend_from_slice(&memory);
         let good = AttestResponse {
             report: MacKey::new(MacAlgorithm::HmacSha1, &KEY)

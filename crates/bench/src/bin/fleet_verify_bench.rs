@@ -29,6 +29,7 @@ use proverguard_attest::segcache::{combined_input, segment_digest, segment_diges
 use proverguard_attest::verifier::Verifier;
 use proverguard_bench::{finish, render_table, splitmix64, Rows};
 use proverguard_crypto::mac::MacKey;
+use proverguard_mcu::SegmentLayout;
 
 const KEY: [u8; 16] = [0x42; 16];
 
@@ -80,8 +81,8 @@ fn firmwares(seg_len: usize) -> Vec<Firmware> {
 }
 
 /// Fabricates the response an honest device on `fw` produces for
-/// `request`: patch the freshness word into segment 0, re-digest that one
-/// segment, combine-MAC. This is the prover's (cheap) side — deliberately
+/// `request`: patch the freshness word into segment 0 (the reserved
+/// head), re-digest that one segment, combine-MAC. This is the prover's (cheap) side — deliberately
 /// not part of either timed verifier path.
 fn fabricate(
     fw: &Firmware,
@@ -90,7 +91,8 @@ fn fabricate(
     request: &AttestRequest,
 ) -> AttestResponse {
     assert_eq!(request.scope, AttestScope::Segmented);
-    let mut seg0 = fw.bytes[..seg_len.min(fw.bytes.len())].to_vec();
+    let head = SegmentLayout::new(fw.bytes.len(), seg_len).span(0);
+    let mut seg0 = fw.bytes[head].to_vec();
     patch_expected_image(&mut seg0, &request.freshness);
     let mut digests = fw.digests.clone();
     digests[0] = segment_digest(0, &seg0);

@@ -121,17 +121,13 @@ fn attest(prover: &mut Prover, verifier: &mut Verifier, violations: &mut Vec<Str
     cost.response_cycles
 }
 
-/// Dirties `count` distinct app-RAM segments (never segment 0, which the
-/// freshness commit dirties on every round anyway).
+/// Dirties `count` distinct app-RAM segments (never segment 0, the head
+/// the freshness commit dirties on every round anyway).
 fn dirty_segments(prover: &mut Prover, count: usize) {
-    let seg_len = prover
-        .segment_cache()
-        .expect("segmented prover")
-        .segment_len() as u32;
-    let total = (map::RAM.len() / seg_len) as usize;
-    assert!(count < total, "keep at least segment 0 implicit");
+    let layout = prover.mcu().segment_layout();
+    assert!(count < layout.count(), "keep at least segment 0 implicit");
     for i in 0..count {
-        let addr = map::RAM.start + (1 + i as u32) * seg_len + 64;
+        let addr = map::RAM.start + layout.span(1 + i).start as u32 + 64;
         prover
             .mcu_mut()
             .bus_write(addr, &[0xA5], map::APP_CODE)

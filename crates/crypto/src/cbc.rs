@@ -127,48 +127,93 @@ pub fn cbc_mac<C: BlockCipher>(cipher: &C, message: &[u8]) -> Vec<u8> {
 /// ```
 #[must_use]
 pub fn cbc_mac_parts<C: BlockCipher>(cipher: &C, parts: &[&[u8]]) -> Vec<u8> {
-    let _span = proverguard_telemetry::trace::span(match C::NAME {
-        "aes128" => "crypto.aes128_cbc",
-        "speck64_128" => "crypto.speck64_cbc",
-        _ => "crypto.cbc_mac",
-    });
-    let bs = C::BLOCK_SIZE;
-    // Length-prepend block: u64 big-endian length, zero padded to block size.
-    let mut state = vec![0u8; bs];
     let total: usize = parts.iter().map(|part| part.len()).sum();
-    let len_bytes = (total as u64).to_be_bytes();
-    let copy = len_bytes.len().min(bs);
-    state[bs - copy..].copy_from_slice(&len_bytes[len_bytes.len() - copy..]);
-    cipher.encrypt_block(&mut state);
+    let mut mac = CbcMac::new(cipher, total);
+    for part in parts {
+        mac.update(part);
+    }
+    mac.finalize()[..C::BLOCK_SIZE].to_vec()
+}
 
-    // `filled` message bytes of the current block are already XORed into
-    // `state`; the block is encrypted once it is full (or at the end, which
-    // zero-pads it).
-    let mut filled = 0;
-    for mut part in parts.iter().copied() {
-        if filled > 0 {
-            let take = (bs - filled).min(part.len());
-            xor_into(&mut state[filled..filled + take], &part[..take]);
-            filled += take;
+/// Largest block size [`CbcMac`] supports (AES).
+pub const MAX_BLOCK_SIZE: usize = 16;
+
+/// Incremental CBC-MAC of a message whose total length is declared up
+/// front (the length-prepend block comes first). Feeding the message in
+/// any split gives the same tag as [`cbc_mac`] over the concatenation; a
+/// block that straddles two updates is completed in the chaining state
+/// before it is encrypted. Holds no heap state.
+pub struct CbcMac<'a, C: BlockCipher> {
+    cipher: &'a C,
+    state: [u8; MAX_BLOCK_SIZE],
+    /// Message bytes of the current block already XORed into `state`; the
+    /// block is encrypted once it is full (or at the end, which zero-pads
+    /// it).
+    filled: usize,
+    _span: proverguard_telemetry::trace::SpanGuard,
+}
+
+impl<'a, C: BlockCipher> CbcMac<'a, C> {
+    /// Starts a MAC over a message of exactly `total_len` bytes.
+    ///
+    /// # Panics
+    ///
+    /// If the cipher's block is larger than [`MAX_BLOCK_SIZE`].
+    #[must_use]
+    pub fn new(cipher: &'a C, total_len: usize) -> Self {
+        let span = proverguard_telemetry::trace::span(match C::NAME {
+            "aes128" => "crypto.aes128_cbc",
+            "speck64_128" => "crypto.speck64_cbc",
+            _ => "crypto.cbc_mac",
+        });
+        let bs = C::BLOCK_SIZE;
+        assert!(bs <= MAX_BLOCK_SIZE, "block size {bs} unsupported");
+        // Length-prepend block: u64 big-endian length, zero padded to block size.
+        let mut state = [0u8; MAX_BLOCK_SIZE];
+        let len_bytes = (total_len as u64).to_be_bytes();
+        let copy = len_bytes.len().min(bs);
+        state[bs - copy..bs].copy_from_slice(&len_bytes[len_bytes.len() - copy..]);
+        cipher.encrypt_block(&mut state[..bs]);
+        CbcMac {
+            cipher,
+            state,
+            filled: 0,
+            _span: span,
+        }
+    }
+
+    /// Absorbs the next bytes of the message.
+    pub fn update(&mut self, mut part: &[u8]) {
+        let bs = C::BLOCK_SIZE;
+        let state = &mut self.state[..bs];
+        if self.filled > 0 {
+            let take = (bs - self.filled).min(part.len());
+            xor_into(&mut state[self.filled..self.filled + take], &part[..take]);
+            self.filled += take;
             part = &part[take..];
-            if filled < bs {
-                continue;
+            if self.filled < bs {
+                return;
             }
-            cipher.encrypt_block(&mut state);
+            self.cipher.encrypt_block(state);
         }
         let mut chunks = part.chunks_exact(bs);
         for chunk in &mut chunks {
-            xor_into(&mut state, chunk);
-            cipher.encrypt_block(&mut state);
+            xor_into(state, chunk);
+            self.cipher.encrypt_block(state);
         }
         let rest = chunks.remainder();
         xor_into(&mut state[..rest.len()], rest);
-        filled = rest.len();
+        self.filled = rest.len();
     }
-    if filled > 0 {
-        cipher.encrypt_block(&mut state);
+
+    /// Finishes the MAC. The tag is the first `C::BLOCK_SIZE` bytes.
+    #[must_use]
+    pub fn finalize(mut self) -> [u8; MAX_BLOCK_SIZE] {
+        if self.filled > 0 {
+            self.cipher.encrypt_block(&mut self.state[..C::BLOCK_SIZE]);
+        }
+        self.state
     }
-    state
 }
 
 fn xor_into(state: &mut [u8], data: &[u8]) {

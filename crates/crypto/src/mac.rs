@@ -21,11 +21,12 @@
 //! ```
 
 use crate::aes::Aes128;
-use crate::cbc::cbc_mac_parts;
+use crate::cbc::{CbcMac, MAX_BLOCK_SIZE};
 use crate::ct::ct_eq;
 use crate::error::CryptoError;
 use crate::hmac::HmacSha1;
 use crate::speck::Speck64_128;
+use crate::BlockCipher;
 
 /// Selects the symmetric MAC primitive.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -149,24 +150,119 @@ impl MacKey {
     /// part where it lies instead of building the concatenation.
     #[must_use]
     pub fn compute_parts(&self, parts: &[&[u8]]) -> Vec<u8> {
-        match &self.inner {
-            MacKeyInner::Hmac(keyed) => {
-                let _span = proverguard_telemetry::trace::span("crypto.hmac_sha1");
-                let mut h = HmacSha1::clone(keyed);
-                for part in parts {
-                    h.update(part);
-                }
-                h.finalize().to_vec()
-            }
-            MacKeyInner::Aes(cipher) => cbc_mac_parts(cipher, parts),
-            MacKeyInner::Speck(cipher) => cbc_mac_parts(cipher, parts),
-        }
+        self.stream_parts(parts).finalize().to_vec()
     }
 
     /// Verifies `tag` over the concatenation of `parts` in constant time.
     #[must_use]
     pub fn verify_parts(&self, parts: &[&[u8]], tag: &[u8]) -> bool {
-        ct_eq(&self.compute_parts(parts), tag)
+        self.stream_parts(parts).verify(tag)
+    }
+
+    fn stream_parts(&self, parts: &[&[u8]]) -> MacStream<'_> {
+        let mut stream = self.stream(parts.iter().map(|part| part.len()).sum());
+        for part in parts {
+            stream.update(part);
+        }
+        stream
+    }
+
+    /// Starts an incremental MAC over a message of exactly `total_len`
+    /// bytes (CBC-MAC prepends the length, so it must be known up front).
+    /// Lets a caller feed a message it never assembles, in as many pieces
+    /// as it likes, without touching the heap.
+    #[must_use]
+    pub fn stream(&self, total_len: usize) -> MacStream<'_> {
+        let inner = match &self.inner {
+            MacKeyInner::Hmac(keyed) => StreamInner::Hmac(
+                HmacSha1::clone(keyed),
+                proverguard_telemetry::trace::span("crypto.hmac_sha1"),
+            ),
+            MacKeyInner::Aes(cipher) => StreamInner::Aes(CbcMac::new(cipher, total_len)),
+            MacKeyInner::Speck(cipher) => StreamInner::Speck(CbcMac::new(cipher, total_len)),
+        };
+        MacStream {
+            inner,
+            declared: total_len,
+            fed: 0,
+        }
+    }
+}
+
+/// An incremental MAC computation started by [`MacKey::stream`].
+pub struct MacStream<'a> {
+    inner: StreamInner<'a>,
+    declared: usize,
+    fed: usize,
+}
+
+enum StreamInner<'a> {
+    Hmac(HmacSha1, proverguard_telemetry::trace::SpanGuard),
+    Aes(CbcMac<'a, Aes128>),
+    Speck(CbcMac<'a, Speck64_128>),
+}
+
+impl MacStream<'_> {
+    /// Absorbs the next bytes of the message.
+    pub fn update(&mut self, data: &[u8]) {
+        self.fed += data.len();
+        match &mut self.inner {
+            StreamInner::Hmac(h, _) => h.update(data),
+            StreamInner::Aes(mac) => mac.update(data),
+            StreamInner::Speck(mac) => mac.update(data),
+        }
+    }
+
+    /// Finishes the computation.
+    ///
+    /// # Panics
+    ///
+    /// In debug builds, if the bytes fed differ from the length declared
+    /// to [`MacKey::stream`] (the CBC-MAC length block would be wrong).
+    #[must_use]
+    pub fn finalize(self) -> Tag {
+        debug_assert_eq!(self.fed, self.declared, "MAC stream length mismatch");
+        let mut tag = Tag {
+            bytes: [0; MAX_TAG_LEN],
+            len: 0,
+        };
+        let mut put = |bytes: &[u8]| {
+            tag.bytes[..bytes.len()].copy_from_slice(bytes);
+            tag.len = bytes.len();
+        };
+        match self.inner {
+            StreamInner::Hmac(h, _span) => put(&h.finalize()),
+            StreamInner::Aes(mac) => put(&mac.finalize()[..Aes128::BLOCK_SIZE]),
+            StreamInner::Speck(mac) => put(&mac.finalize()[..Speck64_128::BLOCK_SIZE]),
+        }
+        tag
+    }
+
+    /// Finishes the computation and compares against `tag` in constant
+    /// time.
+    #[must_use]
+    pub fn verify(self, tag: &[u8]) -> bool {
+        ct_eq(&self.finalize(), tag)
+    }
+}
+
+/// Longest tag any [`MacAlgorithm`] produces (HMAC-SHA1).
+const MAX_TAG_LEN: usize = 20;
+
+const _: () = assert!(MAX_BLOCK_SIZE <= MAX_TAG_LEN);
+
+/// A computed tag, held inline; derefs to its bytes.
+#[derive(Clone, Copy)]
+pub struct Tag {
+    bytes: [u8; MAX_TAG_LEN],
+    len: usize,
+}
+
+impl std::ops::Deref for Tag {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.bytes[..self.len]
     }
 }
 
@@ -218,6 +314,25 @@ mod tests {
         assert!(MacKey::new(MacAlgorithm::Speck64Cbc, &[0; 5]).is_err());
         // HMAC accepts any key length.
         assert!(MacKey::new(MacAlgorithm::HmacSha1, &[0; 5]).is_ok());
+    }
+
+    #[test]
+    fn stream_matches_one_shot_over_any_split() {
+        let message: Vec<u8> = (0..203u32).map(|i| (i * 7) as u8).collect();
+        for alg in MacAlgorithm::ALL {
+            let key = MacKey::new(alg, &[5; 16]).unwrap();
+            let expect = key.compute(&message);
+            for cuts in [[0, 0], [1, 2], [7, 9], [8, 64], [17, 150], [203, 203]] {
+                let mut stream = key.stream(message.len());
+                stream.update(&message[..cuts[0]]);
+                stream.update(&message[cuts[0]..cuts[1]]);
+                stream.update(&message[cuts[1]..]);
+                assert_eq!(&stream.finalize()[..], &expect[..], "{alg} {cuts:?}");
+            }
+            let mut stream = key.stream(message.len());
+            stream.update(&message);
+            assert!(stream.verify(&expect), "{alg}");
+        }
     }
 
     #[test]

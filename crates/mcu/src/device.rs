@@ -12,7 +12,7 @@ use crate::energy::Battery;
 use crate::error::McuError;
 use crate::irq::{self, IrqController};
 use crate::map;
-use crate::memory::PhysicalMemory;
+use crate::memory::{PhysicalMemory, SegmentLayout};
 use crate::mpu::{AccessKind, EaMpu};
 use crate::rtc::HwRtc;
 use crate::timer::{TimerLsb, TIMER_WRAP_VECTOR};
@@ -467,6 +467,12 @@ impl Mcu {
         self.memory.segment_count()
     }
 
+    /// Where each tracked RAM segment begins and ends.
+    #[must_use]
+    pub fn segment_layout(&self) -> SegmentLayout {
+        self.memory.layout()
+    }
+
     /// Reconfigures the dirty-tracking granularity — a boot-time hardware
     /// strap, like the timer width. Non-volatile: it survives
     /// [`Mcu::reset`]. All bits come back set.
@@ -502,7 +508,7 @@ impl Mcu {
     pub fn acknowledge_segment(&mut self, index: usize, pc: u32) -> Result<(), McuError> {
         let addr = map::RAM
             .start
-            .saturating_add((index as u32).saturating_mul(self.memory.segment_len()));
+            .saturating_add(self.memory.layout().span(index).start as u32);
         if !map::ATTEST_CODE.contains(pc) {
             let e = McuError::MpuViolation {
                 pc,
@@ -933,12 +939,9 @@ mod tests {
         mcu.acknowledge_segment(5, map::ATTEST_PC).unwrap();
         assert!(!mcu.segment_dirty(5));
         // A bus write from anywhere re-dirties it.
-        mcu.bus_write(
-            map::RAM.start + 5 * mcu.segment_len() + 1,
-            &[0xcc],
-            map::APP_CODE,
-        )
-        .unwrap();
+        let start = mcu.segment_layout().span(5).start as u32;
+        mcu.bus_write(map::RAM.start + start + 1, &[0xcc], map::APP_CODE)
+            .unwrap();
         assert!(mcu.segment_dirty(5));
     }
 
@@ -976,7 +979,9 @@ mod tests {
         // A bus write from anywhere latches the advanced epoch.
         mcu.bus_write(map::APP_RAM.start, &[0xcc], map::APP_CODE)
             .unwrap();
-        let seg = ((map::APP_RAM.start - map::RAM.start) / mcu.segment_len()) as usize;
+        let seg = mcu
+            .segment_layout()
+            .index_of((map::APP_RAM.start - map::RAM.start) as usize);
         assert_eq!(mcu.segment_epoch(seg), start + 1);
     }
 

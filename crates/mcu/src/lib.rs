@@ -66,5 +66,5 @@ pub mod timer;
 pub use cycles::{CycleClock, CLOCK_HZ};
 pub use device::Mcu;
 pub use error::McuError;
-pub use memory::{DEFAULT_SEGMENT_LEN, MIN_SEGMENT_LEN};
+pub use memory::{SegmentLayout, DEFAULT_SEGMENT_LEN, MIN_SEGMENT_LEN};
 pub use mpu::{AccessKind, EaMpu, Rule};

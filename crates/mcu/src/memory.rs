@@ -19,13 +19,119 @@
 //! write-synchronous guarantee the dirty map gives "was it written since
 //! the last acknowledge?" — the RATA-style primitive behind
 //! `AttestScope::History`.
+//!
+//! [`SegmentLayout`] is the one place that decides where segments begin
+//! and end. Every layer — the dirty map here, the prover's segment cache,
+//! the verifier's expected-image digests and the TOCTOU policy — asks it
+//! instead of dividing by the segment length itself.
+
+use std::ops::Range;
 
 use crate::error::McuError;
 use crate::map::{self, AddrRange};
 
-/// Default dirty-tracking granularity: 8 KiB segments, i.e. 64 segments
-/// over the 512 KiB RAM.
+/// Default dirty-tracking granularity: 8 KiB segments, i.e. 65 segments
+/// over the 512 KiB RAM (the 256-byte reserved head, the rest of the
+/// first 8 KiB, then 63 full segments — see [`SegmentLayout`]).
 pub const DEFAULT_SEGMENT_LEN: u32 = 8 * 1024;
+
+/// Length of the reserved head at the bottom of RAM: `counter_R`,
+/// `Clock_MSB`, the IDT and the trust anchor's extension state, all of
+/// which sit below [`map::APP_RAM`]. Its end is always a segment boundary.
+pub const HEAD_LEN: usize = (map::APP_RAM.start - map::RAM.start) as usize;
+
+/// How a memory region starting at `RAM.start` is cut into digest and
+/// dirty-tracking segments: a boundary at every multiple of the segment
+/// length, plus one at [`HEAD_LEN`].
+///
+/// The prover commits `counter_R` (inside the head) on every accepted
+/// request, so without the extra boundary every round re-digests the
+/// whole first segment. With it, a quiescent round re-digests 256 bytes.
+/// At segment lengths up to 256 bytes the head end is already a multiple
+/// of the segment length and the layout is the uniform one. The layout is
+/// a pure function of the segment length and the memory length: the
+/// response MACs bind the segment length and the digest count, and each
+/// segment digest binds its index and length.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SegmentLayout {
+    mem_len: usize,
+    seg_len: usize,
+}
+
+impl SegmentLayout {
+    /// The layout of a `mem_len`-byte region at `seg_len` granularity (a
+    /// zero `seg_len` is treated as 1).
+    #[must_use]
+    pub fn new(mem_len: usize, seg_len: usize) -> Self {
+        SegmentLayout {
+            mem_len,
+            seg_len: seg_len.max(1),
+        }
+    }
+
+    /// The layout of the device RAM at `seg_len` granularity.
+    #[must_use]
+    pub fn ram(seg_len: u32) -> Self {
+        Self::new(map::RAM.len() as usize, seg_len as usize)
+    }
+
+    /// The nominal segment length.
+    #[must_use]
+    pub fn seg_len(&self) -> usize {
+        self.seg_len
+    }
+
+    /// `true` when the head end falls strictly inside a uniform segment,
+    /// i.e. it adds a boundary of its own.
+    fn splits_head(&self) -> bool {
+        !HEAD_LEN.is_multiple_of(self.seg_len)
+    }
+
+    /// Number of segments (a trailing partial segment counts).
+    #[must_use]
+    pub fn count(&self) -> usize {
+        match self.mem_len {
+            0 => 0,
+            len => self.index_of(len - 1) + 1,
+        }
+    }
+
+    /// The index of the segment holding byte offset `off`.
+    #[must_use]
+    pub fn index_of(&self, off: usize) -> usize {
+        off / self.seg_len + usize::from(self.splits_head() && off >= HEAD_LEN)
+    }
+
+    /// Start offset of segment `index`, clamped to the region.
+    fn boundary(&self, index: usize) -> usize {
+        let head_index = HEAD_LEN / self.seg_len + 1;
+        let start = if !self.splits_head() || index < head_index {
+            index.saturating_mul(self.seg_len)
+        } else if index == head_index {
+            HEAD_LEN
+        } else {
+            (index - 1).saturating_mul(self.seg_len)
+        };
+        start.min(self.mem_len)
+    }
+
+    /// The byte range of segment `index` (empty past the last segment).
+    #[must_use]
+    pub fn span(&self, index: usize) -> Range<usize> {
+        self.boundary(index)..self.boundary(index.saturating_add(1))
+    }
+
+    /// The indices of every segment overlapping `[off, off + len)`
+    /// (empty for `len == 0`; clamped to the region).
+    #[must_use]
+    pub fn covering(&self, off: usize, len: usize) -> Range<usize> {
+        if len == 0 || off >= self.mem_len {
+            return 0..0;
+        }
+        let last = off.saturating_add(len - 1).min(self.mem_len - 1);
+        self.index_of(off)..self.index_of(last) + 1
+    }
+}
 
 /// Smallest supported dirty-tracking segment (one SHA-1 block).
 pub const MIN_SEGMENT_LEN: u32 = 64;
@@ -70,7 +176,7 @@ impl PhysicalMemory {
     /// Creates zeroed memory matching the [`map`] layout.
     #[must_use]
     pub fn new() -> Self {
-        let segments = map::RAM.len().div_ceil(DEFAULT_SEGMENT_LEN) as usize;
+        let segments = SegmentLayout::ram(DEFAULT_SEGMENT_LEN).count();
         PhysicalMemory {
             rom: vec![0; map::ROM.len() as usize],
             flash: vec![0; map::FLASH.len() as usize],
@@ -149,16 +255,11 @@ impl PhysicalMemory {
     /// there is no window where data has changed but the bit is still
     /// clear or the epoch still old.
     fn mark_dirty_span(&mut self, off: usize, len: usize) {
-        if len == 0 {
-            return;
-        }
-        let seg = self.segment_len as usize;
-        let first = off / seg;
-        let last = ((off + len - 1) / seg).min(self.dirty.len() - 1);
-        for bit in &mut self.dirty[first..=last] {
+        let segments = self.layout().covering(off, len);
+        for bit in &mut self.dirty[segments.clone()] {
             *bit = true;
         }
-        for e in &mut self.epochs[first..=last] {
+        for e in &mut self.epochs[segments] {
             *e = self.epoch;
         }
     }
@@ -271,6 +372,12 @@ impl PhysicalMemory {
         self.dirty.len()
     }
 
+    /// The segment layout of RAM at the configured granularity.
+    #[must_use]
+    pub fn layout(&self) -> SegmentLayout {
+        SegmentLayout::ram(self.segment_len)
+    }
+
     /// Reconfigures the dirty-tracking granularity (a boot-time hardware
     /// strap). All bits come back set — no digest covers the new layout.
     ///
@@ -283,7 +390,7 @@ impl PhysicalMemory {
             return Err(McuError::BadSegmentLen { len });
         }
         self.segment_len = len;
-        let segments = map::RAM.len().div_ceil(len) as usize;
+        let segments = self.layout().count();
         self.dirty = vec![true; segments];
         // No per-segment history covers the new layout either.
         self.epochs = vec![self.epoch; segments];
@@ -462,7 +569,7 @@ mod tests {
         assert!((0..mem.segment_count()).all(|i| !mem.segment_dirty(i)));
         // The explicit mark register closes the gap.
         mem.mark_dirty_region(map::APP_RAM.start, 11).unwrap();
-        let seg = ((map::APP_RAM.start - map::RAM.start) / mem.segment_len()) as usize;
+        let seg = mem.layout().index_of(HEAD_LEN);
         assert!(mem.segment_dirty(seg));
     }
 
@@ -486,12 +593,13 @@ mod tests {
     fn writes_set_dirty_bits_at_default_granularity() {
         let mut mem = PhysicalMemory::new();
         assert_eq!(mem.segment_len(), DEFAULT_SEGMENT_LEN);
-        assert_eq!(mem.segment_count(), 64);
+        // The reserved head, the rest of the first 8 KiB, 63 full segments.
+        assert_eq!(mem.segment_count(), 65);
         clear_all(&mut mem);
         assert!(!mem.segment_dirty(0));
         // One byte in segment 3.
-        mem.write(map::RAM.start + 3 * DEFAULT_SEGMENT_LEN + 17, &[1])
-            .unwrap();
+        let start = mem.layout().span(3).start as u32;
+        mem.write(map::RAM.start + start + 17, &[1]).unwrap();
         assert!(mem.segment_dirty(3));
         assert!(!mem.segment_dirty(2) && !mem.segment_dirty(4));
     }
@@ -501,8 +609,8 @@ mod tests {
         let mut mem = PhysicalMemory::new();
         clear_all(&mut mem);
         // Four bytes across the segment 0 / segment 1 boundary.
-        mem.write(map::RAM.start + DEFAULT_SEGMENT_LEN - 2, &[9; 4])
-            .unwrap();
+        let boundary = mem.layout().span(1).start as u32;
+        mem.write(map::RAM.start + boundary - 2, &[9; 4]).unwrap();
         assert!(mem.segment_dirty(0));
         assert!(mem.segment_dirty(1));
         assert!(!mem.segment_dirty(2));
@@ -530,7 +638,7 @@ mod tests {
         let mut mem = PhysicalMemory::new();
         clear_all(&mut mem);
         mem.set_segment_len(4096).unwrap();
-        assert_eq!(mem.segment_count(), 128);
+        assert_eq!(mem.segment_count(), 129);
         // The new layout has no digests over it yet: all dirty.
         assert!((0..mem.segment_count()).all(|i| mem.segment_dirty(i)));
         for bad in [0, 63, 100, 12_345, map::RAM.len() * 2] {
@@ -539,9 +647,10 @@ mod tests {
                 Err(McuError::BadSegmentLen { .. })
             ));
         }
-        // Whole-RAM-as-one-segment is the degenerate but legal maximum.
+        // Whole-RAM-as-one-segment is the degenerate but legal maximum:
+        // the reserved head plus everything else.
         mem.set_segment_len(map::RAM.len()).unwrap();
-        assert_eq!(mem.segment_count(), 1);
+        assert_eq!(mem.segment_count(), 2);
     }
 
     #[test]
@@ -564,8 +673,8 @@ mod tests {
         assert_eq!(mem.epoch(), EPOCH_RESET);
         assert!((0..mem.segment_count()).all(|i| mem.segment_epoch(i) == EPOCH_RESET));
         assert_eq!(mem.advance_epoch(), EPOCH_RESET + 1);
-        mem.write(map::RAM.start + 3 * DEFAULT_SEGMENT_LEN, &[1])
-            .unwrap();
+        let start = mem.layout().span(3).start as u32;
+        mem.write(map::RAM.start + start, &[1]).unwrap();
         assert_eq!(mem.segment_epoch(3), EPOCH_RESET + 1);
         assert_eq!(mem.segment_epoch(2), EPOCH_RESET);
         // Acknowledging the dirty bit does not touch the epoch log.
@@ -580,7 +689,7 @@ mod tests {
         mem.advance_epoch();
         mem.dma_copy_flash_to_ram(0, map::APP_RAM.start, 11)
             .unwrap();
-        let seg = ((map::APP_RAM.start - map::RAM.start) / mem.segment_len()) as usize;
+        let seg = mem.layout().index_of(HEAD_LEN);
         assert_eq!(
             mem.segment_epoch(seg),
             EPOCH_RESET,
@@ -614,6 +723,35 @@ mod tests {
         assert_eq!(mem.epoch(), 17);
         mem.reset_epoch();
         assert_eq!(mem.epoch(), EPOCH_RESET);
+    }
+
+    #[test]
+    fn head_end_is_a_segment_boundary() {
+        let layout = SegmentLayout::ram(DEFAULT_SEGMENT_LEN);
+        assert_eq!(layout.count(), 65);
+        assert_eq!(layout.span(0), 0..HEAD_LEN);
+        assert_eq!(layout.span(1), HEAD_LEN..8192);
+        assert_eq!(layout.span(2), 8192..16_384);
+        assert_eq!(layout.span(64), 63 * 8192..64 * 8192);
+        assert!(layout.span(65).is_empty());
+        assert_eq!(layout.index_of(HEAD_LEN - 1), 0);
+        assert_eq!(layout.index_of(HEAD_LEN), 1);
+        assert_eq!(layout.index_of(8192), 2);
+        assert_eq!(layout.covering(HEAD_LEN - 2, 4), 0..2);
+        assert_eq!(layout.covering(0, 0), 0..0);
+        // At 256 bytes and below the head end is already a boundary.
+        let fine = SegmentLayout::ram(256);
+        assert_eq!(fine.count(), 2048);
+        assert_eq!(fine.span(1), 256..512);
+    }
+
+    #[test]
+    fn counter_write_dirties_only_the_head() {
+        let mut mem = PhysicalMemory::new();
+        clear_all(&mut mem);
+        mem.write(map::COUNTER_R.start, &[1; 8]).unwrap();
+        assert!(mem.segment_dirty(0));
+        assert!((1..mem.segment_count()).all(|i| !mem.segment_dirty(i)));
     }
 
     #[test]

@@ -1,0 +1,288 @@
+//! The gateway's cached verify, measured from the inside: how many
+//! segment digests each verify computes, and how many heap allocations
+//! `check_response_view` makes on the steady path.
+//!
+//! At the recommended 8 KiB configuration the freshness words live in a
+//! 256-byte head segment of their own, so a cached Segmented verify — of
+//! an honest response or of a forgery — re-digests exactly that segment
+//! and reads the other 64 digests from the shared baseline, and a
+//! quiescent History verify digests exactly its modified set. Neither may
+//! fall back to a full sweep. The MAC input is streamed where its pieces
+//! lie, so neither allocates.
+//!
+//! The allocation count comes from a counting global allocator armed
+//! per thread; `ci.sh` also runs this file in release, where allocation
+//! elision differs.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use proverguard_attest::gateway::DeviceDirectory;
+use proverguard_attest::message::{AttestRequest, AttestResponse, AttestScope};
+use proverguard_attest::prover::{Prover, ProverConfig};
+use proverguard_attest::verifier::{ScopePolicy, Verifier};
+use proverguard_mcu::map;
+use proverguard_telemetry::metrics;
+
+struct CountingAlloc;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+}
+
+// SAFETY: every call is forwarded unchanged to the system allocator; the
+// only extra work is a thread-local flag read and an atomic increment,
+// neither of which allocates.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        if ARMED.with(Cell::get) {
+            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        }
+        // SAFETY: forwarded verbatim to the system allocator.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        if ARMED.with(Cell::get) {
+            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        }
+        // SAFETY: `ptr` came from `System.alloc` with this layout.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Heap allocations `f` makes on this thread.
+fn allocations_in<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    ARMED.with(|armed| armed.set(true));
+    let result = f();
+    ARMED.with(|armed| armed.set(false));
+    (result, ALLOCATIONS.load(Ordering::Relaxed) - before)
+}
+
+fn counter(name: &'static str) -> u64 {
+    metrics::with(|registry| registry.counter(name).unwrap_or(0))
+}
+
+/// Segment digests and full-sweep fallbacks `f` causes on this thread.
+fn digests_in<R>(f: impl FnOnce() -> R) -> (R, u64, u64) {
+    let (digests, sweeps) = (
+        counter("imagecache.segment_digests"),
+        counter("imagecache.digest_sweep_fallback"),
+    );
+    let result = f();
+    (
+        result,
+        counter("imagecache.segment_digests") - digests,
+        counter("imagecache.digest_sweep_fallback") - sweeps,
+    )
+}
+
+const KEY: [u8; 16] = [0x61; 16];
+
+/// A recommended-config device registered in a directory, plus a
+/// mirror of its verifier for minting requests and a registered decoy
+/// whose key the forger does not hold.
+struct Fleet {
+    directory: DeviceDirectory,
+    prover: Prover,
+    verifier: Verifier,
+    id: u64,
+    decoy: u64,
+}
+
+fn fleet(policy: ScopePolicy) -> Fleet {
+    let config = ProverConfig::recommended_segmented();
+    let prover = Prover::provision(config.clone(), &KEY, b"cached verify app").expect("provision");
+    let mut verifier = Verifier::new(&config, &KEY).expect("verifier");
+    verifier.set_scope_policy(policy);
+    let mut directory = DeviceDirectory::new();
+    let image = prover.expected_memory().to_vec();
+    let id = directory.register(verifier.clone(), image.clone());
+    let decoy_verifier = Verifier::new(&config, &[0x62; 16]).expect("decoy verifier");
+    let decoy = directory.register(decoy_verifier, image);
+    Fleet {
+        directory,
+        prover,
+        verifier,
+        id,
+        decoy,
+    }
+}
+
+impl Fleet {
+    /// One round minted by the mirror verifier and answered by the
+    /// prover; the mirror notes the outcome so History advances.
+    fn exchange(&mut self) -> (AttestRequest, AttestResponse) {
+        let request = self.verifier.make_request().expect("request");
+        let response = self.prover.handle_request(&request).expect("accepted");
+        let expected = self.prover.expected_memory().to_vec();
+        assert!(self.verifier.check_response(&request, &response, &expected));
+        self.verifier.note_verified(&request, &response, &expected);
+        (request, response)
+    }
+
+    /// `check_response_view` alone on the directory's cached view:
+    /// verdict and heap allocations.
+    fn check_allocations(&self, request: &AttestRequest, response: &AttestResponse) -> (bool, u64) {
+        self.directory
+            .with_expected(self.id, &request.freshness, |view| {
+                allocations_in(|| self.verifier.check_response_view(request, response, view))
+            })
+            .expect("registered")
+    }
+}
+
+#[test]
+fn counting_allocator_sees_allocations() {
+    let (_, counted) = allocations_in(|| std::hint::black_box(Vec::<u8>::with_capacity(64)));
+    assert_eq!(counted, 1);
+}
+
+#[test]
+fn steady_cached_segmented_verify_allocates_nothing() {
+    let mut fleet = fleet(ScopePolicy::Full);
+    // Warm-up: registers the metric names and the directory's scratch.
+    for _ in 0..2 {
+        let (request, response) = fleet.exchange();
+        assert_eq!(fleet.check_allocations(&request, &response), (true, 0));
+    }
+    let (request, response) = fleet.exchange();
+    assert_eq!(request.scope, AttestScope::Segmented);
+    assert_eq!(
+        fleet.check_allocations(&request, &response),
+        (true, 0),
+        "a steady cached Segmented verify must not touch the heap"
+    );
+}
+
+#[test]
+fn quiescent_history_verify_allocates_nothing() {
+    let mut fleet = fleet(ScopePolicy::History { full_every: 0 });
+    let (request, response) = fleet.exchange(); // bootstrap: full coverage
+    assert!(fleet.check_allocations(&request, &response).0);
+    for _ in 0..2 {
+        let (request, response) = fleet.exchange();
+        assert!(matches!(request.scope, AttestScope::History { since_round } if since_round > 0));
+        assert_eq!(
+            fleet.check_allocations(&request, &response),
+            (true, 0),
+            "a quiescent History verify must not touch the heap"
+        );
+    }
+}
+
+#[test]
+fn each_cached_verify_digests_only_the_head() {
+    // Honest Segmented verify through the gateway's directory path.
+    let mut fleet = fleet(ScopePolicy::Full);
+    for _ in 0..3 {
+        let (request, response) = fleet.exchange();
+        let (verdict, digests, sweeps) = digests_in(|| {
+            fleet
+                .directory
+                .verify_response(fleet.id, &request, &response)
+        });
+        assert_eq!(verdict, Some(true));
+        assert_eq!((digests, sweeps), (1, 0), "honest Segmented verify");
+    }
+
+    // A forged Segmented response for the registered decoy: the verdict
+    // is a reject, and it costs the same single head digest.
+    let request = fleet
+        .directory
+        .with_verifier(fleet.decoy, |v| v.make_request().expect("decoy request"))
+        .expect("decoy registered");
+    assert_eq!(request.scope, AttestScope::Segmented);
+    let forged = AttestResponse {
+        report: vec![0xA5; 20],
+    };
+    for _ in 0..3 {
+        let (verdict, digests, sweeps) = digests_in(|| {
+            fleet
+                .directory
+                .verify_response(fleet.decoy, &request, &forged)
+        });
+        assert_eq!(verdict, Some(false));
+        assert_eq!((digests, sweeps), (1, 0), "forged Segmented verify");
+    }
+}
+
+/// A History verify digests what its modified set needs: on the cached
+/// directory path only the patched head is computed (every other
+/// modified segment still matches the shared baseline), and the
+/// uncached reference computes one digest per modified segment.
+#[test]
+fn history_verify_digests_exactly_its_modified_set() {
+    let mut fleet = fleet(ScopePolicy::History { full_every: 0 });
+    let segment_count = fleet
+        .prover
+        .segment_cache()
+        .expect("segmented")
+        .segment_count();
+    // (modified set, cached digests, uncached digests) of one round.
+    let verify = |fleet: &mut Fleet| {
+        let request = fleet.verifier.make_request().expect("request");
+        let response = fleet.prover.handle_request(&request).expect("accepted");
+        let expected = fleet.prover.expected_memory().to_vec();
+        let (verdict, uncached, _) = digests_in(|| {
+            fleet
+                .verifier
+                .check_response(&request, &response, &expected)
+        });
+        assert!(verdict, "uncached reference rejected an honest round");
+        fleet.verifier.note_verified(&request, &response, &expected);
+        let (verdict, cached, sweeps) = digests_in(|| {
+            fleet
+                .directory
+                .verify_response(fleet.id, &request, &response)
+        });
+        assert_eq!(verdict, Some(true));
+        assert_eq!(sweeps, 0, "History verify fell back to a full sweep");
+        let modified = fleet
+            .directory
+            .with_verifier(fleet.id, |v| {
+                v.last_history().expect("history").modified.clone()
+            })
+            .expect("registered");
+        (modified, cached, uncached)
+    };
+
+    // Bootstrap: every segment reports modified.
+    let (modified, cached, uncached) = verify(&mut fleet);
+    assert_eq!(modified.len(), segment_count);
+    assert_eq!((cached, uncached), (1, segment_count as u64));
+
+    // Quiescent: only the head moved, and only the head is digested.
+    for _ in 0..2 {
+        let (modified, cached, uncached) = verify(&mut fleet);
+        assert_eq!(modified, vec![0]);
+        assert_eq!((cached, uncached), (1, 1));
+    }
+
+    // A content-neutral application write (scribble, then restore) adds
+    // its segment to the set.
+    let addr = map::APP_IMAGE_MIRROR.start + 4096;
+    let mcu = fleet.prover.mcu_mut();
+    let mut original = [0u8];
+    mcu.bus_read(addr, &mut original, map::APP_CODE)
+        .expect("app read");
+    mcu.bus_write(addr, &[!original[0]], map::APP_CODE)
+        .expect("app write");
+    mcu.bus_write(addr, &original, map::APP_CODE)
+        .expect("app restore");
+    let (modified, cached, uncached) = verify(&mut fleet);
+    assert_eq!(modified, vec![0, 1]);
+    assert_eq!((cached, uncached), (1, modified.len() as u64));
+}

@@ -97,9 +97,8 @@ proptest! {
                         .mcu_mut()
                         .bus_write(off, &vec![(word >> 16) as u8; len], map::APP_CODE)
                         .expect("app RAM is open to app code");
-                    let first = ((off - map::RAM.start) / seg_len) as usize;
-                    let last = ((off - map::RAM.start) as usize + len - 1) / seg_len as usize;
-                    pending.extend(first..=last.min(seg_count - 1));
+                    let layout = prover.mcu().segment_layout();
+                    pending.extend(layout.covering((off - map::RAM.start) as usize, len));
                 }
                 // Attest: the invariant checkpoint.
                 3 => prop_assert_eq!(

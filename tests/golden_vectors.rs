@@ -11,7 +11,7 @@ use proverguard_attest::imagecache::{CachedImage, ImageKey};
 use proverguard_attest::message::{AttestRequest, AttestScope, FreshnessField};
 use proverguard_attest::persist::{EpochLogRecord, FreshnessRecord, RECORD_LEN};
 use proverguard_attest::prover::{Prover, ProverConfig};
-use proverguard_attest::segcache::{combined_input, segment_digests};
+use proverguard_attest::segcache::{combined_input, segment_digest, segment_digests};
 use proverguard_attest::verifier::{ScopePolicy, Verifier};
 use proverguard_crypto::mac::{MacAlgorithm, MacKey};
 
@@ -39,7 +39,7 @@ fn test_request() -> AttestRequest {
 #[test]
 fn whole_memory_hmac_sha1_vector() {
     let key = MacKey::new(MacAlgorithm::HmacSha1, &KEY).unwrap();
-    let mut macced = test_request().signed_bytes();
+    let mut macced = test_request().signed_bytes().to_vec();
     macced.extend_from_slice(&test_memory());
     assert_eq!(
         hex(&key.compute(&macced)),
@@ -66,6 +66,33 @@ fn segmented_combine_mac_vector() {
         hex(&key.compute(&combined)),
         "32f2d0e69e7660444754a7ebac957b5278353f25",
         "segmented combine-MAC construction changed"
+    );
+}
+
+/// The combine MAC at the recommended 8 KiB granularity over a full
+/// 512 KiB RAM image: 65 digests, because the 256-byte reserved head is a
+/// segment of its own and the rest of the first 8 KiB is the next one.
+#[test]
+fn segmented_combine_mac_8k_vector() {
+    let key = MacKey::new(MacAlgorithm::HmacSha1, &KEY).unwrap();
+    let memory: Vec<u8> = (0..512 * 1024u32).map(|i| (i % 251) as u8).collect();
+    let mut request = test_request();
+    request.scope = AttestScope::Segmented;
+    let digests = segment_digests(&memory, 8192);
+    assert_eq!(digests.len(), 65);
+    assert_eq!(digests[0], segment_digest(0, &memory[..256]));
+    assert_eq!(digests[1], segment_digest(1, &memory[256..8192]));
+    assert_eq!(digests[64], segment_digest(64, &memory[63 * 8192..]));
+    assert_eq!(
+        hex(&digests[0]),
+        "dd6df9982807ebfa4fbb697201290e40bec84c7d",
+        "head segment digest changed"
+    );
+    let combined = combined_input(&request.signed_bytes(), 8192, &digests);
+    assert_eq!(
+        hex(&key.compute(&combined)),
+        "14a87c942b1b1f3559c7c0ce3fcad1b83c97fa89",
+        "65-digest combine-MAC construction changed"
     );
 }
 
@@ -150,7 +177,7 @@ fn history_session_transcript_vector() {
     assert_eq!(hex(&req1.to_bytes()), "01020000000000000000020000000000000001affe5585d360c46afbadbf3191df64890008f950deb42be9182f");
     assert_eq!(
         hex(&resp1_raw),
-        "0028000000000000000100000040ffffffffffffffffa377734afa45f2ba3ff2265c7270229cbac97326",
+        "0029000000000000000100000041ffffffffffffffff010b74c6e7c38d80aaec080ac544a23075c4d00808",
         "history bootstrap report (round 1, full coverage) changed"
     );
     let resp1 =
@@ -165,7 +192,7 @@ fn history_session_transcript_vector() {
     assert_eq!(hex(&req2.to_bytes()), "0102000000000000000102000000000000000239c7d24eca9db883ecfc350e16e1416a00085b9f05584da195c3");
     assert_eq!(
         hex(&resp2_raw),
-        "002800000000000000020000004001000000000000003fe144451bb2152ecc08c18d27a8e32221c96735",
+        "00290000000000000002000000410100000000000000009c10698d61bfb5b05085911a15e1e1c8e8eb71ce",
         "quiescent history report (round 2, only the counter segment) changed"
     );
     let resp2 =
@@ -264,7 +291,7 @@ fn segmented_session_transcript_vector() {
         hex(&req.to_bytes()),
         "0101020000000000000001affe5585d360c46afbadbf3191df6489000856ea39bc55bc8a1d"
     );
-    assert_eq!(hex(&resp), "0014b925753ab8bc1c4c9031d42e6ed1a1d75fb62dac");
+    assert_eq!(hex(&resp), "0014b68c95dde5e1726eab87cc0fb17c5fffa936753e");
 }
 
 /// HKDF extract/expand-label vectors plus the session key schedule over
@@ -342,7 +369,7 @@ fn session_handshake_and_rounds_transcript_vector() {
     let (accept, mut prover_ch) = channel::prover_accept(&mut prover, &init).unwrap();
     assert_eq!(
         hex(&accept.encode()),
-        "01eb484e7ba3fc05b76f4b075497f5984900160014b925753ab8bc1c4c9031d42e6ed1a1d75fb62dac",
+        "019588d2e1f726d98f6e75ffe9c3be19c600160014b68c95dde5e1726eab87cc0fb17c5fffa936753e",
         "handshake accept wire encoding (derived prover nonce) changed"
     );
     assert_eq!(channel::transcript(&init, &accept).len(), 108);
@@ -351,17 +378,17 @@ fn session_handshake_and_rounds_transcript_vector() {
         channel::verifier_confirm(&mut verifier, &init, &request, &accept, &expected).unwrap();
     assert_eq!(
         hex(&verifier_ch.session_id()),
-        "aff0c44bb0b0aecf",
+        "daf5e48b258145c1",
         "session id derivation over the handshake transcript changed"
     );
 
     let frozen_reqs = [
-        "010000000000000000010025010102000000000000000209c04691d6eda25a74219d3763f11895000830f56b319fa989c5ebb9abec2bc57b47f9525c700d247822",
-        "010000000000000000020025010102000000000000000379b3060873ea6b010d31b600a27be3fa0008c982c093431e72a1bc2605fc8429b1103ada9a0e01b3b9c9",
+        "010000000000000000010025010102000000000000000209c04691d6eda25a74219d3763f11895000830f56b319fa989c5c8f6a3178c47b41b4e028c46f2dc6029",
+        "010000000000000000020025010102000000000000000379b3060873ea6b010d31b600a27be3fa0008c982c093431e72a1b5bf4752a7f325cff230c1ad54ea7064",
     ];
     let frozen_resps = [
-        "010100000000000000010016001494cf7bc6aec087df31b03200c16facdda977fcca1467fc53ba6b06c4ce75cabd43b7b2b9",
-        "0101000000000000000200160014c7a5511459c695ff7025845fbda0cae9dae8be13c0c0203e87bdde92be9446d5008ccd2b",
+        "0101000000000000000100160014526cb063982294f159e8d394793c837947795ba32a497106824ddb3acf856457affa2937",
+        "01010000000000000002001600143dad41e81a6816145346abe45bebde948a8d3db0f7f7ff12c23c89c78bee28b62feaac0d",
     ];
     for round in 0..2 {
         let req = verifier.make_request().unwrap();

@@ -15,7 +15,9 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use proverguard_attest::freshness::{patch_expected_command_counter, patch_expected_image};
+use proverguard_attest::freshness::{
+    counter_r_offset, patch_expected_command_counter, patch_expected_image,
+};
 use proverguard_attest::gateway::DeviceDirectory;
 use proverguard_attest::imagecache::ImageCache;
 use proverguard_attest::message::{AttestRequest, AttestResponse, AttestScope};
@@ -25,6 +27,7 @@ use proverguard_attest::segcache::{
 };
 use proverguard_attest::verifier::{ScopePolicy, Verifier};
 use proverguard_crypto::mac::MacKey;
+use proverguard_mcu::SegmentLayout;
 
 const KEY: [u8; 16] = [0x3C; 16];
 const DEVICES: usize = 3;
@@ -71,7 +74,7 @@ struct SimDevice {
 
 impl SimDevice {
     fn new(image: Vec<u8>) -> Self {
-        let segs = image.len().div_ceil(SEGMENT_LEN as usize);
+        let segs = SegmentLayout::new(image.len(), SEGMENT_LEN as usize).count();
         SimDevice {
             image,
             last_write: vec![0; segs],
@@ -89,14 +92,15 @@ impl SimDevice {
 
     fn respond(&mut self, request: &AttestRequest, key: &MacKey) -> AttestResponse {
         self.round += 1;
-        // The freshness commit writes counter_R — segment 0's epoch moves.
-        self.last_write[0] = self.round;
+        // The freshness commit writes counter_R — its segment's epoch moves.
+        let layout = SegmentLayout::new(self.image.len(), SEGMENT_LEN as usize);
+        self.last_write[layout.index_of(counter_r_offset())] = self.round;
         let mut memory = self.image.clone();
         patch_expected_image(&mut memory, &request.freshness);
         let seg_len = SEGMENT_LEN as usize;
         match request.scope {
             AttestScope::Whole => {
-                let mut macced = request.signed_bytes();
+                let mut macced = request.signed_bytes().to_vec();
                 macced.extend_from_slice(&memory);
                 AttestResponse {
                     report: key.compute(&macced),
@@ -119,11 +123,7 @@ impl SimDevice {
                 let digests: Vec<[u8; 20]> = report
                     .modified_indices()
                     .into_iter()
-                    .map(|i| {
-                        let start = i * seg_len;
-                        let end = (start + seg_len).min(memory.len());
-                        segment_digest(i as u32, &memory[start..end])
-                    })
+                    .map(|i| segment_digest(i as u32, &memory[layout.span(i)]))
                     .collect();
                 let input = history_input(&request.signed_bytes(), SEGMENT_LEN, &report, &digests);
                 let mut bytes = report.encode();

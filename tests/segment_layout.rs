@@ -1,0 +1,201 @@
+//! The segment layout and the device cost it buys, pinned.
+//!
+//! [`SegmentLayout`] puts a boundary at every multiple of the segment
+//! length plus one at the end of the reserved head (`APP_RAM.start -
+//! RAM.start`), so the freshness words the prover writes every round live
+//! in a 256-byte segment of their own. The first block checks that the
+//! spans tile memory exactly for every legal segment length; the second
+//! pins the modelled device cycles of the three steady rounds the
+//! benchmark measures, driven through the real prover agent and gateway.
+
+use std::time::Duration;
+
+use proverguard_attest::gateway::{DeviceDirectory, Gateway, GatewayConfig, ProverAgent};
+use proverguard_attest::prover::{Prover, ProverConfig};
+use proverguard_attest::session::RetryPolicy;
+use proverguard_attest::verifier::{ScopePolicy, Verifier};
+use proverguard_mcu::memory::HEAD_LEN;
+use proverguard_mcu::{map, SegmentLayout, MIN_SEGMENT_LEN};
+use proverguard_transport::{LoopbackHub, Transport, DEFAULT_MAX_FRAME};
+
+const RAM_LEN: usize = 512 * 1024;
+
+fn check_layout(mem_len: usize, seg_len: usize) {
+    let layout = SegmentLayout::new(mem_len, seg_len);
+    let count = layout.count();
+    let mut next = 0;
+    for i in 0..count {
+        let span = layout.span(i);
+        assert_eq!(
+            span.start, next,
+            "gap or overlap before segment {i} ({mem_len}, {seg_len})"
+        );
+        assert!(!span.is_empty(), "empty segment {i} ({mem_len}, {seg_len})");
+        assert!(span.len() <= seg_len, "segment {i} longer than {seg_len}");
+        for off in [span.start, span.end - 1] {
+            assert_eq!(
+                layout.index_of(off),
+                i,
+                "offset {off} ({mem_len}, {seg_len})"
+            );
+        }
+        next = span.end;
+    }
+    assert_eq!(
+        next, mem_len,
+        "spans must end at the memory end ({mem_len}, {seg_len})"
+    );
+    assert!(layout.span(count).is_empty());
+    if mem_len > HEAD_LEN {
+        assert_eq!(
+            layout.span(layout.index_of(HEAD_LEN)).start,
+            HEAD_LEN,
+            "head end is a boundary"
+        );
+    }
+    if seg_len <= HEAD_LEN {
+        let chunks: Vec<_> = (0..mem_len)
+            .step_by(seg_len)
+            .map(|start| start..(start + seg_len).min(mem_len))
+            .collect();
+        let spans: Vec<_> = (0..count).map(|i| layout.span(i)).collect();
+        assert_eq!(spans, chunks, "uniform layout at {seg_len} bytes");
+    }
+}
+
+#[test]
+fn spans_tile_memory_at_every_segment_length() {
+    let mut seg_len = MIN_SEGMENT_LEN as usize;
+    while seg_len <= RAM_LEN {
+        for mem_len in [
+            0,
+            1,
+            255,
+            256,
+            257,
+            seg_len - 1,
+            seg_len,
+            seg_len + 1,
+            RAM_LEN,
+        ] {
+            check_layout(mem_len, seg_len);
+        }
+        seg_len *= 2;
+    }
+}
+
+#[test]
+fn index_of_agrees_with_span_on_every_ram_byte() {
+    for seg_len in [64usize, 256, 512, 8192, RAM_LEN] {
+        let layout = SegmentLayout::new(RAM_LEN, seg_len);
+        for off in 0..RAM_LEN {
+            assert!(
+                layout.span(layout.index_of(off)).contains(&off),
+                "{off} at {seg_len}"
+            );
+        }
+    }
+}
+
+#[test]
+fn recommended_layout_gives_the_freshness_words_their_own_segment() {
+    let layout = SegmentLayout::ram(proverguard_mcu::DEFAULT_SEGMENT_LEN);
+    assert_eq!(layout.count(), 65);
+    for word in [map::COUNTER_R, map::CLOCK_MSB, map::IDT, map::TRUST_STATE] {
+        let first = (word.start - map::RAM.start) as usize;
+        let last = (word.end - 1 - map::RAM.start) as usize;
+        assert_eq!((layout.index_of(first), layout.index_of(last)), (0, 0));
+    }
+    assert_eq!(layout.span(0), 0..HEAD_LEN);
+    assert_eq!(
+        layout.index_of((map::APP_IMAGE_MIRROR.start - map::RAM.start) as usize),
+        1
+    );
+}
+
+const KEY: [u8; 16] = [0x42; 16];
+
+/// Device cycles of a steady round of one device through the real agent
+/// and a loopback gateway, read off the battery the way the benchmark
+/// reads them. The first two dials are the warm-up (for sessions: the
+/// handshake and the History bootstrap).
+fn steady_round_cycles(config: ProverConfig, policy: ScopePolicy, sessions: bool) -> u64 {
+    let prover = Prover::provision(config.clone(), &KEY, b"cost pin app").expect("provision");
+    let mut verifier = Verifier::new(&config, &KEY).expect("verifier");
+    verifier.set_scope_policy(policy);
+    let mut directory = DeviceDirectory::new();
+    let id = directory.register(verifier, prover.expected_memory().to_vec());
+    let mut agent = if sessions {
+        ProverAgent::with_sessions(prover, id)
+    } else {
+        ProverAgent::new(prover, id)
+    };
+    let (hub, connector) = LoopbackHub::new(DEFAULT_MAX_FRAME);
+    let handle = Gateway::start(
+        Box::new(hub),
+        directory,
+        GatewayConfig {
+            reactor_shards: 1,
+            ..GatewayConfig::default()
+        },
+    );
+    let retry = RetryPolicy {
+        timeout_ms: 30_000,
+        ..GatewayConfig::default().retry
+    };
+    let mut dial = || {
+        connector
+            .connect()
+            .map(|conn| Box::new(conn) as Box<dyn Transport>)
+    };
+    let mut cycles = Vec::new();
+    for _ in 0..4 {
+        let battery = agent.prover().mcu().battery();
+        let before = battery.remaining_joules();
+        let outcome = agent.attest_with_retry(&mut dial, &retry, Duration::from_secs(60), 50);
+        assert!(outcome.is_verified(), "round failed: {outcome:?}");
+        let battery = agent.prover().mcu().battery();
+        cycles.push(
+            ((before - battery.remaining_joules()) / battery.energy_of_cycles(1)).round() as u64,
+        );
+    }
+    let report = handle.shutdown();
+    assert!(report.stats.partition_holds(), "{:?}", report.stats);
+    // The last two rounds are both steady: the cost repeats exactly.
+    assert_eq!(cycles[2], cycles[3], "device cost not steady: {cycles:?}");
+    cycles[3]
+}
+
+/// The quiescent in-session History round digests only the 256-byte head:
+/// 47 240 cycles (1.968 device-ms at 24 MHz). The benchmark's
+/// `session_history` `prover_active_ms` is this figure divided by 24 000.
+#[test]
+fn quiescent_history_round_cycles_are_pinned() {
+    let cycles = steady_round_cycles(
+        ProverConfig::recommended_segmented(),
+        ScopePolicy::History { full_every: 0 },
+        true,
+    );
+    assert_eq!(cycles, 47_240);
+}
+
+/// The steady cached Segmented one-shot round: one head re-digest, the
+/// dirty-bit scan and the 65-digest combine MAC on top of the request
+/// authentication.
+#[test]
+fn steady_segmented_round_cycles_are_pinned() {
+    let cycles = steady_round_cycles(
+        ProverConfig::recommended_segmented(),
+        ScopePolicy::Full,
+        false,
+    );
+    assert_eq!(cycles, 66_656);
+}
+
+/// The paper's Whole-memory round never touches segments: 754.12
+/// device-ms (18 098 872 cycles), the same as under the uniform layout.
+#[test]
+fn whole_round_cycles_are_unchanged() {
+    let cycles = steady_round_cycles(ProverConfig::recommended(), ScopePolicy::Full, false);
+    assert_eq!(cycles, 18_098_872);
+}
