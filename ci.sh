@@ -28,7 +28,7 @@ cargo test --release -q --test cached_verify
 echo "== gateway scale (event-driven reactor concurrency gate, emits BENCH_gateway_scale.json) =="
 cargo run --release -q -p proverguard-bench --bin gateway_scale -- --ci
 
-echo "== fleet verify bench (shared digest cache wall-clock gate, emits BENCH_fleet_verify.json) =="
+echo "== fleet verify bench (shared digest cache >= 5x wall-clock gate; its deterministic checks run in tier-1), emits BENCH_fleet_verify.json =="
 cargo run --release -q -p proverguard-bench --bin fleet_verify_bench
 
 echo "== perfbench build (standalone benchmark package) =="

@@ -81,8 +81,17 @@ const TRANSCRIPT_LABEL: &[u8] = b"PGSESS1";
 /// Domain label bound into every frame MAC.
 const FRAME_LABEL: &[u8] = b"PGSFRM1";
 
-/// Fixed frame framing overhead: version, flags, seq, length, tag.
-const FRAME_OVERHEAD: usize = 1 + 1 + 8 + 2 + FRAME_TAG_LEN;
+/// Fixed frame framing overhead: version, flags, seq, length, tag. A
+/// sealed frame carries `len - FRAME_OVERHEAD` payload bytes.
+pub const FRAME_OVERHEAD: usize = 1 + 1 + 8 + 2 + FRAME_TAG_LEN;
+
+/// Bytes the frame MAC hashes for a `payload_len`-byte payload:
+/// `FRAME_LABEL ‖ version ‖ flags ‖ seq ‖ payload`. A device pays one
+/// HMAC over this many bytes to seal or to open a frame.
+#[must_use]
+pub const fn frame_mac_len(payload_len: usize) -> usize {
+    FRAME_LABEL.len() + 1 + 1 + 8 + payload_len
+}
 
 static KEY_DERIVATIONS: AtomicU64 = AtomicU64::new(0);
 

@@ -38,20 +38,20 @@ pub use reactor::ShardSnapshot;
 
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, Weak};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use proverguard_telemetry::metrics::{self, Registry};
 use proverguard_transport::{Acceptor, Transport, TransportError};
 
-use proverguard_crypto::mac::MacAlgorithm;
+use proverguard_crypto::mac::{MacAlgorithm, Tag};
 
 use crate::channel::{self, HandshakeAccept, HandshakeInit, SecureChannel};
 use crate::error::{AttestError, RejectReason};
 use crate::fleet::{FleetController, FleetPolicy};
 use crate::imagecache::{CachedImage, ExpectedView, ImageCache};
-use crate::message::{AttestRequest, AttestResponse, FreshnessField};
+use crate::message::{AttestRequest, AttestResponse, AttestScope, FreshnessField};
 use crate::prover::Prover;
 use crate::session::RetryPolicy;
 use crate::verifier::Verifier;
@@ -321,6 +321,23 @@ pub struct DeviceEntry {
     /// new expected image mid-campaign (per-wave OTA targets).
     image: Mutex<DeviceImage>,
     cache: Arc<ImageCache>,
+    /// Set by each verified conclusion of the device and spent by one
+    /// speculative verify ([`DeviceEntry::speculate`]), so keyless
+    /// `Hello`s naming the device buy at most one expected-report MAC
+    /// per verified round.
+    speculation_credit: AtomicBool,
+}
+
+/// A verdict prepared before the reply: the report an honest prover
+/// returns for one in-flight request, and the baseline it was computed
+/// against. It stays on the shard's connection; it has no `Debug` and
+/// is never logged, traced or sent.
+struct Speculation {
+    report: Tag,
+    /// Weak, so a held speculation neither keeps a superseded baseline
+    /// alive in the cache's eyes (`set_expected_memory` counts strong
+    /// references) nor lets its address be reused while compared.
+    baseline: Weak<CachedImage>,
 }
 
 /// One device's expected image, split into the fleet-shared interned
@@ -429,6 +446,7 @@ impl DeviceDirectory {
             verifier: Mutex::new(verifier),
             image: Mutex::new(image),
             cache: Arc::clone(&self.cache),
+            speculation_credit: AtomicBool::new(false),
         });
         id
     }
@@ -491,7 +509,8 @@ impl DeviceDirectory {
         field: &FreshnessField,
         f: impl FnOnce(&ExpectedView<'_>) -> R,
     ) -> Option<R> {
-        self.get(device_id).map(|e| e.with_expected(field, f))
+        self.get(device_id)
+            .map(|e| e.with_expected(field, |view, _| f(view)))
     }
 
     /// Runs `f` against the verifier of `device_id` (request minting for
@@ -531,14 +550,15 @@ impl DeviceDirectory {
 
 impl DeviceEntry {
     /// Runs `f` with the expected-image view for a request carrying
-    /// `field`: touches the shared cache (hit accounting + LRU refresh,
-    /// refilling an evicted baseline for free), patches the persistent
-    /// scratch in place, and exposes baseline digests so Segmented and
-    /// History checks re-digest only the freshness segment.
+    /// `field`, and the baseline behind it: touches the shared cache (hit
+    /// accounting + LRU refresh, refilling an evicted baseline for free),
+    /// patches the persistent scratch in place, and exposes baseline
+    /// digests so Segmented and History checks re-digest only the
+    /// freshness segment.
     fn with_expected<R>(
         &self,
         field: &FreshnessField,
-        f: impl FnOnce(&ExpectedView<'_>) -> R,
+        f: impl FnOnce(&ExpectedView<'_>, &Arc<CachedImage>) -> R,
     ) -> R {
         let mut image = self.image.lock().expect("image lock poisoned");
         self.cache.touch(&image.baseline);
@@ -548,7 +568,7 @@ impl DeviceEntry {
             scratch,
             patched,
         } = &*image;
-        f(&ExpectedView::cached(scratch, baseline, patched))
+        f(&ExpectedView::cached(scratch, baseline, patched), baseline)
     }
 
     /// Verifies `response` against the cached expected view and records
@@ -556,16 +576,58 @@ impl DeviceEntry {
     /// attempts and session rounds. Lock order is
     /// image → verifier, uniformly.
     fn check_and_note(&self, request: &AttestRequest, response: &AttestResponse) -> bool {
-        self.with_expected(&request.freshness, |view| {
+        self.with_expected(&request.freshness, |view, _| {
             let mut verifier = self.verifier.lock().expect("verifier lock poisoned");
-            if verifier.check_response_view(request, response, view) {
-                verifier.note_verified_view(request, response, view);
-                true
-            } else {
-                verifier.note_failed(request);
-                false
-            }
+            let verified = verifier.check_response_view(request, response, view);
+            note_verdict(&mut verifier, request, response, view, verified)
         })
+    }
+
+    /// Computes the expected report of a one-shot Whole or Segmented
+    /// `request` that has just left, while the prover works, if the
+    /// device's last verified conclusion left a credit; spends it. History
+    /// requests leave the credit alone: their tag covers the bitmap the
+    /// prover chooses.
+    fn speculate(&self, request: &AttestRequest) -> Option<Speculation> {
+        if matches!(request.scope, AttestScope::History { .. })
+            || !self.speculation_credit.swap(false, Ordering::SeqCst)
+        {
+            return None;
+        }
+        self.with_expected(&request.freshness, |view, baseline| {
+            let report = self.verifier.lock().ok()?.expected_report(request, view)?;
+            Some(Speculation {
+                report,
+                baseline: Arc::downgrade(baseline),
+            })
+        })
+    }
+
+    /// Judges `response` with a speculated report — one constant-time
+    /// compare — and records the outcome exactly as
+    /// [`DeviceEntry::check_and_note`] would. `None` when the device was
+    /// re-targeted since the speculation (or a lock is poisoned): the
+    /// caller then verifies on demand.
+    fn judge_speculated(
+        &self,
+        speculation: &Speculation,
+        request: &AttestRequest,
+        response: &AttestResponse,
+    ) -> Option<bool> {
+        let image = self.image.lock().ok()?;
+        if !std::ptr::eq(speculation.baseline.as_ptr(), Arc::as_ptr(&image.baseline)) {
+            return None;
+        }
+        let verified = Verifier::report_matches(&speculation.report, response);
+        let view = ExpectedView::cached(&image.scratch, &image.baseline, &image.patched);
+        let mut verifier = self.verifier.lock().ok()?;
+        Some(note_verdict(
+            &mut verifier,
+            request,
+            response,
+            &view,
+            verified,
+        ))
     }
 
     /// Confirms a session handshake's key-confirming attestation against
@@ -576,11 +638,28 @@ impl DeviceEntry {
         request: &AttestRequest,
         accept: &HandshakeAccept,
     ) -> Result<SecureChannel, AttestError> {
-        self.with_expected(&request.freshness, |view| {
+        self.with_expected(&request.freshness, |view, _| {
             let mut verifier = self.verifier.lock().expect("verifier lock poisoned");
             channel::verifier_confirm_view(&mut verifier, init, request, accept, view)
         })
     }
+}
+
+/// Records a verify's verdict on the device's verifier: a verified
+/// round drives the scope policy, a failed one its fallback.
+fn note_verdict(
+    verifier: &mut Verifier,
+    request: &AttestRequest,
+    response: &AttestResponse,
+    view: &ExpectedView<'_>,
+    verified: bool,
+) -> bool {
+    if verified {
+        verifier.note_verified_view(request, response, view);
+    } else {
+        verifier.note_failed(request);
+    }
+    verified
 }
 
 // ---------------------------------------------------------------------------
@@ -967,6 +1046,13 @@ impl GatewayHandle {
         self.shared.stats.snapshot()
     }
 
+    /// The served device directory. A campaign re-targets a live device
+    /// through it ([`DeviceDirectory::set_expected_memory`]).
+    #[must_use]
+    pub fn directory(&self) -> &DeviceDirectory {
+        &self.shared.directory
+    }
+
     /// Read access to the per-device health ledger.
     pub fn with_fleet<R>(&self, f: impl FnOnce(&FleetController) -> R) -> R {
         f(&self.shared.fleet.lock().expect("fleet lock poisoned"))
@@ -1026,6 +1112,12 @@ impl GatewayHandle {
 /// or in-session round): fleet ledger + ok/failed counters. The shard
 /// has already enqueued its `Bye`.
 fn record_conclusion(device_id: u64, verified: bool, ctx: &GatewayShared) {
+    if verified {
+        // The device's verified round pays for its next speculation.
+        if let Some(entry) = ctx.directory.get(device_id) {
+            entry.speculation_credit.store(true, Ordering::SeqCst);
+        }
+    }
     let now_ms = ctx.elapsed_ms();
     ctx.fleet
         .lock()
@@ -1290,11 +1382,10 @@ impl ProverAgent {
         raw: &[u8],
         dial: &mut Dial,
     ) -> ControlFlow<AgentOutcome, GatewayMsg> {
-        let open_cycles = self
-            .prover
-            .mcu()
-            .cost_table()
-            .mac_cost(MacAlgorithm::HmacSha1, raw.len());
+        let open_cycles = self.prover.mcu().cost_table().mac_cost(
+            MacAlgorithm::HmacSha1,
+            channel::frame_mac_len(raw.len().saturating_sub(channel::FRAME_OVERHEAD)),
+        );
         let Some(session) = self.session.as_mut() else {
             return ControlFlow::Break(AgentOutcome::ProtocolError);
         };
@@ -1332,7 +1423,7 @@ impl ProverAgent {
             .prover
             .mcu()
             .cost_table()
-            .mac_cost(MacAlgorithm::HmacSha1, inner.len());
+            .mac_cost(MacAlgorithm::HmacSha1, channel::frame_mac_len(inner.len()));
         let frame = self
             .prover
             .charge_stage("prover.session_seal", seal_cycles, |_| {

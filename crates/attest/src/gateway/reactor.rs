@@ -57,7 +57,7 @@ use crate::verifier::Verifier;
 
 use super::{
     record_conclusion, DeviceDirectory, DeviceEntry, GatewayConfig, GatewayHandle, GatewayMsg,
-    GatewayShared, GatewayStats, SessionEntry, SessionTable, ThreadExit,
+    GatewayShared, GatewayStats, SessionEntry, SessionTable, Speculation, ThreadExit,
 };
 
 /// Deadline-wheel granularity: timers fire never early and at most this
@@ -339,12 +339,12 @@ enum Opening {
 enum ConnState {
     /// Waiting for the first frame (Hello / SessHello).
     AwaitHello,
-    /// One-shot attestation driven by a [`DriverCursor`]. `request` is
-    /// the in-flight attempt's request; `None` while a backoff timer owns
-    /// the connection.
+    /// One-shot attestation driven by a [`DriverCursor`]. `attempt` is
+    /// the in-flight attempt; `None` while a backoff timer owns the
+    /// connection.
     Oneshot {
         cursor: DriverCursor,
-        request: Option<AttestRequest>,
+        attempt: Option<Attempt>,
     },
     /// Attested handshake: `SessInit` sent, awaiting `SessAccept`.
     Handshake {
@@ -359,6 +359,14 @@ enum ConnState {
     },
     /// Concluded; flushing buffered writes before close.
     Draining,
+}
+
+/// One in-flight one-shot attempt: its request and, when the device's
+/// speculation credit paid for one, the verdict computed while the prover
+/// works.
+struct Attempt {
+    request: AttestRequest,
+    speculation: Option<Speculation>,
 }
 
 struct Conn {
@@ -575,7 +583,7 @@ impl Shard {
                 TimerKind::Attempt,
                 ConnState::Oneshot {
                     cursor,
-                    request: Some(_),
+                    attempt: Some(_),
                 },
             ) => self.step_oneshot(&mut conn, cursor, Some(AttemptOutcome::ResponseLost)),
             (TimerKind::Attempt, ConnState::Round { .. }) => {
@@ -585,7 +593,7 @@ impl Shard {
                 TimerKind::Backoff,
                 ConnState::Oneshot {
                     cursor,
-                    request: None,
+                    attempt: None,
                 },
             ) => {
                 self.step_oneshot(&mut conn, cursor, None);
@@ -641,14 +649,15 @@ impl Shard {
             ConnState::AwaitHello => self.on_hello(conn, msg),
             ConnState::Oneshot {
                 cursor,
-                request: Some(request),
+                attempt: Some(attempt),
             } => {
-                let outcome = self.judge(conn, &request, &msg);
+                let outcome =
+                    self.judge(conn, &attempt.request, attempt.speculation.as_ref(), &msg);
                 self.step_oneshot(conn, cursor, Some(outcome));
             }
             // A response surfacing during backoff is stale: the attempt it
             // answers has already been recorded lost.
-            state @ ConnState::Oneshot { request: None, .. } => conn.state = state,
+            state @ ConnState::Oneshot { attempt: None, .. } => conn.state = state,
             ConnState::Handshake { init, request } => {
                 self.on_handshake_reply(conn, &init, &request, &msg);
             }
@@ -749,19 +758,32 @@ impl Shard {
     }
 
     /// Judges a reply to `request` (one-shot attempt or sealed round): a
-    /// response verified through the cached expected view, or a
-    /// prover-side reject noted on the verifier.
+    /// response compared with the `speculation` computed while the prover
+    /// worked, or verified through the cached expected view when there
+    /// is none or the device was re-targeted since; or a prover-side
+    /// reject noted on the verifier.
     fn judge(
         &self,
         conn: &Conn,
         request: &AttestRequest,
+        speculation: Option<&Speculation>,
         msg: &Result<GatewayMsg, AttestError>,
     ) -> AttemptOutcome {
         let entry = self.entry(conn);
         match msg {
             Ok(GatewayMsg::AttResp(raw)) => {
-                let verified = AttestResponse::from_bytes(raw)
-                    .is_ok_and(|response| entry.check_and_note(request, &response));
+                let verified = AttestResponse::from_bytes(raw).is_ok_and(|response| {
+                    let Some(speculation) = speculation else {
+                        return entry.check_and_note(request, &response);
+                    };
+                    if let Some(verified) = entry.judge_speculated(speculation, request, &response)
+                    {
+                        metrics::counter_add("gateway.verdict.precomputed", 1);
+                        return verified;
+                    }
+                    metrics::counter_add("gateway.verdict.speculation_miss", 1);
+                    entry.check_and_note(request, &response)
+                });
                 if verified {
                     AttemptOutcome::Success
                 } else {
@@ -821,7 +843,7 @@ impl Shard {
                             let nap = backoff_ms.min(self.ctx.config.backoff_cap_ms);
                             conn.state = ConnState::Oneshot {
                                 cursor,
-                                request: None,
+                                attempt: None,
                             };
                             return self.arm(conn, TimerKind::Backoff, nap);
                         }
@@ -829,11 +851,11 @@ impl Shard {
                 }
             }
             match self.send_attempt(conn) {
-                Ok(request) => {
+                Ok(attempt) => {
                     let timeout = cursor.timeout_ms().max(1);
                     conn.state = ConnState::Oneshot {
                         cursor,
-                        request: Some(request),
+                        attempt: Some(attempt),
                     };
                     return self.arm(conn, TimerKind::Attempt, timeout);
                 }
@@ -843,8 +865,11 @@ impl Shard {
     }
 
     /// Mints and sends one attempt's request, or says why the attempt
-    /// failed before reaching the wire. A dead link mints nothing.
-    fn send_attempt(&mut self, conn: &mut Conn) -> Result<AttestRequest, AttemptOutcome> {
+    /// failed before reaching the wire. A dead link mints nothing. Once
+    /// the request is fully flushed the prover is working on it, and the
+    /// device's speculation credit, if set, pays for computing the
+    /// expected report meanwhile.
+    fn send_attempt(&mut self, conn: &mut Conn) -> Result<Attempt, AttemptOutcome> {
         if conn.link_dead {
             return Err(AttemptOutcome::RequestLost);
         }
@@ -852,7 +877,23 @@ impl Shard {
             .mint(conn, Verifier::make_request)
             .map_err(AttemptOutcome::Error)?;
         match self.send_framed(conn, &GatewayMsg::AttReq(request.to_bytes())) {
-            Ok(()) => Ok(request),
+            Ok(()) => {
+                let speculation = if conn.nb.has_pending_write() {
+                    None
+                } else {
+                    self.ctx
+                        .directory
+                        .get(conn.device_id)
+                        .and_then(|entry| entry.speculate(&request))
+                };
+                if speculation.is_some() {
+                    metrics::counter_add("gateway.verdict.speculated", 1);
+                }
+                Ok(Attempt {
+                    request,
+                    speculation,
+                })
+            }
             Err(e) => {
                 conn.link_dead = !e.is_transient();
                 Err(AttemptOutcome::RequestLost)
@@ -966,7 +1007,7 @@ impl Shard {
             Err(label) => return self.fail_round(conn, label),
         };
         if !self
-            .judge(conn, request, &GatewayMsg::decode(&inner))
+            .judge(conn, request, None, &GatewayMsg::decode(&inner))
             .is_success()
         {
             return self.fail_round(conn, "gateway.session.round_failed");
@@ -1108,8 +1149,8 @@ impl Shard {
             // An in-flight attempt is lost (a poisoned stream is not worth
             // retrying); one that died during backoff burns the remaining
             // budget synchronously, as dead-link attempts are instant.
-            ConnState::Oneshot { cursor, request } => {
-                let outcome = request.map(|_| {
+            ConnState::Oneshot { cursor, attempt } => {
+                let outcome = attempt.map(|_| {
                     if poisoned {
                         AttemptOutcome::BadResponse
                     } else {

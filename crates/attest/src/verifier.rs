@@ -7,8 +7,9 @@
 //! prover's — clock synchronization itself is the paper's future work
 //! item 2.
 
+use proverguard_crypto::ct::ct_eq;
 use proverguard_crypto::drbg::HmacDrbg;
-use proverguard_crypto::mac::MacKey;
+use proverguard_crypto::mac::{MacKey, Tag};
 use proverguard_crypto::sha1::DIGEST_SIZE;
 use proverguard_mcu::SegmentLayout;
 
@@ -346,7 +347,10 @@ impl Verifier {
     /// Validates a response against an expected-image view. The keyed
     /// outer MAC is always recomputed per device and per request — only
     /// the unkeyed, content-only segment digests come from the view's
-    /// baseline (when one is attached and matches).
+    /// baseline (when one is attached and matches). Whole and Segmented
+    /// responses are judged by [`Verifier::expected_report`] and one
+    /// constant-time compare, the same two steps a gateway takes when it
+    /// computed the report before the response arrived.
     #[must_use]
     pub fn check_response_view(
         &self,
@@ -354,29 +358,10 @@ impl Verifier {
         response: &AttestResponse,
         expected: &ExpectedView<'_>,
     ) -> bool {
-        let signed = request.signed_bytes();
         match request.scope {
-            AttestScope::Whole => self
-                .response_key
-                .verify_parts(&[&signed, expected.memory()], &response.report),
-            AttestScope::Segmented => {
-                let Some(params) = &self.segmented else {
-                    return false;
-                };
-                // MAC the combine input where its pieces lie: the shared
-                // baseline digests are streamed in place and only the
-                // patched segments are digested, so nothing is copied.
-                let seg_len = params.segment_len as usize;
-                let count = SegmentLayout::new(expected.memory().len(), seg_len).count();
-                let header = segcache::combine_header(params.segment_len, count);
-                let mut mac = self
-                    .response_key
-                    .stream(signed.len() + header.len() + count * DIGEST_SIZE);
-                mac.update(&signed);
-                mac.update(&header);
-                expected.for_each_digest_run(seg_len, |run| mac.update(run.as_flattened()));
-                mac.verify(&response.report)
-            }
+            AttestScope::Whole | AttestScope::Segmented => self
+                .expected_report(request, expected)
+                .is_some_and(|report| Verifier::report_matches(&report, response)),
             AttestScope::History { since_round } => {
                 let Some(params) = &self.segmented else {
                     return false;
@@ -387,6 +372,7 @@ impl Verifier {
                 // The body is MACed as received; the expected digests of
                 // the modified segments follow it, each computed (or read
                 // from the baseline) on the spot.
+                let signed = request.signed_bytes();
                 let seg_len = params.segment_len as usize;
                 let header = segcache::history_header(params.segment_len);
                 let mut mac = self.response_key.stream(
@@ -404,6 +390,55 @@ impl Verifier {
                 mac.verify(tag)
             }
         }
+    }
+
+    /// The report an honest prover returns for a Whole or Segmented
+    /// `request` over `expected`, streamed from the same parts the check
+    /// reads into an inline tag (no allocation). It depends only on the
+    /// request, the expected image and the key, so it can be computed
+    /// before the response exists. `None` for History — that tag covers
+    /// the modified bitmap the prover chooses — and for Segmented in a
+    /// deployment without segment parameters.
+    #[must_use]
+    pub fn expected_report(
+        &self,
+        request: &AttestRequest,
+        expected: &ExpectedView<'_>,
+    ) -> Option<Tag> {
+        let signed = request.signed_bytes();
+        let memory = expected.memory();
+        match request.scope {
+            AttestScope::Whole => {
+                let mut mac = self.response_key.stream(signed.len() + memory.len());
+                mac.update(&signed);
+                mac.update(memory);
+                Some(mac.finalize())
+            }
+            AttestScope::Segmented => {
+                let params = self.segmented.as_ref()?;
+                // MAC the combine input where its pieces lie: the shared
+                // baseline digests are streamed in place and only the
+                // patched segments are digested, so nothing is copied.
+                let seg_len = params.segment_len as usize;
+                let count = SegmentLayout::new(memory.len(), seg_len).count();
+                let header = segcache::combine_header(params.segment_len, count);
+                let mut mac = self
+                    .response_key
+                    .stream(signed.len() + header.len() + count * DIGEST_SIZE);
+                mac.update(&signed);
+                mac.update(&header);
+                expected.for_each_digest_run(seg_len, |run| mac.update(run.as_flattened()));
+                Some(mac.finalize())
+            }
+            AttestScope::History { .. } => None,
+        }
+    }
+
+    /// Judges `response` against a report from
+    /// [`Verifier::expected_report`]: one constant-time compare.
+    #[must_use]
+    pub fn report_matches(expected: &Tag, response: &AttestResponse) -> bool {
+        ct_eq(expected, &response.report)
     }
 
     /// Reads a History report in place against the expected image: the

@@ -17,6 +17,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 pub mod campaign;
+pub mod fleet_verify;
 pub mod segcache;
 pub mod session;
 pub mod toctou;

@@ -125,10 +125,10 @@ fn measure(violations: &mut Vec<String>) -> Costs {
         // Prover end. The per-frame HMACs are the whole in-session auth
         // cost; the inner request rides pre-authenticated (stage 1
         // skipped), exactly as over the live gateway.
-        let open_mac = prover
-            .mcu()
-            .cost_table()
-            .mac_cost(MacAlgorithm::HmacSha1, frame.len());
+        let open_mac = prover.mcu().cost_table().mac_cost(
+            MacAlgorithm::HmacSha1,
+            channel::frame_mac_len(frame.len() - channel::FRAME_OVERHEAD),
+        );
         let inner = chan_p.open(&frame).expect("prover opens frame");
         let req_raw = match GatewayMsg::decode(&inner) {
             Ok(GatewayMsg::AttReq(raw)) => raw,
@@ -145,11 +145,12 @@ fn measure(violations: &mut Vec<String>) -> Costs {
             }
         };
         let pipeline = *prover.last_cost();
-        let reply_frame = chan_p.seal_next(&GatewayMsg::AttResp(resp_bytes).encode());
+        let reply = GatewayMsg::AttResp(resp_bytes).encode();
         let seal_mac = prover
             .mcu()
             .cost_table()
-            .mac_cost(MacAlgorithm::HmacSha1, reply_frame.len());
+            .mac_cost(MacAlgorithm::HmacSha1, channel::frame_mac_len(reply.len()));
+        let reply_frame = chan_p.seal_next(&reply);
         let round_cycles = pipeline.total() + open_mac + seal_mac;
 
         // Verifier end.

@@ -4,11 +4,11 @@
 //! Each gate runs its bench scenario from `proverguard_bench` and
 //! asserts the report lists no violated invariant; the matching bin
 //! prints the same report as a table. Thresholds (E10 15 %, E12 3 %,
-//! E13 2 %, telemetry 1 %) are pinned here so loosening one fails a
-//! test. Nothing here writes a file: the rows are rendered and parsed in
+//! E13 2 %, E15 hit rate 99 %, telemetry 1 %) are pinned here so
+//! loosening one fails a test. Nothing here writes a file: the rows are rendered and parsed in
 //! memory.
 
-use proverguard_bench::{campaign, segcache, session, toctou, trace_report, Rows};
+use proverguard_bench::{campaign, fleet_verify, segcache, session, toctou, trace_report, Rows};
 
 /// A JSON scalar: the row files hold only strings and numbers.
 #[derive(Debug, PartialEq)]
@@ -172,6 +172,19 @@ fn session_gate_holds() {
     assert_eq!(session::MAX_RATIO, 0.02);
     let report = session::run();
     assert_gate(&report.violations, &report.rows(), "session", 0);
+}
+
+#[test]
+fn fleet_verify_gate_holds() {
+    assert_eq!(fleet_verify::MIN_HIT_RATE, 0.99);
+    let report = fleet_verify::run();
+    assert!(
+        report.violations.is_empty(),
+        "fleet-verify violations:\n  {}",
+        report.violations.join("\n  ")
+    );
+    assert_eq!(report.fleet.devices, fleet_verify::CHECK_DEVICES);
+    assert_eq!(report.fleet.digest_sweeps, fleet_verify::IMAGES as u64);
 }
 
 #[test]

@@ -1,6 +1,7 @@
 //! The gateway's cached verify, measured from the inside: how many
 //! segment digests each verify computes, and how many heap allocations
-//! `check_response_view` makes on the steady path.
+//! `check_response_view` — or a precomputed verdict, `expected_report`
+//! plus its compare — makes on the steady path.
 //!
 //! At the recommended 8 KiB configuration the freshness words live in a
 //! 256-byte head segment of their own, so a cached Segmented verify — of
@@ -8,7 +9,8 @@
 //! and reads the other 64 digests from the shared baseline, and a
 //! quiescent History verify digests exactly its modified set. Neither may
 //! fall back to a full sweep. The MAC input is streamed where its pieces
-//! lie, so neither allocates.
+//! lie, so neither allocates, and neither does a steady Whole verify,
+//! which streams the request header and the expected image in place.
 //!
 //! The allocation count comes from a counting global allocator armed
 //! per thread; `ci.sh` also runs this file in release, where allocation
@@ -91,9 +93,9 @@ fn digests_in<R>(f: impl FnOnce() -> R) -> (R, u64, u64) {
 
 const KEY: [u8; 16] = [0x61; 16];
 
-/// A recommended-config device registered in a directory, plus a
-/// mirror of its verifier for minting requests and a registered decoy
-/// whose key the forger does not hold.
+/// A device registered in a directory, plus a mirror of its verifier for
+/// minting requests and a registered decoy whose key the forger does not
+/// hold.
 struct Fleet {
     directory: DeviceDirectory,
     prover: Prover,
@@ -102,8 +104,12 @@ struct Fleet {
     decoy: u64,
 }
 
+/// [`fleet_with`] on the recommended segmented configuration.
 fn fleet(policy: ScopePolicy) -> Fleet {
-    let config = ProverConfig::recommended_segmented();
+    fleet_with(ProverConfig::recommended_segmented(), policy)
+}
+
+fn fleet_with(config: ProverConfig, policy: ScopePolicy) -> Fleet {
     let prover = Prover::provision(config.clone(), &KEY, b"cached verify app").expect("provision");
     let mut verifier = Verifier::new(&config, &KEY).expect("verifier");
     verifier.set_scope_policy(policy);
@@ -142,6 +148,21 @@ impl Fleet {
             })
             .expect("registered")
     }
+
+    /// A precomputed verdict alone on the directory's cached view — the
+    /// report computed before the response exists, then the compare —
+    /// with its heap allocations.
+    fn judge_allocations(&self, request: &AttestRequest, response: &AttestResponse) -> (bool, u64) {
+        self.directory
+            .with_expected(self.id, &request.freshness, |view| {
+                allocations_in(|| {
+                    self.verifier
+                        .expected_report(request, view)
+                        .is_some_and(|report| Verifier::report_matches(&report, response))
+                })
+            })
+            .expect("registered")
+    }
 }
 
 #[test]
@@ -165,6 +186,48 @@ fn steady_cached_segmented_verify_allocates_nothing() {
         (true, 0),
         "a steady cached Segmented verify must not touch the heap"
     );
+}
+
+#[test]
+fn steady_cached_whole_verify_allocates_nothing() {
+    let mut fleet = fleet_with(ProverConfig::recommended(), ScopePolicy::Full);
+    for _ in 0..2 {
+        let (request, response) = fleet.exchange();
+        assert_eq!(fleet.check_allocations(&request, &response), (true, 0));
+    }
+    let (request, response) = fleet.exchange();
+    assert_eq!(request.scope, AttestScope::Whole);
+    assert_eq!(
+        fleet.check_allocations(&request, &response),
+        (true, 0),
+        "a steady cached Whole verify must not touch the heap"
+    );
+}
+
+#[test]
+fn precomputed_verdict_allocates_nothing() {
+    for (config, scope) in [
+        (ProverConfig::recommended(), AttestScope::Whole),
+        (
+            ProverConfig::recommended_segmented(),
+            AttestScope::Segmented,
+        ),
+    ] {
+        let mut fleet = fleet_with(config, ScopePolicy::Full);
+        for _ in 0..3 {
+            let (request, response) = fleet.exchange();
+            assert_eq!(request.scope, scope);
+            assert_eq!(
+                fleet.judge_allocations(&request, &response),
+                (true, 0),
+                "a precomputed {scope:?} verdict must not touch the heap"
+            );
+        }
+        // A forged report gets the other verdict on the same path.
+        let (request, mut response) = fleet.exchange();
+        response.report[0] ^= 1;
+        assert_eq!(fleet.judge_allocations(&request, &response), (false, 0));
+    }
 }
 
 #[test]
