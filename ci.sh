@@ -22,7 +22,7 @@ cargo test --workspace -q
 echo "== crypto tests, optimised build (the SHA-1 kernel as perfbench compiles it) =="
 cargo test --release -q -p proverguard-crypto
 
-echo "== cached-verify allocation and digest-count tests, optimised build (allocation elision differs by profile) =="
+echo "== cached-verify allocation, digest-count and fleet-footprint tests, optimised build (allocation elision differs by profile) =="
 cargo test --release -q --test cached_verify
 
 echo "== gateway scale (event-driven reactor concurrency gate, emits BENCH_gateway_scale.json) =="

@@ -13,7 +13,6 @@
 
 use proverguard_mcu::device::Mcu;
 use proverguard_mcu::map;
-use proverguard_mcu::SegmentLayout;
 
 use crate::error::{AttestError, RejectReason};
 use crate::message::{FreshnessField, NONCE_SIZE};
@@ -171,17 +170,24 @@ impl FreshnessPolicy {
 /// value at the same offset. Nonce and no-freshness requests leave
 /// `counter_R` untouched and this is a no-op.
 ///
-/// This is the single shared implementation of the word-offset arithmetic
-/// that the gateway, examples and integration tests all need.
+/// The gateway never patches a copy: its expected view lays the same
+/// word over the shared baseline.
 pub fn patch_expected_image(image: &mut [u8], field: &FreshnessField) {
-    let value = match field {
-        FreshnessField::Counter(c) => *c,
-        FreshnessField::Timestamp(t) => *t,
-        FreshnessField::None | FreshnessField::Nonce(_) => return,
-    };
-    let off = (map::COUNTER_R.start - map::RAM.start) as usize;
-    if image.len() >= off + 8 {
-        image[off..off + 8].copy_from_slice(&value.to_le_bytes());
+    let off = counter_r_offset();
+    if let (Some(word), Some(slot)) = (committed_word(field), image.get_mut(off..off + 8)) {
+        slot.copy_from_slice(&word);
+    }
+}
+
+/// The `counter_R` word the prover commits for a request carrying
+/// `field` before it MACs memory: the counter or timestamp,
+/// little-endian. `None` for nonce and no-freshness requests, which leave
+/// the word as it was.
+#[must_use]
+pub(crate) fn committed_word(field: &FreshnessField) -> Option<[u8; 8]> {
+    match field {
+        FreshnessField::Counter(v) | FreshnessField::Timestamp(v) => Some(v.to_le_bytes()),
+        FreshnessField::None | FreshnessField::Nonce(_) => None,
     }
 }
 
@@ -189,30 +195,6 @@ pub fn patch_expected_image(image: &mut [u8], field: &FreshnessField) {
 #[must_use]
 pub fn counter_r_offset() -> usize {
     (map::COUNTER_R.start - map::RAM.start) as usize
-}
-
-/// Like [`patch_expected_image`], but reports which segment (of the
-/// [`SegmentLayout`] at `segment_len`) the patch wrote into, so an
-/// image-digest cache can re-derive exactly one segment digest instead of
-/// sweeping the whole image. Returns `None` when the image was left
-/// untouched (nonce / no-freshness field, or an image too short to hold
-/// the word) or when `segment_len` is zero (no digest granularity in
-/// effect).
-pub fn patch_expected_image_tracked(
-    image: &mut [u8],
-    field: &FreshnessField,
-    segment_len: u32,
-) -> Option<usize> {
-    let touches = matches!(
-        field,
-        FreshnessField::Counter(_) | FreshnessField::Timestamp(_)
-    );
-    patch_expected_image(image, field);
-    let off = counter_r_offset();
-    if !touches || segment_len == 0 || image.len() < off + 8 {
-        return None;
-    }
-    Some(SegmentLayout::new(image.len(), segment_len as usize).index_of(off))
 }
 
 /// Patches a verifier-side expected RAM image so its gated-command

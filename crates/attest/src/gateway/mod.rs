@@ -38,7 +38,7 @@ pub use reactor::ShardSnapshot;
 
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Arc, Mutex, PoisonError, Weak};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -317,9 +317,11 @@ impl GatewayMsg {
 #[derive(Debug)]
 pub struct DeviceEntry {
     verifier: Mutex<Verifier>,
+    /// The fleet-shared interned baseline the device is expected to hold.
     /// Behind its own mutex so a running gateway can be re-targeted at a
-    /// new expected image mid-campaign (per-wave OTA targets).
-    image: Mutex<DeviceImage>,
+    /// new expected image mid-campaign (per-wave OTA targets): a
+    /// re-target swaps the `Arc` in one assignment.
+    image: Mutex<Arc<CachedImage>>,
     cache: Arc<ImageCache>,
     /// Set by each verified conclusion of the device and spent by one
     /// speculative verify ([`DeviceEntry::speculate`]), so keyless
@@ -340,66 +342,9 @@ struct Speculation {
     baseline: Weak<CachedImage>,
 }
 
-/// One device's expected image, split into the fleet-shared interned
-/// baseline and a persistent per-device scratch buffer that only ever
-/// diverges from that baseline at the freshness word. Patching for a
-/// request writes 8 bytes in place instead of cloning the full image per
-/// attempt.
-#[derive(Debug)]
-struct DeviceImage {
-    baseline: Arc<CachedImage>,
-    scratch: Vec<u8>,
-    /// Segment indices where `scratch` currently differs from `baseline`
-    /// (at the baseline's digest granularity). In steady state this is
-    /// exactly the segment holding `counter_R`.
-    patched: Vec<usize>,
-}
-
-impl DeviceImage {
-    fn new(cache: &ImageCache, scratch: Vec<u8>, segment_len: u32) -> DeviceImage {
-        let baseline = cache.intern(&scratch, segment_len);
-        cache.note_scratch_rebuild();
-        DeviceImage {
-            baseline,
-            scratch,
-            patched: Vec::new(),
-        }
-    }
-
-    /// Brings `scratch` to the image the device will present for a
-    /// request carrying `field`: the baseline everywhere except the
-    /// freshness word the prover commits before MACing (reject-then-MAC
-    /// ordering, §4.2).
-    fn patch(&mut self, field: &FreshnessField) {
-        match field {
-            FreshnessField::Counter(_) | FreshnessField::Timestamp(_) => {
-                if let Some(seg) = crate::freshness::patch_expected_image_tracked(
-                    &mut self.scratch,
-                    field,
-                    self.baseline.segment_len(),
-                ) {
-                    if !self.patched.contains(&seg) {
-                        self.patched.push(seg);
-                    }
-                }
-            }
-            FreshnessField::None | FreshnessField::Nonce(_) => {
-                // These leave the device image untouched — restore the
-                // word a previous counter/timestamp request patched so
-                // the scratch matches the baseline again.
-                let off = crate::freshness::counter_r_offset();
-                if self.scratch.len() >= off + 8 {
-                    self.scratch[off..off + 8]
-                        .copy_from_slice(&self.baseline.bytes()[off..off + 8]);
-                }
-                self.patched.clear();
-            }
-        }
-    }
-}
-
-/// The fleet roster: one [`Verifier`] (plus expected memory image) per
-/// device, indexed by the `device_id` provers present in their `Hello`.
+/// The fleet roster: one [`Verifier`] (plus the interned baseline it
+/// expects) per device, indexed by the `device_id` provers present in
+/// their `Hello`.
 ///
 /// Entries are added before the gateway starts; at runtime the directory
 /// is shared read-only and each entry guards its verifier with its own
@@ -441,7 +386,7 @@ impl DeviceDirectory {
     pub fn register(&mut self, verifier: Verifier, expected_memory: Vec<u8>) -> u64 {
         let id = self.entries.len() as u64;
         let segment_len = verifier.segmented_params().map_or(0, |p| p.segment_len);
-        let image = DeviceImage::new(&self.cache, expected_memory, segment_len);
+        let image = bind_baseline(&self.cache, &expected_memory, segment_len);
         self.entries.push(DeviceEntry {
             verifier: Mutex::new(verifier),
             image: Mutex::new(image),
@@ -457,27 +402,25 @@ impl DeviceDirectory {
     /// directory is shared read-only with running shards, and each
     /// entry's image has its own lock.
     ///
-    /// The new image is re-interned and the device's scratch rebuilt; if
-    /// this device was the last one pointing at the superseded baseline,
-    /// its cache entry is invalidated, so a stale digest vector can never
-    /// outlive a retarget.
+    /// The new image is interned and swapped in; if this device was the
+    /// last one pointing at the superseded baseline, its cache entry is
+    /// invalidated, so a stale digest vector can never outlive a
+    /// retarget.
     ///
     /// Returns `false` for an unknown device.
     pub fn set_expected_memory(&self, device_id: u64, expected_memory: Vec<u8>) -> bool {
         match self.get(device_id) {
             Some(entry) => {
                 let old = {
-                    let mut image = entry.image.lock().expect("image lock poisoned");
-                    let segment_len = image.baseline.segment_len();
-                    let old = Arc::clone(&image.baseline);
-                    *image = DeviceImage::new(&self.cache, expected_memory, segment_len);
-                    old
+                    let mut image = entry.image.lock().unwrap_or_else(PoisonError::into_inner);
+                    let fresh = bind_baseline(&self.cache, &expected_memory, image.segment_len());
+                    std::mem::replace(&mut *image, fresh)
                 };
                 // Strong count 2 = this handle + the cache's slot: no
                 // other device entry still references the old baseline.
                 // (A re-target to the *same* image holds a third
-                // reference through the rebuilt scratch, protecting the
-                // entry from self-invalidation.)
+                // reference through the entry itself, protecting the
+                // cache entry from self-invalidation.)
                 if Arc::strong_count(&old) <= 2 {
                     self.cache.invalidate(old.key());
                 }
@@ -499,10 +442,10 @@ impl DeviceDirectory {
         self.entries.is_empty()
     }
 
-    /// Runs `f` against the expected-image view for `device_id` patched
-    /// for `field` — the exact cached path gateway verifications take.
-    /// Bench and differential-test hook. Returns `None` for an unknown
-    /// device.
+    /// Runs `f` against the expected-image view for `device_id` for a
+    /// request carrying `field` — the exact cached path gateway
+    /// verifications take. Bench and differential-test hook. Returns
+    /// `None` for an unknown device.
     pub fn with_expected<R>(
         &self,
         device_id: u64,
@@ -551,24 +494,19 @@ impl DeviceDirectory {
 impl DeviceEntry {
     /// Runs `f` with the expected-image view for a request carrying
     /// `field`, and the baseline behind it: touches the shared cache (hit
-    /// accounting + LRU refresh, refilling an evicted baseline for free),
-    /// patches the persistent scratch in place, and exposes baseline
-    /// digests so Segmented and History checks re-digest only the
-    /// freshness segment.
+    /// accounting + LRU refresh, refilling an evicted baseline for free)
+    /// and lays the freshness word over the baseline, so Segmented and
+    /// History checks re-digest only the head segment. The lock guards
+    /// one `Arc` that is only ever replaced whole, so a panic in `f`
+    /// cannot leave it half-written and its poison is ignored.
     fn with_expected<R>(
         &self,
         field: &FreshnessField,
         f: impl FnOnce(&ExpectedView<'_>, &Arc<CachedImage>) -> R,
     ) -> R {
-        let mut image = self.image.lock().expect("image lock poisoned");
-        self.cache.touch(&image.baseline);
-        image.patch(field);
-        let DeviceImage {
-            baseline,
-            scratch,
-            patched,
-        } = &*image;
-        f(&ExpectedView::cached(scratch, baseline, patched), baseline)
+        let baseline = self.image.lock().unwrap_or_else(PoisonError::into_inner);
+        self.cache.touch(&baseline);
+        f(&ExpectedView::cached(&baseline, field), &baseline)
     }
 
     /// Verifies `response` against the cached expected view and records
@@ -606,20 +544,20 @@ impl DeviceEntry {
     /// Judges `response` with a speculated report — one constant-time
     /// compare — and records the outcome exactly as
     /// [`DeviceEntry::check_and_note`] would. `None` when the device was
-    /// re-targeted since the speculation (or a lock is poisoned): the
-    /// caller then verifies on demand.
+    /// re-targeted since the speculation (or the verifier lock is
+    /// poisoned): the caller then verifies on demand.
     fn judge_speculated(
         &self,
         speculation: &Speculation,
         request: &AttestRequest,
         response: &AttestResponse,
     ) -> Option<bool> {
-        let image = self.image.lock().ok()?;
-        if !std::ptr::eq(speculation.baseline.as_ptr(), Arc::as_ptr(&image.baseline)) {
+        let baseline = self.image.lock().unwrap_or_else(PoisonError::into_inner);
+        if !std::ptr::eq(speculation.baseline.as_ptr(), Arc::as_ptr(&baseline)) {
             return None;
         }
         let verified = Verifier::report_matches(&speculation.report, response);
-        let view = ExpectedView::cached(&image.scratch, &image.baseline, &image.patched);
+        let view = ExpectedView::cached(&baseline, &request.freshness);
         let mut verifier = self.verifier.lock().ok()?;
         Some(note_verdict(
             &mut verifier,
@@ -643,6 +581,14 @@ impl DeviceEntry {
             channel::verifier_confirm_view(&mut verifier, init, request, accept, view)
         })
     }
+}
+
+/// Interns `memory` as the baseline one device is bound to, counted as a
+/// binding (`ImageCacheSnapshot::scratch_rebuilds`): once per
+/// registration or re-target, never per verification.
+fn bind_baseline(cache: &ImageCache, memory: &[u8], segment_len: u32) -> Arc<CachedImage> {
+    cache.note_scratch_rebuild();
+    cache.intern(memory, segment_len)
 }
 
 /// Records a verify's verdict on the device's verifier: a verified
@@ -753,8 +699,6 @@ pub struct GatewayStats {
     handshake_failed: AtomicU64,
     sessions_ok: AtomicU64,
     sessions_failed: AtomicU64,
-    queue_peak: AtomicU64,
-    per_worker_sessions: Vec<AtomicU64>,
     sessions_opened: AtomicU64,
     sessions_active: AtomicU64,
     sessions_expired: AtomicU64,
@@ -763,7 +707,7 @@ pub struct GatewayStats {
 }
 
 impl GatewayStats {
-    fn new(shards: usize) -> Self {
+    fn new() -> Self {
         GatewayStats {
             accepted: AtomicU64::new(0),
             busy_rejected: AtomicU64::new(0),
@@ -771,8 +715,6 @@ impl GatewayStats {
             handshake_failed: AtomicU64::new(0),
             sessions_ok: AtomicU64::new(0),
             sessions_failed: AtomicU64::new(0),
-            queue_peak: AtomicU64::new(0),
-            per_worker_sessions: (0..shards).map(|_| AtomicU64::new(0)).collect(),
             sessions_opened: AtomicU64::new(0),
             sessions_active: AtomicU64::new(0),
             sessions_expired: AtomicU64::new(0),
@@ -791,12 +733,6 @@ impl GatewayStats {
             handshake_failed: self.handshake_failed.load(Ordering::SeqCst),
             sessions_ok: self.sessions_ok.load(Ordering::SeqCst),
             sessions_failed: self.sessions_failed.load(Ordering::SeqCst),
-            queue_peak: self.queue_peak.load(Ordering::SeqCst),
-            per_worker_sessions: self
-                .per_worker_sessions
-                .iter()
-                .map(|c| c.load(Ordering::SeqCst))
-                .collect(),
             sessions_opened: self.sessions_opened.load(Ordering::SeqCst),
             sessions_active: self.sessions_active.load(Ordering::SeqCst),
             sessions_expired: self.sessions_expired.load(Ordering::SeqCst),
@@ -822,11 +758,6 @@ pub struct GatewaySnapshot {
     pub sessions_ok: u64,
     /// Sessions driven to completion without a verified response.
     pub sessions_failed: u64,
-    /// Peak per-shard load: the most connections any one shard owned at
-    /// once.
-    pub queue_peak: u64,
-    /// Connections registered per shard, indexed by shard.
-    pub per_worker_sessions: Vec<u64>,
     /// Secure-session **epochs** opened: one per attested handshake plus
     /// one per rekey ratchet (the post-ratchet keys are a new epoch).
     pub sessions_opened: u64,

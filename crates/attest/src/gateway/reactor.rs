@@ -172,7 +172,7 @@ pub(super) fn start(
     let shared = Arc::new(GatewayShared {
         directory,
         fleet: Mutex::new(fleet),
-        stats: GatewayStats::new(shards_n),
+        stats: GatewayStats::new(),
         config,
         started: Instant::now(),
         sessions: Mutex::new(SessionTable::default()),
@@ -196,7 +196,6 @@ pub(super) fn start(
         shard_stats.push(Arc::clone(&stats));
         shard_wakers.push(waker);
         let shard = Shard {
-            idx,
             ctx: Arc::clone(&shared),
             stats,
             poller,
@@ -279,8 +278,7 @@ fn accept_main(
                 ctx.stats.enqueued.fetch_add(1, Ordering::SeqCst);
                 let port = &ports[best];
                 port.stats.assigned.fetch_add(1, Ordering::SeqCst);
-                let owned = port.stats.registered.fetch_add(1, Ordering::SeqCst) + 1;
-                ctx.stats.queue_peak.fetch_max(owned, Ordering::SeqCst);
+                port.stats.registered.fetch_add(1, Ordering::SeqCst);
                 port.inbox
                     .lock()
                     .expect("shard inbox poisoned")
@@ -393,7 +391,6 @@ struct Conn {
 // ---------------------------------------------------------------------------
 
 struct Shard {
-    idx: usize,
     ctx: Arc<GatewayShared>,
     stats: Arc<ShardStats>,
     poller: Poller,
@@ -494,7 +491,6 @@ impl Shard {
             self.stats.registered.fetch_sub(1, Ordering::SeqCst);
             return;
         };
-        self.ctx.stats.per_worker_sessions[self.idx].fetch_add(1, Ordering::SeqCst);
         let establish_deadline_ms = self
             .ctx
             .elapsed_ms()

@@ -27,10 +27,11 @@
 //!   that satisfy a CI-checked conservation law
 //!   ([`ImageCacheSnapshot::conservation_holds`]).
 //! - [`ExpectedView`] — what the verifier actually checks against: the
-//!   (freshness-patched) expected bytes plus, when available, the
-//!   baseline digest vector and the list of segments the patch touched.
-//!   Segmented and History verification re-digest only the patched
-//!   segments; everything else comes straight from the baseline.
+//!   baseline plus the 8-byte freshness word the prover commits over
+//!   `counter_R`, never assembled into a copy. A Whole verify MACs
+//!   `baseline[..off] ‖ word ‖ baseline[off + 8..]` where the parts lie;
+//!   Segmented and History verification re-digest only the segments
+//!   under the word (the 256-byte head).
 //!
 //! **Why outer MACs stay per-device:** the combine MAC
 //! (`MAC(K, header ‖ … ‖ d_0 … d_{n-1})`, DESIGN §12) is keyed with the
@@ -42,14 +43,15 @@
 //! **Invalidation rules:** an entry is dropped when a campaign wave or
 //! `UpdateFirmware` re-targets devices away from it
 //! ([`ImageCache::invalidate`], driven by
-//! `CampaignController::drain_retargets`), and the per-device scratch +
-//! patched-segment list is rebuilt whenever the device's expected image
-//! changes (`DeviceDirectory::set_expected_memory`) — History-scope
-//! rounds therefore never consult digests cached before the claimed
-//! epoch: the view they see is always derived from the *current*
-//! baseline.
+//! `CampaignController::drain_retargets`), and a device is re-bound to
+//! the newly interned baseline whenever its expected image changes
+//! (`DeviceDirectory::set_expected_memory` swaps the `Arc`) —
+//! History-scope rounds therefore never consult digests cached before
+//! the claimed epoch: the view they see is always derived from the
+//! *current* baseline.
 
 use std::collections::HashSet;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -57,6 +59,8 @@ use proverguard_crypto::sha1::{Sha1, DIGEST_SIZE};
 use proverguard_mcu::SegmentLayout;
 use proverguard_telemetry::metrics;
 
+use crate::freshness;
+use crate::message::FreshnessField;
 use crate::segcache;
 
 /// Domain-separation prefix for [`ImageKey::derive`]. Versioned so a
@@ -179,9 +183,9 @@ pub struct ImageCacheSnapshot {
     pub distinct_keys: u64,
     /// Full digest sweeps performed at interning time.
     pub digest_sweeps: u64,
-    /// Per-device scratch buffers (re)built — once per registration or
-    /// expected-image change, **never** per verification attempt. The
-    /// allocation-free steady-state regression asserts exactly this.
+    /// Per-device baseline bindings — one per registration or
+    /// expected-image change, **never** per verification attempt. (The
+    /// benchmark reports it under this name.)
     pub scratch_rebuilds: u64,
 }
 
@@ -424,9 +428,10 @@ impl ImageCache {
         dropped
     }
 
-    /// Records one per-device scratch-buffer (re)build — called by the
-    /// device directory at registration and expected-image changes so
-    /// tests can assert the steady state performs none.
+    /// Records one per-device baseline binding
+    /// ([`ImageCacheSnapshot::scratch_rebuilds`]) — called by the device
+    /// directory at registration and expected-image changes so tests can
+    /// assert the steady state performs none.
     pub fn note_scratch_rebuild(&self) {
         self.scratch_rebuilds.fetch_add(1, Ordering::Relaxed);
         metrics::counter_add("imagecache.scratch_rebuild", 1);
@@ -449,48 +454,71 @@ impl ImageCache {
     }
 }
 
-/// What the verifier checks a response against: the freshness-patched
-/// expected bytes, plus — when the device's expected image is interned —
-/// the baseline digest vector and the indices of the segments the patch
-/// diverged from that baseline. Verification re-digests only those.
+/// What the verifier checks a response against: the bytes under the
+/// freshness word plus the word the prover commits over them before it
+/// MACs memory (§4.2), and, when cached, the baseline whose digest vector
+/// it reuses. Building a view copies and allocates nothing.
 #[derive(Debug, Clone, Copy)]
 pub struct ExpectedView<'a> {
     memory: &'a [u8],
     baseline: Option<&'a CachedImage>,
-    patched: &'a [usize],
+    word: Option<[u8; 8]>,
 }
 
 impl<'a> ExpectedView<'a> {
-    /// A view with no baseline: every digest is computed from `memory`
-    /// from scratch. The legacy byte-slice verifier APIs wrap themselves
-    /// in this.
+    /// A view with no baseline and no word: `memory` is the complete
+    /// expected image, and every digest is computed from it. The
+    /// byte-slice verifier APIs wrap themselves in this.
     #[must_use]
     pub fn uncached(memory: &'a [u8]) -> Self {
         ExpectedView {
             memory,
             baseline: None,
-            patched: &[],
+            word: None,
         }
     }
 
-    /// A view of `memory` known to equal `baseline` everywhere except the
-    /// segments listed in `patched`. Falls back to uncached behaviour if
-    /// the lengths disagree (a stale handle after an image change — the
-    /// verdict stays correct, only the sharing is lost).
+    /// The view a request carrying `field` is checked against on a device
+    /// expected to hold `baseline`: the baseline with the committed
+    /// counter or timestamp laid over `counter_R`. Nonce and
+    /// no-freshness requests, and images too short to hold the word, see
+    /// the bare baseline.
     #[must_use]
-    pub fn cached(memory: &'a [u8], baseline: &'a CachedImage, patched: &'a [usize]) -> Self {
-        let baseline = (memory.len() == baseline.bytes().len()).then_some(baseline);
+    pub fn cached(baseline: &'a CachedImage, field: &FreshnessField) -> Self {
+        let memory = baseline.bytes();
+        let word = freshness::committed_word(field)
+            .filter(|_| memory.len() >= freshness::counter_r_offset() + 8);
         ExpectedView {
             memory,
-            baseline,
-            patched,
+            baseline: Some(baseline),
+            word,
         }
     }
 
-    /// The patched expected bytes.
+    /// The bytes under the word: the complete expected image when the
+    /// view carries no word, the image with `counter_R` still at its
+    /// baseline value otherwise. Its length is the expected length.
     #[must_use]
     pub fn memory(&self) -> &[u8] {
         self.memory
+    }
+
+    /// The expected bytes of `span` as three parts whose concatenation
+    /// they are: the bytes before the word, the slice of the word inside
+    /// `span`, and the bytes after it (the last two empty when the word
+    /// does not reach into `span`).
+    pub(crate) fn parts(&self, span: Range<usize>) -> [&[u8]; 3] {
+        let off = freshness::counter_r_offset();
+        let start = off.clamp(span.start, span.end);
+        let end = (off + 8).clamp(span.start, span.end);
+        match &self.word {
+            Some(word) if start < end => [
+                &self.memory[span.start..start],
+                &word[start - off..end - off],
+                &self.memory[end..span.end],
+            ],
+            _ => [&self.memory[span], &[], &[]],
+        }
     }
 
     fn layout(&self, segment_len: usize) -> SegmentLayout {
@@ -503,10 +531,17 @@ impl<'a> ExpectedView<'a> {
             .then_some(base)
     }
 
-    /// The full digest vector of [`Self::memory`] at `segment_len`
-    /// granularity: the baseline vector with only the patched segments
-    /// re-digested when a matching baseline is present, a full sweep
-    /// otherwise.
+    /// The segments the word lies in, which differ from the baseline.
+    fn word_segments(&self, layout: SegmentLayout) -> Range<usize> {
+        match self.word {
+            Some(_) => layout.covering(freshness::counter_r_offset(), 8),
+            None => 0..0,
+        }
+    }
+
+    /// The full expected digest vector at `segment_len` granularity: the
+    /// baseline vector with only the segments under the word re-digested
+    /// when a matching baseline is present, a full sweep otherwise.
     #[must_use]
     pub fn digests(&self, segment_len: usize) -> Vec<[u8; DIGEST_SIZE]> {
         let mut out = Vec::with_capacity(self.layout(segment_len).count());
@@ -514,13 +549,13 @@ impl<'a> ExpectedView<'a> {
         out
     }
 
-    /// Feeds the digest vector of [`Self::memory`] to `emit` in segment
-    /// order, as runs of consecutive digests, without allocating: the
-    /// stretches between patched segments come straight from the shared
-    /// baseline vector, and each patched segment is re-digested alone.
-    /// Without a matching baseline every segment is digested (a full
-    /// sweep, counted as `imagecache.digest_sweep_fallback`). Every digest
-    /// computed here counts as `imagecache.segment_digests`.
+    /// Feeds the expected digest vector to `emit` in segment order, as
+    /// runs of consecutive digests, without allocating: the stretches
+    /// around the word come straight from the shared baseline vector, and
+    /// each segment under the word is re-digested alone. Without a
+    /// matching baseline every segment is digested (a full sweep, counted
+    /// as `imagecache.digest_sweep_fallback`). Every digest computed here
+    /// counts as `imagecache.segment_digests`.
     pub fn for_each_digest_run(
         &self,
         segment_len: usize,
@@ -535,24 +570,20 @@ impl<'a> ExpectedView<'a> {
             return;
         };
         let digests = base.digests();
-        let mut run_start = 0;
-        for i in 0..digests.len() {
-            if self.patched.contains(&i) {
-                emit(&digests[run_start..i]);
-                emit(&[self.digest_of(i, layout)]);
-                run_start = i + 1;
-            }
+        let word = self.word_segments(layout);
+        emit(&digests[..word.start]);
+        for i in word.clone() {
+            emit(&[self.digest_of(i, layout)]);
         }
-        emit(&digests[run_start..]);
+        emit(&digests[word.end..]);
     }
 
     /// The digest of segment `index` alone: straight from the baseline
-    /// when it is valid for that segment, recomputed from the patched
-    /// bytes otherwise.
+    /// when the word does not reach into it, recomputed otherwise.
     #[must_use]
     pub fn segment_digest_at(&self, index: usize, segment_len: usize) -> [u8; DIGEST_SIZE] {
         let layout = self.layout(segment_len);
-        if !self.patched.contains(&index) {
+        if !self.word_segments(layout).contains(&index) {
             if let Some(d) = self
                 .baseline_at(layout)
                 .and_then(|base| base.digests().get(index))
@@ -565,7 +596,7 @@ impl<'a> ExpectedView<'a> {
 
     fn digest_of(&self, index: usize, layout: SegmentLayout) -> [u8; DIGEST_SIZE] {
         metrics::counter_add("imagecache.segment_digests", 1);
-        segcache::segment_digest(index as u32, &self.memory[layout.span(index)])
+        segcache::segment_digest_parts(index as u32, &self.parts(layout.span(index)))
     }
 }
 
@@ -649,41 +680,74 @@ mod tests {
         assert!(cache.stats().conservation_holds());
     }
 
+    fn computed_digests() -> u64 {
+        metrics::with(|registry| registry.counter("imagecache.segment_digests").unwrap_or(0))
+    }
+
+    /// The overlay view against the uncached reference over a patched
+    /// copy, on a 1,000-byte image (partial trailing segment), a 64-byte
+    /// one (`gateway_scale`'s size) and a 6-byte one (shorter than the
+    /// word), at granularities where the word fills part of a segment,
+    /// sits in the split-off head, or straddles two segments.
     #[test]
-    fn view_patched_digests_match_full_sweep() {
-        let base_img = image(9, 1000); // trailing partial segment
-        let baseline = CachedImage::compute(base_img.clone(), 256);
-        let mut patched_img = base_img.clone();
-        patched_img[0] ^= 0xff; // segment 0
-        patched_img[999] ^= 0xff; // segment 3 (partial)
-        let patched = [0usize, 3];
-        let view = ExpectedView::cached(&patched_img, &baseline, &patched);
-        assert_eq!(
-            view.digests(256),
-            segcache::segment_digests(&patched_img, 256)
-        );
-        for i in 0..4 {
-            assert_eq!(
-                view.segment_digest_at(i, 256),
-                segcache::segment_digests(&patched_img, 256)[i]
-            );
+    fn overlay_view_equals_the_patched_copy() {
+        let fields = [
+            FreshnessField::Counter(0x0123_4567_89AB_CDEF),
+            FreshnessField::Timestamp(7),
+            FreshnessField::Nonce([3; 16]),
+            FreshnessField::None,
+        ];
+        for len in [1000, 64, 6] {
+            let base_img = image(9, len);
+            for seg_len in [4, 64, 256, 512] {
+                let baseline = CachedImage::compute(base_img.clone(), seg_len as u32);
+                for field in &fields {
+                    let mut patched = base_img.clone();
+                    freshness::patch_expected_image(&mut patched, field);
+                    let view = ExpectedView::cached(&baseline, field);
+                    assert_eq!(view.memory(), &base_img[..]);
+                    for span in [0..len, 0..3.min(len), 3.min(len)..10.min(len), 5..len] {
+                        assert_eq!(view.parts(span.clone()).concat(), &patched[span]);
+                    }
+                    let reference = segcache::segment_digests(&patched, seg_len);
+                    let before = computed_digests();
+                    assert_eq!(
+                        view.digests(seg_len),
+                        reference,
+                        "{len} {seg_len} {field:?}"
+                    );
+                    let computed = computed_digests() - before;
+                    for (i, digest) in reference.iter().enumerate() {
+                        assert_eq!(view.segment_digest_at(i, seg_len), *digest);
+                    }
+                    if patched == base_img {
+                        // Nonce, none, or no room for the word: the view
+                        // is the bare baseline and digests nothing.
+                        assert_eq!(view.digests(seg_len), baseline.digests());
+                        assert_eq!(computed, 0);
+                    } else {
+                        let word = SegmentLayout::new(len, seg_len)
+                            .covering(freshness::counter_r_offset(), 8);
+                        assert_eq!(computed, word.len() as u64);
+                    }
+                }
+            }
         }
-        // Uncached view agrees too.
-        assert_eq!(
-            ExpectedView::uncached(&patched_img).digests(256),
-            segcache::segment_digests(&patched_img, 256)
-        );
     }
 
     #[test]
-    fn view_falls_back_on_mismatched_baseline() {
-        let baseline = CachedImage::compute(image(9, 1024), 256);
-        let other = image(9, 512); // different length
-        let view = ExpectedView::cached(&other, &baseline, &[]);
-        assert_eq!(view.digests(256), segcache::segment_digests(&other, 256));
-        // Granularity mismatch: baseline at 256, asked at 128.
+    fn view_falls_back_on_mismatched_granularity() {
+        // Baseline at 256, asked at 128.
         let img = image(9, 1024);
-        let view = ExpectedView::cached(&img, &baseline, &[]);
-        assert_eq!(view.digests(128), segcache::segment_digests(&img, 128));
+        let baseline = CachedImage::compute(img.clone(), 256);
+        let field = FreshnessField::Counter(5);
+        let mut patched = img;
+        freshness::patch_expected_image(&mut patched, &field);
+        let view = ExpectedView::cached(&baseline, &field);
+        assert_eq!(view.digests(128), segcache::segment_digests(&patched, 128));
+        assert_eq!(
+            view.segment_digest_at(3, 128),
+            segcache::segment_digests(&patched, 128)[3]
+        );
     }
 }

@@ -95,11 +95,22 @@ impl SegmentedParams {
 /// short trailing segment cannot stand in for a full one.
 #[must_use]
 pub fn segment_digest(index: u32, bytes: &[u8]) -> [u8; DIGEST_SIZE] {
+    segment_digest_parts(index, &[bytes])
+}
+
+/// [`segment_digest`] of the concatenation of `parts`, hashed where each
+/// part lies: a verifier digests a segment of its expected image as
+/// `baseline ‖ freshness word ‖ baseline` without assembling it.
+#[must_use]
+pub(crate) fn segment_digest_parts(index: u32, parts: &[&[u8]]) -> [u8; DIGEST_SIZE] {
+    let len: usize = parts.iter().map(|p| p.len()).sum();
     let mut h = Sha1::new();
     h.update(SEGMENT_DOMAIN);
     h.update(&index.to_le_bytes());
-    h.update(&(bytes.len() as u32).to_le_bytes());
-    h.update(bytes);
+    h.update(&(len as u32).to_le_bytes());
+    for part in parts {
+        h.update(part);
+    }
     h.finalize()
 }
 

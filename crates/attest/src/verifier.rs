@@ -333,7 +333,8 @@ impl Verifier {
     /// byte-slice entry point digests the expected image from scratch;
     /// fleet paths hand an [`ExpectedView`] with an interned baseline to
     /// [`Verifier::check_response_view`] instead, which reuses the shared
-    /// digest vector and re-digests only freshness-patched segments.
+    /// digest vector and re-digests only the segments under the freshness
+    /// word.
     #[must_use]
     pub fn check_response(
         &self,
@@ -409,16 +410,21 @@ impl Verifier {
         let memory = expected.memory();
         match request.scope {
             AttestScope::Whole => {
+                // `memory[..off] ‖ word ‖ memory[off + 8..]`, each part
+                // MACed where it lies.
                 let mut mac = self.response_key.stream(signed.len() + memory.len());
                 mac.update(&signed);
-                mac.update(memory);
+                for part in expected.parts(0..memory.len()) {
+                    mac.update(part);
+                }
                 Some(mac.finalize())
             }
             AttestScope::Segmented => {
                 let params = self.segmented.as_ref()?;
                 // MAC the combine input where its pieces lie: the shared
                 // baseline digests are streamed in place and only the
-                // patched segments are digested, so nothing is copied.
+                // segments under the freshness word are digested, so
+                // nothing is copied.
                 let seg_len = params.segment_len as usize;
                 let count = SegmentLayout::new(memory.len(), seg_len).count();
                 let header = segcache::combine_header(params.segment_len, count);

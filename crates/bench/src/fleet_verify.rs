@@ -37,8 +37,8 @@ pub const IMAGES: usize = 3;
 
 /// Bytes per expected image in the timed curve (16 segments plus the
 /// head at the default 8 KiB granularity — large enough that the sweep
-/// dominates, small enough that a 1 000-device fleet's scratch buffers
-/// stay cheap).
+/// dominates, small enough that the uncached reference, which clones
+/// the image for every verify, stays quick at 1 000 devices).
 pub const IMAGE_LEN: usize = 128 * 1024;
 
 /// Devices in the tier-1 scenario, the smallest fleet of the timed
@@ -115,7 +115,8 @@ pub struct Fleet {
     pub hit_rate: f64,
     /// Full digest sweeps the cache ran.
     pub digest_sweeps: u64,
-    /// Per-device scratch images the directory built.
+    /// Per-device baseline bindings the directory made (one per
+    /// registration).
     pub scratch_rebuilds: u64,
 }
 

@@ -12,50 +12,61 @@
 //! lie, so neither allocates, and neither does a steady Whole verify,
 //! which streams the request header and the expected image in place.
 //!
-//! The allocation count comes from a counting global allocator armed
-//! per thread; `ci.sh` also runs this file in release, where allocation
-//! elision differs.
+//! A directory's footprint is measured the same way: a fleet on a few
+//! firmware images holds one copy of each image and its digest vector,
+//! and a small entry per device — no per-device copy of the image.
+//!
+//! The allocation and live-byte counts come from a counting global
+//! allocator armed per thread; `ci.sh` also runs this file in release,
+//! where allocation elision differs.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use proverguard_attest::gateway::DeviceDirectory;
 use proverguard_attest::message::{AttestRequest, AttestResponse, AttestScope};
 use proverguard_attest::prover::{Prover, ProverConfig};
 use proverguard_attest::verifier::{ScopePolicy, Verifier};
-use proverguard_mcu::map;
+use proverguard_mcu::{map, SegmentLayout};
 use proverguard_telemetry::metrics;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
 thread_local! {
     static ARMED: Cell<bool> = const { Cell::new(false) };
+    /// Allocations made, and bytes allocated minus bytes freed, on this
+    /// thread while armed. Per thread, so tests running in parallel do
+    /// not count each other's allocations.
+    static COUNTS: Cell<(u64, i64)> = const { Cell::new((0, 0)) };
+}
+
+fn record(allocations: u64, grown: i64) {
+    if ARMED.with(Cell::get) {
+        COUNTS.with(|counts| {
+            let (made, live) = counts.get();
+            counts.set((made + allocations, live + grown));
+        });
+    }
 }
 
 // SAFETY: every call is forwarded unchanged to the system allocator; the
-// only extra work is a thread-local flag read and an atomic increment,
-// neither of which allocates.
+// only extra work is thread-local reads and writes, neither of which
+// allocates.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.with(Cell::get) {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
+        record(1, layout.size() as i64);
         // SAFETY: forwarded verbatim to the system allocator.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        record(0, -(layout.size() as i64));
         // SAFETY: `ptr` came from `System.alloc` with this layout.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ARMED.with(Cell::get) {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
+        record(1, new_size as i64 - layout.size() as i64);
         // SAFETY: `ptr` came from `System.alloc` with this layout.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -64,13 +75,21 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Heap allocations `f` makes on this thread.
-fn allocations_in<R>(f: impl FnOnce() -> R) -> (R, u64) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+/// Heap allocations `f` makes on this thread, and the net heap bytes it
+/// leaves allocated there (counting what its result holds).
+fn measured<R>(f: impl FnOnce() -> R) -> (R, u64, i64) {
+    let (made, live) = COUNTS.with(Cell::get);
     ARMED.with(|armed| armed.set(true));
     let result = f();
     ARMED.with(|armed| armed.set(false));
-    (result, ALLOCATIONS.load(Ordering::Relaxed) - before)
+    let (made_after, live_after) = COUNTS.with(Cell::get);
+    (result, made_after - made, live_after - live)
+}
+
+/// Heap allocations `f` makes on this thread.
+fn allocations_in<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let (result, made, _) = measured(f);
+    (result, made)
 }
 
 fn counter(name: &'static str) -> u64 {
@@ -174,7 +193,7 @@ fn counting_allocator_sees_allocations() {
 #[test]
 fn steady_cached_segmented_verify_allocates_nothing() {
     let mut fleet = fleet(ScopePolicy::Full);
-    // Warm-up: registers the metric names and the directory's scratch.
+    // Warm-up: registers the metric names.
     for _ in 0..2 {
         let (request, response) = fleet.exchange();
         assert_eq!(fleet.check_allocations(&request, &response), (true, 0));
@@ -348,4 +367,38 @@ fn history_verify_digests_exactly_its_modified_set() {
     let (modified, cached, uncached) = verify(&mut fleet);
     assert_eq!(modified, vec![0, 1]);
     assert_eq!((cached, uncached), (1, modified.len() as u64));
+}
+
+/// 96 devices on 3 distinct 512 KiB images: the directory holds each
+/// image and its digest vector once, plus at most 2 KiB per device for
+/// its entry and verifier. A per-device copy of the image would add
+/// 512 KiB per device.
+#[test]
+fn fleet_footprint_is_one_image_per_firmware() {
+    const DEVICES: usize = 96;
+    const IMAGES: usize = 3;
+    const PER_DEVICE: usize = 2 * 1024;
+    let config = ProverConfig::recommended_segmented();
+    let image_len = map::RAM.len() as usize;
+    let images: Vec<Vec<u8>> = (0..IMAGES)
+        .map(|i| vec![0xA0 + i as u8; image_len])
+        .collect();
+    let (directory, _, grown) = measured(|| {
+        let mut directory = DeviceDirectory::new();
+        for device in 0..DEVICES {
+            let verifier = Verifier::new(&config, &[device as u8; 16]).expect("verifier");
+            directory.register(verifier, images[device % IMAGES].clone());
+        }
+        directory
+    });
+    let segment_len = config.segmented.expect("segmented").segment_len;
+    let digests = SegmentLayout::ram(segment_len).count() * 20;
+    let shared = IMAGES * (image_len + digests);
+    let per_device = (grown - shared as i64) / DEVICES as i64;
+    assert!(
+        grown <= (shared + DEVICES * PER_DEVICE) as i64,
+        "{grown} live bytes: {per_device} per device beyond the {shared} shared"
+    );
+    assert_eq!(directory.len(), DEVICES);
+    assert_eq!(directory.cache().stats().distinct_keys, IMAGES as u64);
 }

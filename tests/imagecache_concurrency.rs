@@ -4,10 +4,12 @@
 //! single-threaded run produces — while the cache's conservation law
 //! holds and the distinct-key count stays pinned at the number of real
 //! firmware images. A second test freezes the steady-state economics:
-//! after registration, attestation rounds must not rebuild per-device
-//! scratch images or miss the cache at all (the per-attempt
-//! full-image-clone regression).
+//! after registration, attestation rounds must not re-bind devices to
+//! baselines or miss the cache at all (the per-attempt full-image-clone
+//! regression). A third checks that a panic while a device's expected
+//! view is in use does not disable the device.
 
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
@@ -16,6 +18,7 @@ use proverguard_attest::gateway::{
     DeviceDirectory, Gateway, GatewayConfig, GatewayReport, ProverAgent,
 };
 use proverguard_attest::imagecache::ImageCache;
+use proverguard_attest::message::FreshnessField;
 use proverguard_attest::prover::{Prover, ProverConfig};
 use proverguard_attest::session::RetryPolicy;
 use proverguard_attest::verifier::Verifier;
@@ -191,10 +194,10 @@ fn two_gateways_share_one_cache_across_three_images() {
         "misses must stay bounded by keys × racing gateways: {stats:?}"
     );
     assert_eq!(stats.evictions, 0, "capacity 8 never evicts 3 live images");
-    // 7 registrations per gateway, each building one persistent scratch.
+    // 7 registrations per gateway, each binding one device to a baseline.
     assert_eq!(
         stats.scratch_rebuilds, 14,
-        "scratch is built once per registration, never per attempt: {stats:?}"
+        "a device is bound once per registration, never per attempt: {stats:?}"
     );
     assert!(
         stats.hits > stats.misses,
@@ -204,9 +207,9 @@ fn two_gateways_share_one_cache_across_three_images() {
 
 /// The per-attempt full-image-clone regression, frozen as cache
 /// economics: once a fleet is registered, steady-state attestation
-/// rounds perform zero scratch rebuilds and zero cache misses — every
-/// attempt is a hit against the interned baseline, and the per-device
-/// scratch is patched in place rather than re-allocated.
+/// rounds perform zero baseline bindings and zero cache misses — every
+/// attempt is a hit against the interned baseline, and the freshness
+/// word is laid over it rather than patched into a per-device copy.
 #[test]
 fn steady_state_rounds_never_rebuild_or_miss() {
     const FLEET: usize = 4;
@@ -261,7 +264,7 @@ fn steady_state_rounds_never_rebuild_or_miss() {
     let steady = cache.stats() - after_registration;
     assert_eq!(
         steady.scratch_rebuilds, 0,
-        "attestation rounds must never rebuild scratch images: {steady:?}"
+        "attestation rounds must never re-bind a device: {steady:?}"
     );
     assert_eq!(
         steady.misses, 0,
@@ -273,4 +276,33 @@ fn steady_state_rounds_never_rebuild_or_miss() {
     );
     assert_eq!(steady.lookups, steady.hits, "steady state is all hits");
     assert!(cache.stats().conservation_holds());
+}
+
+/// The image lock guards one `Arc` that is only ever replaced whole, so a
+/// panic while a device's expected view is in use leaves nothing
+/// half-written: the device's next honest round still verifies.
+#[test]
+fn panic_inside_the_expected_view_does_not_disable_the_device() {
+    let (mut prover, verifier) = provision(0);
+    let mut directory = DeviceDirectory::new();
+    let id = directory.register(verifier, prover.expected_memory().to_vec());
+    let panicked = panic::catch_unwind(AssertUnwindSafe(|| {
+        directory.with_expected(id, &FreshnessField::Counter(1), |_| {
+            panic!("a bench closure panics while the image lock is held")
+        })
+    }));
+    assert!(panicked.is_err());
+
+    for _ in 0..2 {
+        let request = directory
+            .with_verifier(id, |v| v.make_request())
+            .expect("registered")
+            .expect("request");
+        let response = prover.handle_request(&request).expect("accepted");
+        assert_eq!(
+            directory.verify_response(id, &request, &response),
+            Some(true)
+        );
+    }
+    assert!(directory.set_expected_memory(id, prover.expected_memory().to_vec()));
 }
