@@ -40,4 +40,8 @@ for workload in oneshot_whole session_history segmented_under_attack; do
         --workload "$workload" --seed 1 --seconds 2 --trace 0
 done
 
+echo "== perfbench traced smoke (the layer probes, which verify a real Segmented report against segcache::combined_input) =="
+cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+    --workload segmented_under_attack --seed 1 --seconds 2 --trace 1
+
 echo "CI green."

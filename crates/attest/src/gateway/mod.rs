@@ -386,7 +386,7 @@ impl DeviceDirectory {
     pub fn register(&mut self, verifier: Verifier, expected_memory: Vec<u8>) -> u64 {
         let id = self.entries.len() as u64;
         let segment_len = verifier.segmented_params().map_or(0, |p| p.segment_len);
-        let image = bind_baseline(&self.cache, &expected_memory, segment_len);
+        let image = bind_baseline(&self.cache, expected_memory, segment_len);
         self.entries.push(DeviceEntry {
             verifier: Mutex::new(verifier),
             image: Mutex::new(image),
@@ -413,7 +413,7 @@ impl DeviceDirectory {
             Some(entry) => {
                 let old = {
                     let mut image = entry.image.lock().unwrap_or_else(PoisonError::into_inner);
-                    let fresh = bind_baseline(&self.cache, &expected_memory, image.segment_len());
+                    let fresh = bind_baseline(&self.cache, expected_memory, image.segment_len());
                     std::mem::replace(&mut *image, fresh)
                 };
                 // Strong count 2 = this handle + the cache's slot: no
@@ -585,8 +585,9 @@ impl DeviceEntry {
 
 /// Interns `memory` as the baseline one device is bound to, counted as a
 /// binding (`ImageCacheSnapshot::scratch_rebuilds`): once per
-/// registration or re-target, never per verification.
-fn bind_baseline(cache: &ImageCache, memory: &[u8], segment_len: u32) -> Arc<CachedImage> {
+/// registration or re-target, never per verification. The image is
+/// moved into the cache on a miss, not copied.
+fn bind_baseline(cache: &ImageCache, memory: Vec<u8>, segment_len: u32) -> Arc<CachedImage> {
     cache.note_scratch_rebuild();
     cache.intern(memory, segment_len)
 }

@@ -20,8 +20,8 @@
 //!   consulted at the wrong granularity. The derivation is frozen by
 //!   golden vectors (`tests/golden_vectors.rs`).
 //! - [`CachedImage`] — one interned baseline: the image bytes plus its
-//!   precomputed digest vector, immutable behind an [`Arc`] so gateway
-//!   shards share it without copying.
+//!   precomputed digest vector and body digest, immutable behind an
+//!   [`Arc`] so gateway shards share it without copying.
 //! - [`ImageCache`] — the LRU-bounded shared map from key to
 //!   [`CachedImage`], with atomic hit/miss/eviction/invalidation stats
 //!   that satisfy a CI-checked conservation law
@@ -31,14 +31,16 @@
 //!   `counter_R`, never assembled into a copy. A Whole verify MACs
 //!   `baseline[..off] ‖ word ‖ baseline[off + 8..]` where the parts lie;
 //!   Segmented and History verification re-digest only the segments
-//!   under the word (the 256-byte head).
+//!   under the word (the 256-byte head), and a Segmented verify takes the
+//!   body digest from the baseline.
 //!
 //! **Why outer MACs stay per-device:** the combine MAC
-//! (`MAC(K, header ‖ … ‖ d_0 … d_{n-1})`, DESIGN §12) is keyed with the
+//! (`MAC(K, header ‖ … ‖ d_0 ‖ b)`, DESIGN §12) is keyed with the
 //! per-device `K_Attest` and bound to the per-request counter and
 //! challenge. Caching it would be both useless (it never repeats) and
 //! unsound (it is the only thing tying a response to *this* device and
-//! *this* request). Only the unkeyed, content-only `d_i` are shared.
+//! *this* request). Only the unkeyed, content-only `d_i` and their body
+//! digest `b` are shared.
 //!
 //! **Invalidation rules:** an entry is dropped when a campaign wave or
 //! `UpdateFirmware` re-targets devices away from it
@@ -50,6 +52,7 @@
 //! the claimed epoch: the view they see is always derived from the
 //! *current* baseline.
 
+use std::borrow::Cow;
 use std::collections::HashSet;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -82,6 +85,7 @@ impl ImageKey {
     /// vector).
     #[must_use]
     pub fn derive(image: &[u8], segment_len: u32) -> Self {
+        metrics::counter_add("imagecache.key_derivation", 1);
         let mut h = Sha1::new();
         h.update(IMAGE_KEY_DOMAIN);
         h.update(&segment_len.to_le_bytes());
@@ -104,14 +108,15 @@ impl ImageKey {
 }
 
 /// One interned expected image: the baseline bytes plus the digest vector
-/// precomputed at interning time. Immutable — shared across every device
-/// on this firmware via `Arc`.
+/// and its body digest, precomputed at interning time. Immutable — shared
+/// across every device on this firmware via `Arc`.
 #[derive(Debug)]
 pub struct CachedImage {
     key: ImageKey,
     bytes: Vec<u8>,
     segment_len: u32,
     digests: Vec<[u8; DIGEST_SIZE]>,
+    body: [u8; DIGEST_SIZE],
 }
 
 impl CachedImage {
@@ -121,17 +126,24 @@ impl CachedImage {
     /// clone).
     #[must_use]
     pub fn compute(image: Vec<u8>, segment_len: u32) -> Self {
-        let key = ImageKey::derive(&image, segment_len);
+        CachedImage::with_key(ImageKey::derive(&image, segment_len), image, segment_len)
+    }
+
+    /// [`CachedImage::compute`] for a caller that already derived `key`
+    /// from `image` and `segment_len`.
+    pub(crate) fn with_key(key: ImageKey, image: Vec<u8>, segment_len: u32) -> Self {
         let digests = if segment_len == 0 {
             Vec::new()
         } else {
             segcache::segment_digests(&image, segment_len as usize)
         };
+        let (_, body) = segcache::head_and_body(&digests);
         CachedImage {
             key,
             bytes: image,
             segment_len,
             digests,
+            body,
         }
     }
 
@@ -158,6 +170,14 @@ impl CachedImage {
     #[must_use]
     pub fn digests(&self) -> &[[u8; DIGEST_SIZE]] {
         &self.digests
+    }
+
+    /// The body digest of every digest after the head
+    /// ([`segcache::body_digest`]); the freshness word never reaches the
+    /// body at the recommended layout, so every same-image device shares it.
+    #[must_use]
+    pub fn body_digest(&self) -> &[u8; DIGEST_SIZE] {
+        &self.body
     }
 }
 
@@ -313,9 +333,15 @@ impl ImageCache {
     /// Interns `image` at `segment_len` granularity: returns the resident
     /// entry if the identical image is already cached (hit), otherwise
     /// performs the one digest sweep, inserts, and LRU-evicts past
-    /// capacity.
-    pub fn intern(&self, image: &[u8], segment_len: u32) -> Arc<CachedImage> {
-        let key = ImageKey::derive(image, segment_len);
+    /// capacity. Either way the key is derived once; an owned image is
+    /// moved into a new entry, a borrowed one copied.
+    pub fn intern<'a>(
+        &self,
+        image: impl Into<Cow<'a, [u8]>>,
+        segment_len: u32,
+    ) -> Arc<CachedImage> {
+        let image = image.into();
+        let key = ImageKey::derive(&image, segment_len);
         self.lookups.fetch_add(1, Ordering::Relaxed);
         metrics::counter_add("imagecache.lookup", 1);
         {
@@ -337,7 +363,7 @@ impl ImageCache {
             self.digest_sweeps.fetch_add(1, Ordering::Relaxed);
             metrics::counter_add("imagecache.digest_sweep", 1);
         }
-        let entry = Arc::new(CachedImage::compute(image.to_vec(), segment_len));
+        let entry = Arc::new(CachedImage::with_key(key, image.into_owned(), segment_len));
         self.insert(Arc::clone(&entry));
         entry
     }
@@ -578,6 +604,34 @@ impl<'a> ExpectedView<'a> {
         emit(&digests[word.end..]);
     }
 
+    /// The two digests the combine MAC covers at `segment_len`
+    /// ([`segcache::head_and_body`] of the expected digest vector). With a
+    /// matching baseline and the word inside the head, only the head is
+    /// digested and the body digest is the baseline's. Otherwise the body
+    /// digest is computed from the streamed digests.
+    #[must_use]
+    pub fn combine_digests(&self, segment_len: usize) -> ([u8; DIGEST_SIZE], [u8; DIGEST_SIZE]) {
+        let layout = self.layout(segment_len);
+        if let Some(base) = self.baseline_at(layout) {
+            if self.word_segments(layout).end <= 1 {
+                return (self.segment_digest_at(0, segment_len), *base.body_digest());
+            }
+        }
+        let mut head = None;
+        let mut body = segcache::body_hasher(layout.count().saturating_sub(1));
+        self.for_each_digest_run(segment_len, |mut run| {
+            if head.is_none() {
+                if let Some((first, rest)) = run.split_first() {
+                    head = Some(*first);
+                    run = rest;
+                }
+            }
+            body.update(run.as_flattened());
+        });
+        let head = head.unwrap_or_else(|| self.digest_of(0, layout));
+        (head, body.finalize())
+    }
+
     /// The digest of segment `index` alone: straight from the baseline
     /// when the word does not reach into it, recomputed otherwise.
     #[must_use]
@@ -637,10 +691,10 @@ mod tests {
     #[test]
     fn lru_evicts_least_recently_used() {
         let cache = ImageCache::new(2);
-        let a = cache.intern(&image(1, 128), 64);
-        let _b = cache.intern(&image(2, 128), 64);
+        let a = cache.intern(image(1, 128), 64);
+        let _b = cache.intern(image(2, 128), 64);
         cache.touch(&a); // a most recent; b is now LRU
-        let _c = cache.intern(&image(3, 128), 64);
+        let _c = cache.intern(image(3, 128), 64);
         assert_eq!(cache.len(), 2);
         let s = cache.stats();
         assert_eq!(s.evictions, 1);
@@ -653,8 +707,8 @@ mod tests {
     #[test]
     fn touch_refills_evicted_entry_without_recompute() {
         let cache = ImageCache::new(1);
-        let a = cache.intern(&image(1, 128), 64);
-        let _b = cache.intern(&image(2, 128), 64); // evicts a
+        let a = cache.intern(image(1, 128), 64);
+        let _b = cache.intern(image(2, 128), 64); // evicts a
         let sweeps_before = cache.stats().digest_sweeps;
         cache.touch(&a); // refill, no sweep
         let s = cache.stats();
@@ -669,13 +723,13 @@ mod tests {
     #[test]
     fn invalidate_drops_entry_and_counts() {
         let cache = ImageCache::new(4);
-        let a = cache.intern(&image(1, 128), 64);
+        let a = cache.intern(image(1, 128), 64);
         assert!(cache.invalidate(a.key()));
         assert!(!cache.invalidate(a.key()));
         assert_eq!(cache.stats().invalidations, 1);
         assert!(cache.is_empty());
-        let _ = cache.intern(&image(1, 128), 64);
-        let _ = cache.intern(&image(2, 128), 64);
+        let _ = cache.intern(image(1, 128), 64);
+        let _ = cache.intern(image(2, 128), 64);
         assert_eq!(cache.invalidate_all(), 2);
         assert!(cache.stats().conservation_holds());
     }
@@ -720,6 +774,22 @@ mod tests {
                     for (i, digest) in reference.iter().enumerate() {
                         assert_eq!(view.segment_digest_at(i, seg_len), *digest);
                     }
+                    let before = computed_digests();
+                    assert_eq!(
+                        view.combine_digests(seg_len),
+                        segcache::head_and_body(&reference),
+                        "{len} {seg_len} {field:?}"
+                    );
+                    // The head is digested alone when the word lies in
+                    // it; a word past the head streams the word segments.
+                    let word =
+                        SegmentLayout::new(len, seg_len).covering(freshness::counter_r_offset(), 8);
+                    let expect = match (patched == base_img, word.end <= 1) {
+                        (true, _) => 0,
+                        (false, true) => 1,
+                        (false, false) => word.len() as u64,
+                    };
+                    assert_eq!(computed_digests() - before, expect, "{len} {seg_len}");
                     if patched == base_img {
                         // Nonce, none, or no room for the word: the view
                         // is the bare baseline and digests nothing.
@@ -745,6 +815,10 @@ mod tests {
         freshness::patch_expected_image(&mut patched, &field);
         let view = ExpectedView::cached(&baseline, &field);
         assert_eq!(view.digests(128), segcache::segment_digests(&patched, 128));
+        assert_eq!(
+            view.combine_digests(128),
+            segcache::head_and_body(&segcache::segment_digests(&patched, 128))
+        );
         assert_eq!(
             view.segment_digest_at(3, 128),
             segcache::segment_digests(&patched, 128)[3]

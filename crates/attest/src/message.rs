@@ -29,9 +29,10 @@ pub enum AttestScope {
     /// construction.
     #[default]
     Whole,
-    /// `MAC(K, header ‖ seg-header ‖ d_0 ‖ … ‖ d_{n-1})` over per-segment
-    /// SHA-1 digests, served from the prover's dirty-bit-invalidated
-    /// segment cache (see [`crate::segcache`]).
+    /// `MAC(K, header ‖ seg-header ‖ d_0 ‖ b)` over the head segment's
+    /// SHA-1 digest and the body digest `b` of the others, served from the
+    /// prover's dirty-bit-invalidated segment cache (see
+    /// [`crate::segcache`]).
     Segmented,
     /// "Which segments were written since round `since_round`, and what
     /// do the written ones contain now?" — answered from the hardware

@@ -163,8 +163,8 @@ pub struct CostBreakdown {
     pub freshness_cycles: u64,
     /// Response MAC cycles (0 when the request was rejected). For a
     /// whole-memory response this is the full sweep; for a segmented one
-    /// it is the dirty-bit scan + recomputed segment digests + combine
-    /// MAC.
+    /// it is the dirty-bit scan + recomputed segment digests + the body
+    /// digest when recomputed + combine MAC.
     pub response_cycles: u64,
     /// Segments whose digest had to be recomputed (segmented scope only).
     pub mac_recomputed_segments: u32,
@@ -215,6 +215,10 @@ pub struct ProverStats {
     /// Segment digests served from the cache across all segmented
     /// responses.
     pub seg_mac_cached: u64,
+    /// Body digests recomputed across all segmented responses: one per
+    /// round that found the cached body digest dropped, i.e. where some
+    /// segment after the head was re-digested since it was last computed.
+    pub seg_body_recomputed: u64,
     /// Wholesale segment-cache invalidations (reboot, EA-MPU fault,
     /// explicit clear).
     pub segcache_invalidations: u64,
@@ -1017,11 +1021,13 @@ impl Prover {
     }
 
     /// Segmented response: scan the hardware dirty bits, re-digest only
-    /// the segments that are dirty (or missing from the cache), then MAC
-    /// the request header over the full digest list. Each recomputed
-    /// segment's dirty bit is acknowledged **as `Code_Attest`, after its
-    /// digest is taken** — a write landing later marks it dirty again, so
-    /// the cache can go stale-conservative but never stale-trusted.
+    /// the segments that are dirty (or missing from the cache), recompute
+    /// the body digest only if one of them lies after the head, then MAC
+    /// the request header over the head digest and the body digest. Each
+    /// recomputed segment's dirty bit is acknowledged **as `Code_Attest`,
+    /// after its digest is taken** — a write landing later marks it dirty
+    /// again, so the cache can go stale-conservative but never
+    /// stale-trusted.
     fn respond_segmented(
         &mut self,
         message: &[u8],
@@ -1069,13 +1075,6 @@ impl Prover {
             });
         ack_result?;
 
-        let cache = self
-            .segcache
-            .as_ref()
-            .expect("segmented scope requires cache");
-        let digests = cache
-            .all()
-            .expect("every segment was scanned or recomputed");
         let cached = seg_count - todo.len();
         cost.mac_recomputed_segments = todo.len() as u32;
         cost.mac_cached_segments = cached as u32;
@@ -1085,16 +1084,43 @@ impl Prover {
             .saturating_add(todo.len() as u64);
         self.stats.seg_mac_cached = self.stats.seg_mac_cached.saturating_add(cached as u64);
 
-        // Combine: one keyed MAC over header ‖ seg-header ‖ digest list —
-        // the only per-request cryptography, a few dozen blocks.
-        let combined = segcache::combined_input(message, self.mcu.segment_len(), &digests);
-        let combine_cycles = self
-            .mcu
-            .cost_table()
-            .mac_cost(self.config.response_mac, combined.len());
-        cost.response_cycles = scan_cycles + recompute_cycles + combine_cycles;
+        // Body: the digest over d_1 … d_{n-1} survives until a segment
+        // after the head is re-digested; only then is it recomputed.
+        let cache = self
+            .segcache
+            .as_ref()
+            .expect("segmented scope requires cache");
+        let head = cache
+            .digest(0)
+            .expect("every segment was scanned or recomputed");
+        let (body, body_cycles) = match cache.body() {
+            Some(body) => (body, 0),
+            None => {
+                let body_cycles = self.mcu.cost_table().sha1_digest_cost(
+                    segcache::BODY_PREFIX_LEN + seg_count.saturating_sub(1) * DIGEST_SIZE,
+                );
+                let body = self.charge_stage("prover.attest_mac.body", body_cycles, |p| {
+                    p.segcache
+                        .as_mut()
+                        .and_then(SegmentCache::refresh_body)
+                        .expect("every segment was scanned or recomputed")
+                });
+                self.stats.seg_body_recomputed = self.stats.seg_body_recomputed.saturating_add(1);
+                (body, body_cycles)
+            }
+        };
+
+        // Combine: one keyed MAC over header ‖ seg-header ‖ d_0 ‖ b — the
+        // only per-request cryptography, two blocks.
+        let seg_header = segcache::combine_header(self.mcu.segment_len(), seg_count);
+        let combine_cycles = self.mcu.cost_table().mac_cost(
+            self.config.response_mac,
+            message.len() + segcache::COMBINE_SUFFIX_LEN,
+        );
+        cost.response_cycles = scan_cycles + recompute_cycles + body_cycles + combine_cycles;
         Ok(self.charge_stage("prover.attest_mac", combine_cycles, |p| {
-            p.response_key.compute(&combined)
+            p.response_key
+                .compute_parts(&[message, &seg_header, &head, &body])
         }))
     }
 
@@ -1663,6 +1689,41 @@ mod tests {
         assert!(verifier.check_response(&req, &resp, prover.expected_memory()));
         // counter_R segment + the written segment were re-digested.
         assert_eq!(prover.last_cost().mac_recomputed_segments, 2);
+    }
+
+    /// Traced segmented rounds — cold, quiescent, one dirty body segment
+    /// — charge the body digest in its own phase, once per round that
+    /// re-digested a segment after the head, and the `prover.*` phase
+    /// table still sums exactly to `attestation_cycles`.
+    #[test]
+    fn segmented_phases_sum_to_attestation_cycles() {
+        use proverguard_telemetry::{export::PhaseTable, trace};
+        let (mut prover, mut verifier) = pair(ProverConfig::recommended_segmented());
+        trace::reset();
+        trace::enable();
+        for round in 0..3 {
+            if round == 2 {
+                prover
+                    .mcu_mut()
+                    .bus_write(map::RAM.start + 5 * 8192, &[0x5A], map::APP_CODE)
+                    .unwrap();
+            }
+            let req = verifier.make_request().unwrap();
+            let resp = prover.handle_request(&req).unwrap();
+            assert!(verifier.check_response(&req, &resp, prover.expected_memory()));
+        }
+        trace::disable();
+        let phases = PhaseTable::from_events_with_prefix(&trace::drain(), "prover.");
+        assert_eq!(phases.total_cycles(), prover.stats().attestation_cycles);
+        let body = phases.row("prover.attest_mac.body").expect("body phase");
+        assert_eq!(body.calls, 2);
+        assert_eq!(prover.stats().seg_body_recomputed, 2);
+        let table = prover.mcu().cost_table();
+        assert_eq!(
+            body.cycles,
+            2 * table.sha1_digest_cost(segcache::BODY_PREFIX_LEN + 64 * DIGEST_SIZE)
+        );
+        assert_eq!(phases.row("prover.attest_mac").expect("combine").calls, 3);
     }
 
     #[test]

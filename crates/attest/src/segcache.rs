@@ -4,20 +4,26 @@
 //! 512 KiB of RAM after it, so no intermediate HMAC state can be reused
 //! across requests — every request pays the full ~754 ms sweep (§3.1).
 //! The segmented construction restructures the response so that the
-//! per-request binding happens *last*:
+//! per-request binding happens *last*, over two levels of unkeyed
+//! digests:
 //!
 //! ```text
-//! d_i       = SHA1(SEGMENT_DOMAIN ‖ i ‖ len_i ‖ segment_i)      (cacheable)
-//! response  = MAC(K, header ‖ COMBINE_MAGIC ‖ seg_len ‖ n ‖ d_0 ‖ … ‖ d_{n-1})
+//! d_i       = SHA1(SEGMENT_DOMAIN ‖ i ‖ len_i ‖ segment_i)        (cached per segment)
+//! b         = SHA1(BODY_DOMAIN ‖ n-1 ‖ d_1 ‖ … ‖ d_{n-1})         (cached while d_1.. hold)
+//! response  = MAC(K, header ‖ COMBINE_MAGIC ‖ seg_len ‖ n ‖ d_0 ‖ b)   (81 bytes, 2 blocks)
 //! ```
 //!
-//! The `d_i` depend only on memory contents, so the prover may keep them
-//! in a [`SegmentCache`] and recompute only the segments whose hardware
-//! dirty bit is set — a repeat attestation with k dirty segments costs
-//! ≈ k segment digests plus one short combine MAC instead of a full
-//! sweep. The keyed combine still binds every response to the fresh,
-//! authenticated header, so replaying a stale digest list under a new
-//! request is exactly as hard as forging the MAC.
+//! Segment 0 is the 256-byte head that holds `counter_R`, rewritten by
+//! the freshness commit on every round, so `d_0` stays in the clear. The
+//! other digests depend only on memory contents, so the prover keeps them
+//! — and the body digest `b` over them — in a [`SegmentCache`] and
+//! recomputes only the segments whose hardware dirty bit is set. Storing
+//! any body digest drops `b`. A quiescent round costs the head digest
+//! plus one two-block combine MAC; a round with k dirty body segments
+//! adds k segment digests and one body digest. The keyed combine still
+//! binds every response to the fresh, authenticated header, and `b`
+//! binds every `d_i` as a collision-resistant hash, so replaying a stale
+//! digest list under a new request is exactly as hard as forging the MAC.
 //!
 //! **Why caching is sound** (the `Adv_roam` argument, DESIGN.md §12): a
 //! cached `d_i` is trusted only while the segment's dirty bit is clear,
@@ -28,7 +34,7 @@
 //! but can never clear a bit to freeze a stale digest into the next
 //! report. The cache itself is volatile host-side state of `Code_Attest`
 //! — it is *not* sealed into the freshness record, and a reboot or an
-//! observed EA-MPU violation drops it wholesale.
+//! observed EA-MPU violation drops it wholesale, `b` included.
 
 use proverguard_crypto::sha1::{Sha1, DIGEST_SIZE};
 use proverguard_mcu::SegmentLayout;
@@ -40,14 +46,23 @@ use crate::error::AttestError;
 /// in the protocol.
 pub const SEGMENT_DOMAIN: &[u8; 18] = b"proverguard-seg-v1";
 
+/// Domain-separation prefix for the body digest `b` over `d_1 … d_{n-1}`:
+/// a body digest can never be confused with a segment digest.
+pub const BODY_DOMAIN: &[u8; 19] = b"proverguard-body-v1";
+
 /// Magic introducing the segment header inside the combine-MAC input,
 /// separating the segmented construction from the whole-memory one (whose
-/// MAC input continues with raw RAM bytes at this position).
-pub const COMBINE_MAGIC: &[u8; 6] = b"PGSEG1";
+/// MAC input continues with raw RAM bytes at this position). Version 2 is
+/// the two-level combine over `d_0 ‖ b`.
+pub const COMBINE_MAGIC: &[u8; 6] = b"PGSEG2";
 
 /// Bytes digested per segment in addition to its contents: the domain
 /// prefix, the 4-byte segment index and the 4-byte segment length.
 pub const SEGMENT_PREFIX_LEN: usize = SEGMENT_DOMAIN.len() + 8;
+
+/// Bytes digested for the body digest in addition to the digests: the
+/// domain prefix and the 4-byte body digest count.
+pub const BODY_PREFIX_LEN: usize = BODY_DOMAIN.len() + 4;
 
 /// Configuration of the segmented mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -126,11 +141,45 @@ pub fn segment_digests(memory: &[u8], segment_len: usize) -> Vec<[u8; DIGEST_SIZ
         .collect()
 }
 
+/// A SHA-1 state primed with the body digest's prefix for `count` body
+/// digests; feed it `d_1 ‖ … ‖ d_{n-1}` and finalize to get `b`.
+#[must_use]
+pub(crate) fn body_hasher(count: usize) -> Sha1 {
+    let mut h = Sha1::new();
+    h.update(BODY_DOMAIN);
+    h.update(&(count as u32).to_le_bytes());
+    h
+}
+
+/// The body digest `b = SHA1(BODY_DOMAIN ‖ n-1 ‖ d_1 ‖ … ‖ d_{n-1})` of
+/// the digests after the head, `body = d_1 … d_{n-1}`.
+#[must_use]
+pub fn body_digest(body: &[[u8; DIGEST_SIZE]]) -> [u8; DIGEST_SIZE] {
+    let mut h = body_hasher(body.len());
+    h.update(body.as_flattened());
+    h.finalize()
+}
+
+/// The two digests the combine MAC covers, from a full digest vector:
+/// the head digest `d_0` and the body digest of the rest. An empty vector
+/// (no memory) has the empty segment 0 as its head and an empty body.
+#[must_use]
+pub fn head_and_body(digests: &[[u8; DIGEST_SIZE]]) -> ([u8; DIGEST_SIZE], [u8; DIGEST_SIZE]) {
+    match digests.split_first() {
+        Some((head, body)) => (*head, body_digest(body)),
+        None => (segment_digest(0, &[]), body_digest(&[])),
+    }
+}
+
 /// Length of [`combine_header`].
 pub const COMBINE_HEADER_LEN: usize = COMBINE_MAGIC.len() + 8;
 
+/// Length of the combine-MAC input after the request header: the
+/// segment header, `d_0` and `b`.
+pub const COMBINE_SUFFIX_LEN: usize = COMBINE_HEADER_LEN + 2 * DIGEST_SIZE;
+
 /// The segment header of the combine-MAC input, between the request
-/// header and the digests: `COMBINE_MAGIC ‖ segment_len ‖ digest count`.
+/// header and the digests: `COMBINE_MAGIC ‖ segment_len ‖ segment count`.
 #[must_use]
 pub fn combine_header(segment_len: u32, count: usize) -> [u8; COMBINE_HEADER_LEN] {
     let mut out = [0u8; COMBINE_HEADER_LEN];
@@ -140,15 +189,17 @@ pub fn combine_header(segment_len: u32, count: usize) -> [u8; COMBINE_HEADER_LEN
     out
 }
 
-/// Builds the combine-MAC input:
-/// `message ‖ COMBINE_MAGIC ‖ segment_len ‖ digest count ‖ d_0 ‖ … ‖ d_{n-1}`.
+/// Builds the combine-MAC input from the full digest vector:
+/// `message ‖ COMBINE_MAGIC ‖ segment_len ‖ n ‖ d_0 ‖ b`, with `b` the
+/// [`body_digest`] of `d_1 … d_{n-1}`.
 #[must_use]
 pub fn combined_input(message: &[u8], segment_len: u32, digests: &[[u8; DIGEST_SIZE]]) -> Vec<u8> {
-    let mut out =
-        Vec::with_capacity(message.len() + COMBINE_HEADER_LEN + digests.len() * DIGEST_SIZE);
+    let (head, body) = head_and_body(digests);
+    let mut out = Vec::with_capacity(message.len() + COMBINE_SUFFIX_LEN);
     out.extend_from_slice(message);
     out.extend_from_slice(&combine_header(segment_len, digests.len()));
-    out.extend_from_slice(digests.as_flattened());
+    out.extend_from_slice(&head);
+    out.extend_from_slice(&body);
     out
 }
 
@@ -344,11 +395,15 @@ pub fn history_header(segment_len: u32) -> [u8; HISTORY_HEADER_LEN] {
     out
 }
 
-/// Volatile per-segment digest store kept by `Code_Attest`.
+/// Volatile per-segment digest store kept by `Code_Attest`, plus the
+/// body digest `b` over every digest after the head.
 #[derive(Debug, Clone)]
 pub struct SegmentCache {
     segment_len: usize,
     digests: Vec<Option<[u8; DIGEST_SIZE]>>,
+    /// `b` over the cached `d_1 … d_{n-1}`; dropped by any store into
+    /// the body, so it is live only while those digests are unchanged.
+    body: Option<[u8; DIGEST_SIZE]>,
 }
 
 impl SegmentCache {
@@ -360,6 +415,7 @@ impl SegmentCache {
         SegmentCache {
             segment_len: segment_len.max(1),
             digests: vec![None; count],
+            body: None,
         }
     }
 
@@ -378,7 +434,13 @@ impl SegmentCache {
     /// `true` when segment `index` has a live digest.
     #[must_use]
     pub fn has(&self, index: usize) -> bool {
-        matches!(self.digests.get(index), Some(Some(_)))
+        self.digest(index).is_some()
+    }
+
+    /// The live digest of segment `index`, if any.
+    #[must_use]
+    pub fn digest(&self, index: usize) -> Option<[u8; DIGEST_SIZE]> {
+        self.digests.get(index).copied().flatten()
     }
 
     /// Number of live digests.
@@ -387,21 +449,45 @@ impl SegmentCache {
         self.digests.iter().filter(|d| d.is_some()).count()
     }
 
-    /// Stores the digest of segment `index` (out of range is ignored).
+    /// Stores the digest of segment `index` (out of range is ignored). A
+    /// store into the body (`index ≥ 1`) drops the body digest.
     pub fn store(&mut self, index: usize, digest: [u8; DIGEST_SIZE]) {
         if let Some(slot) = self.digests.get_mut(index) {
             *slot = Some(digest);
+            if index >= 1 {
+                self.body = None;
+            }
         }
     }
 
-    /// Drops every cached digest — the `ClearCache` path taken on reboot,
-    /// on an observed EA-MPU violation, or on explicit request.
-    pub fn invalidate_all(&mut self) {
-        self.digests.fill(None);
+    /// The live body digest `b`, if no body digest was stored since it
+    /// was last computed.
+    #[must_use]
+    pub fn body(&self) -> Option<[u8; DIGEST_SIZE]> {
+        self.body
     }
 
-    /// All digests in segment order, or `None` if any segment is missing
-    /// (the combine step requires full coverage).
+    /// Recomputes `b` from the cached body digests and keeps it; `None`
+    /// (and nothing kept) if any body digest is missing.
+    pub fn refresh_body(&mut self) -> Option<[u8; DIGEST_SIZE]> {
+        let rest = self.digests.get(1..).unwrap_or(&[]);
+        let mut h = body_hasher(rest.len());
+        for digest in rest {
+            h.update(digest.as_ref()?);
+        }
+        self.body = Some(h.finalize());
+        self.body
+    }
+
+    /// Drops every cached digest and the body digest — the `ClearCache`
+    /// path taken on reboot, on an observed EA-MPU violation, or on
+    /// explicit request.
+    pub fn invalidate_all(&mut self) {
+        self.digests.fill(None);
+        self.body = None;
+    }
+
+    /// All digests in segment order, or `None` if any segment is missing.
     #[must_use]
     pub fn all(&self) -> Option<Vec<[u8; DIGEST_SIZE]>> {
         self.digests.iter().copied().collect()
@@ -434,14 +520,26 @@ mod tests {
 
     #[test]
     fn combined_input_layout() {
-        let ds = segment_digests(&[1u8; 128], 64);
+        let ds = segment_digests(&[1u8; 192], 64);
         let input = combined_input(b"hdr", 64, &ds);
         assert_eq!(&input[..3], b"hdr");
         assert_eq!(&input[3..9], COMBINE_MAGIC);
         assert_eq!(input[9..13], 64u32.to_le_bytes());
-        assert_eq!(input[13..17], 2u32.to_le_bytes());
-        assert_eq!(input.len(), 17 + 2 * DIGEST_SIZE);
+        assert_eq!(input[13..17], 3u32.to_le_bytes());
+        assert_eq!(input.len(), 3 + COMBINE_SUFFIX_LEN);
         assert_eq!(&input[17..37], &ds[0]);
+        assert_eq!(&input[37..], &body_digest(&ds[1..]));
+        // The body digest binds every body digest, its count and order.
+        let mut swapped = ds.clone();
+        swapped.swap(1, 2);
+        assert_ne!(body_digest(&swapped[1..]), body_digest(&ds[1..]));
+        assert_ne!(body_digest(&ds[1..2]), body_digest(&ds[1..]));
+        assert_ne!(body_digest(&[]), segment_digest(0, &[]));
+        // No memory: the empty head segment and an empty body.
+        let empty = combined_input(b"hdr", 64, &[]);
+        assert_eq!(&empty[13..17], &0u32.to_le_bytes());
+        assert_eq!(&empty[17..37], &segment_digest(0, &[]));
+        assert_eq!(&empty[37..], &body_digest(&[]));
     }
 
     #[test]
@@ -497,6 +595,7 @@ mod tests {
         let mut cache = SegmentCache::new(64, 256);
         assert_eq!(cache.segment_count(), 4);
         assert_eq!(cache.all(), None);
+        assert_eq!(cache.refresh_body(), None);
         for i in 0..4 {
             assert!(!cache.has(i));
             cache.store(i, [i as u8; DIGEST_SIZE]);
@@ -510,6 +609,27 @@ mod tests {
         // Out-of-range store is a no-op, not a panic.
         cache.store(99, [0; DIGEST_SIZE]);
         assert_eq!(cache.cached_count(), 0);
+    }
+
+    #[test]
+    fn body_digest_lives_until_a_body_store() {
+        let mut cache = SegmentCache::new(64, 256);
+        for i in 0..4 {
+            cache.store(i, [i as u8; DIGEST_SIZE]);
+        }
+        assert_eq!(cache.body(), None);
+        let b = cache.refresh_body().unwrap();
+        assert_eq!(b, body_digest(&cache.all().unwrap()[1..]));
+        assert_eq!(cache.body(), Some(b));
+        // The head is outside the body: storing it keeps `b`.
+        cache.store(0, [9; DIGEST_SIZE]);
+        assert_eq!(cache.body(), Some(b));
+        // Any body store drops it, even of an unchanged digest.
+        cache.store(2, [2; DIGEST_SIZE]);
+        assert_eq!(cache.body(), None);
+        assert_eq!(cache.refresh_body(), Some(b));
+        cache.invalidate_all();
+        assert_eq!(cache.body(), None);
     }
 
     #[test]

@@ -421,19 +421,20 @@ impl Verifier {
             }
             AttestScope::Segmented => {
                 let params = self.segmented.as_ref()?;
-                // MAC the combine input where its pieces lie: the shared
-                // baseline digests are streamed in place and only the
-                // segments under the freshness word are digested, so
-                // nothing is copied.
+                // `header ‖ d_0 ‖ b`: with a matching baseline only the
+                // head under the freshness word is digested and the body
+                // digest is the baseline's, so nothing is copied.
                 let seg_len = params.segment_len as usize;
                 let count = SegmentLayout::new(memory.len(), seg_len).count();
                 let header = segcache::combine_header(params.segment_len, count);
+                let (head, body) = expected.combine_digests(seg_len);
                 let mut mac = self
                     .response_key
-                    .stream(signed.len() + header.len() + count * DIGEST_SIZE);
+                    .stream(signed.len() + segcache::COMBINE_SUFFIX_LEN);
                 mac.update(&signed);
                 mac.update(&header);
-                expected.for_each_digest_run(seg_len, |run| mac.update(run.as_flattened()));
+                mac.update(&head);
+                mac.update(&body);
                 Some(mac.finalize())
             }
             AttestScope::History { .. } => None,

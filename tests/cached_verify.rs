@@ -402,3 +402,23 @@ fn fleet_footprint_is_one_image_per_firmware() {
     assert_eq!(directory.len(), DEVICES);
     assert_eq!(directory.cache().stats().distinct_keys, IMAGES as u64);
 }
+
+/// Registering N devices on one image derives the image key once per
+/// registration — the miss hands its key to the new entry instead of
+/// deriving it again — and digests the image once, for the first device.
+#[test]
+fn registering_one_image_derives_each_key_once_and_sweeps_once() {
+    const DEVICES: u64 = 8;
+    let config = ProverConfig::recommended_segmented();
+    let image = vec![0x5C; map::RAM.len() as usize];
+    let before = counter("imagecache.key_derivation");
+    let mut directory = DeviceDirectory::new();
+    for device in 0..DEVICES {
+        let verifier = Verifier::new(&config, &[device as u8; 16]).expect("verifier");
+        directory.register(verifier, image.clone());
+    }
+    assert_eq!(counter("imagecache.key_derivation") - before, DEVICES);
+    let stats = directory.cache().stats();
+    assert_eq!(stats.digest_sweeps, 1);
+    assert_eq!((stats.misses, stats.hits), (1, DEVICES - 1));
+}

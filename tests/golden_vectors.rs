@@ -11,7 +11,7 @@ use proverguard_attest::imagecache::{CachedImage, ImageKey};
 use proverguard_attest::message::{AttestRequest, AttestScope, FreshnessField};
 use proverguard_attest::persist::{EpochLogRecord, FreshnessRecord, RECORD_LEN};
 use proverguard_attest::prover::{Prover, ProverConfig};
-use proverguard_attest::segcache::{combined_input, segment_digest, segment_digests};
+use proverguard_attest::segcache::{body_digest, combined_input, segment_digest, segment_digests};
 use proverguard_attest::verifier::{ScopePolicy, Verifier};
 use proverguard_crypto::mac::{MacAlgorithm, MacKey};
 
@@ -64,7 +64,7 @@ fn segmented_combine_mac_vector() {
     let combined = combined_input(&request.signed_bytes(), 256, &digests);
     assert_eq!(
         hex(&key.compute(&combined)),
-        "32f2d0e69e7660444754a7ebac957b5278353f25",
+        "92532759bbcbb22572f4d6d7450671e6de2960e5",
         "segmented combine-MAC construction changed"
     );
 }
@@ -72,6 +72,7 @@ fn segmented_combine_mac_vector() {
 /// The combine MAC at the recommended 8 KiB granularity over a full
 /// 512 KiB RAM image: 65 digests, because the 256-byte reserved head is a
 /// segment of its own and the rest of the first 8 KiB is the next one.
+/// The MAC covers the head digest and the body digest of the other 64.
 #[test]
 fn segmented_combine_mac_8k_vector() {
     let key = MacKey::new(MacAlgorithm::HmacSha1, &KEY).unwrap();
@@ -91,9 +92,26 @@ fn segmented_combine_mac_8k_vector() {
     let combined = combined_input(&request.signed_bytes(), 8192, &digests);
     assert_eq!(
         hex(&key.compute(&combined)),
-        "14a87c942b1b1f3559c7c0ce3fcad1b83c97fa89",
+        "95eb5a6b4a65a92ded50ed6148f8016722a32d73",
         "65-digest combine-MAC construction changed"
     );
+}
+
+/// The body digest `b = SHA1("proverguard-body-v1" ‖ 64 ‖ d_1 … d_64)`
+/// of the same 8 KiB-granularity image, frozen: the prover caches it and
+/// every same-image device's verify reads it from the interned baseline,
+/// so the cached copy must equal the from-scratch one.
+#[test]
+fn segmented_body_digest_8k_vector() {
+    let memory: Vec<u8> = (0..512 * 1024u32).map(|i| (i % 251) as u8).collect();
+    let digests = segment_digests(&memory, 8192);
+    assert_eq!(
+        hex(&body_digest(&digests[1..])),
+        "8051c9765b9b14e30d7611b1d7023d9f076f8c51",
+        "body digest construction changed"
+    );
+    let cached = CachedImage::compute(memory, 8192);
+    assert_eq!(cached.body_digest(), &body_digest(&digests[1..]));
 }
 
 #[test]
@@ -291,7 +309,7 @@ fn segmented_session_transcript_vector() {
         hex(&req.to_bytes()),
         "0101020000000000000001affe5585d360c46afbadbf3191df6489000856ea39bc55bc8a1d"
     );
-    assert_eq!(hex(&resp), "0014b68c95dde5e1726eab87cc0fb17c5fffa936753e");
+    assert_eq!(hex(&resp), "0014906f39d116b1e220c658902c5dedc68c7f751d8d");
 }
 
 /// HKDF extract/expand-label vectors plus the session key schedule over
@@ -369,7 +387,7 @@ fn session_handshake_and_rounds_transcript_vector() {
     let (accept, mut prover_ch) = channel::prover_accept(&mut prover, &init).unwrap();
     assert_eq!(
         hex(&accept.encode()),
-        "019588d2e1f726d98f6e75ffe9c3be19c600160014b68c95dde5e1726eab87cc0fb17c5fffa936753e",
+        "01453c9549d1b8903e3f73d52d063d242c00160014906f39d116b1e220c658902c5dedc68c7f751d8d",
         "handshake accept wire encoding (derived prover nonce) changed"
     );
     assert_eq!(channel::transcript(&init, &accept).len(), 108);
@@ -378,17 +396,17 @@ fn session_handshake_and_rounds_transcript_vector() {
         channel::verifier_confirm(&mut verifier, &init, &request, &accept, &expected).unwrap();
     assert_eq!(
         hex(&verifier_ch.session_id()),
-        "daf5e48b258145c1",
+        "aeffd83f7e05eccb",
         "session id derivation over the handshake transcript changed"
     );
 
     let frozen_reqs = [
-        "010000000000000000010025010102000000000000000209c04691d6eda25a74219d3763f11895000830f56b319fa989c5c8f6a3178c47b41b4e028c46f2dc6029",
-        "010000000000000000020025010102000000000000000379b3060873ea6b010d31b600a27be3fa0008c982c093431e72a1b5bf4752a7f325cff230c1ad54ea7064",
+        "010000000000000000010025010102000000000000000209c04691d6eda25a74219d3763f11895000830f56b319fa989c5ea2f1a39af715aa10c462a4c6f3d7140",
+        "010000000000000000020025010102000000000000000379b3060873ea6b010d31b600a27be3fa0008c982c093431e72a134bdf57e63dea7906d9f47ad587d7805",
     ];
     let frozen_resps = [
-        "0101000000000000000100160014526cb063982294f159e8d394793c837947795ba32a497106824ddb3acf856457affa2937",
-        "01010000000000000002001600143dad41e81a6816145346abe45bebde948a8d3db0f7f7ff12c23c89c78bee28b62feaac0d",
+        "01010000000000000001001600140cda8ee6fff3a366df318505aa1b32290b8e62ed5b596726081d1c4c00b39269fb58d83d",
+        "0101000000000000000200160014fec31cb0cac1a532456c0c349e8b37655ff14608d0825ee942a1ed8d9eba6f2d60e513b9",
     ];
     for round in 0..2 {
         let req = verifier.make_request().unwrap();

@@ -4,12 +4,18 @@
 //! prover serves from its dirty-bit-invalidated cache must equal a
 //! from-scratch recomputation over the device's actual RAM — and the
 //! verifier, who always recomputes from scratch, must accept every
-//! report. Caching is an optimization; this is the proof it is *only*
-//! an optimization.
+//! report. The cached body digest obeys the same law after every step:
+//! it is the digest of the cached body digests, and whenever no body
+//! segment is dirty (so the next round serves it) it equals the body
+//! digest of a from-scratch sweep. On the verifier side, the report
+//! computed from an interned baseline must equal the one the uncached
+//! check accepts. Caching is an optimization; this is the proof it is
+//! *only* an optimization.
 
 use proptest::prelude::*;
+use proverguard_attest::imagecache::{CachedImage, ExpectedView};
 use proverguard_attest::prover::{Prover, ProverConfig};
-use proverguard_attest::segcache::{segment_digests, SegmentedParams};
+use proverguard_attest::segcache::{body_digest, segment_digests, SegmentedParams};
 use proverguard_attest::verifier::Verifier;
 use proverguard_mcu::map;
 
@@ -34,9 +40,23 @@ fn pair(segment_len: u32) -> (Prover, Verifier) {
 /// from-scratch digest of the same segment of the real RAM.
 fn attest_and_check(prover: &mut Prover, verifier: &mut Verifier) -> Result<(), String> {
     let request = verifier.make_request().map_err(|e| e.to_string())?;
+    // The interned baseline a gateway would hold: the image before the
+    // round, which the view overlays with the request's freshness word.
+    let seg_len = prover
+        .segment_cache()
+        .expect("segmented prover")
+        .segment_len();
+    let baseline = CachedImage::compute(prover.expected_memory().to_vec(), seg_len as u32);
     let response = prover.handle_request(&request).map_err(|e| e.to_string())?;
     if !verifier.check_response(&request, &response, prover.expected_memory()) {
         return Err("segmented response failed verification".to_string());
+    }
+    let view = ExpectedView::cached(&baseline, &request.freshness);
+    if verifier.expected_report(&request, &view).as_deref() != Some(&response.report[..]) {
+        return Err("cached-view report differs from the accepted report".to_string());
+    }
+    if !verifier.check_response_view(&request, &response, &view) {
+        return Err("cached-view check rejected what the uncached check accepted".to_string());
     }
     let cache = prover.segment_cache().expect("segmented prover");
     let oracle = segment_digests(prover.expected_memory(), cache.segment_len());
@@ -45,6 +65,9 @@ fn attest_and_check(prover: &mut Prover, verifier: &mut Verifier) -> Result<(), 
         .ok_or_else(|| "cache incomplete after attestation".to_string())?;
     if cached != oracle {
         return Err("cached digests diverge from from-scratch recomputation".to_string());
+    }
+    if cache.body() != Some(body_digest(&oracle[1..])) {
+        return Err("body digest missing or stale after attestation".to_string());
     }
     // Cost accounting must stay partition-exact under every interleaving.
     let cost = prover.last_cost();
@@ -56,6 +79,29 @@ fn attest_and_check(prover: &mut Prover, verifier: &mut Verifier) -> Result<(), 
             cost.mac_cached_segments,
             cache.segment_count()
         ));
+    }
+    Ok(())
+}
+
+/// The body-digest law, checked after every step: a live body digest is
+/// the digest of the cached body digests, and while no body segment is
+/// dirty — so the next round would serve it — it equals the body digest
+/// of a from-scratch sweep of the real RAM.
+fn body_is_coherent(prover: &Prover) -> Result<(), String> {
+    let cache = prover.segment_cache().expect("segmented prover");
+    let Some(body) = cache.body() else {
+        return Ok(());
+    };
+    let cached = cache
+        .all()
+        .ok_or_else(|| "body digest live over an incomplete cache".to_string())?;
+    if body != body_digest(&cached[1..]) {
+        return Err("body digest diverges from the cached body digests".to_string());
+    }
+    let clean = (1..cache.segment_count()).all(|i| !prover.mcu().segment_dirty(i));
+    let oracle = segment_digests(prover.expected_memory(), cache.segment_len());
+    if clean && body != body_digest(&oracle[1..]) {
+        return Err("clean body digest diverges from a from-scratch sweep".to_string());
     }
     Ok(())
 }
@@ -108,6 +154,7 @@ proptest! {
                     }
                 }
             }
+            prop_assert_eq!(body_is_coherent(&prover), Ok(()));
         }
 
         // Always end on an attestation so every generated suffix of

@@ -6,12 +6,14 @@
 //! in a 256-byte segment of their own. The first block checks that the
 //! spans tile memory exactly for every legal segment length; the second
 //! pins the modelled device cycles of the three steady rounds the
-//! benchmark measures, driven through the real prover agent and gateway.
+//! benchmark measures, driven through the real prover agent and gateway,
+//! plus the Segmented round that pays for a dirty application segment.
 
 use std::time::Duration;
 
 use proverguard_attest::gateway::{DeviceDirectory, Gateway, GatewayConfig, ProverAgent};
 use proverguard_attest::prover::{Prover, ProverConfig};
+use proverguard_attest::segcache;
 use proverguard_attest::session::RetryPolicy;
 use proverguard_attest::verifier::{ScopePolicy, Verifier};
 use proverguard_mcu::memory::HEAD_LEN;
@@ -115,11 +117,28 @@ fn recommended_layout_gives_the_freshness_words_their_own_segment() {
 
 const KEY: [u8; 16] = [0x42; 16];
 
-/// Device cycles of a steady round of one device through the real agent
-/// and a loopback gateway, read off the battery the way the benchmark
-/// reads them. The first two dials are the warm-up (for sessions: the
-/// handshake and the History bootstrap).
-fn steady_round_cycles(config: ProverConfig, policy: ScopePolicy, sessions: bool) -> u64 {
+/// What one round through the agent cost the device.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Round {
+    /// Device cycles, read off the battery the way the benchmark reads
+    /// them.
+    cycles: u64,
+    /// Segments the round re-digested.
+    recomputed: u32,
+    /// Body digests the round recomputed (`ProverStats::seg_body_recomputed`).
+    body_recomputed: u64,
+}
+
+/// Four rounds of one device through the real agent and a loopback
+/// gateway. `before_round` runs on the prover ahead of each round, off
+/// the battery count. The first two dials are the warm-up (for sessions:
+/// the handshake and the History bootstrap).
+fn rounds(
+    config: ProverConfig,
+    policy: ScopePolicy,
+    sessions: bool,
+    mut before_round: impl FnMut(&mut Prover),
+) -> Vec<Round> {
     let prover = Prover::provision(config.clone(), &KEY, b"cost pin app").expect("provision");
     let mut verifier = Verifier::new(&config, &KEY).expect("verifier");
     verifier.set_scope_policy(policy);
@@ -148,22 +167,37 @@ fn steady_round_cycles(config: ProverConfig, policy: ScopePolicy, sessions: bool
             .connect()
             .map(|conn| Box::new(conn) as Box<dyn Transport>)
     };
-    let mut cycles = Vec::new();
+    let mut out = Vec::new();
     for _ in 0..4 {
+        before_round(agent.prover_mut());
         let battery = agent.prover().mcu().battery();
         let before = battery.remaining_joules();
+        let body_before = agent.prover().stats().seg_body_recomputed;
         let outcome = agent.attest_with_retry(&mut dial, &retry, Duration::from_secs(60), 50);
         assert!(outcome.is_verified(), "round failed: {outcome:?}");
-        let battery = agent.prover().mcu().battery();
-        cycles.push(
-            ((before - battery.remaining_joules()) / battery.energy_of_cycles(1)).round() as u64,
-        );
+        let prover = agent.prover();
+        let battery = prover.mcu().battery();
+        out.push(Round {
+            cycles: ((before - battery.remaining_joules()) / battery.energy_of_cycles(1)).round()
+                as u64,
+            recomputed: prover.last_cost().mac_recomputed_segments,
+            body_recomputed: prover.stats().seg_body_recomputed - body_before,
+        });
     }
     let report = handle.shutdown();
     assert!(report.stats.partition_holds(), "{:?}", report.stats);
-    // The last two rounds are both steady: the cost repeats exactly.
-    assert_eq!(cycles[2], cycles[3], "device cost not steady: {cycles:?}");
-    cycles[3]
+    out
+}
+
+/// Device cycles of a steady round: the last two rounds are both steady,
+/// so the cost repeats exactly.
+fn steady_round_cycles(config: ProverConfig, policy: ScopePolicy, sessions: bool) -> u64 {
+    let rounds = rounds(config, policy, sessions, |_| ());
+    assert_eq!(
+        rounds[2].cycles, rounds[3].cycles,
+        "device cost not steady: {rounds:?}"
+    );
+    rounds[3].cycles
 }
 
 /// The quiescent in-session History round digests only the 256-byte head,
@@ -181,9 +215,10 @@ fn quiescent_history_round_cycles_are_pinned() {
     assert_eq!(cycles, 45_032);
 }
 
-/// The steady cached Segmented one-shot round: one head re-digest, the
-/// dirty-bit scan and the 65-digest combine MAC on top of the request
-/// authentication.
+/// The steady cached Segmented one-shot round: the dirty-bit scan, one
+/// head re-digest and the two-block combine MAC over `d_0 ‖ b` on top of
+/// the request authentication. The flat combine over all 65 digests cost
+/// 66 656 cycles.
 #[test]
 fn steady_segmented_round_cycles_are_pinned() {
     let cycles = steady_round_cycles(
@@ -191,7 +226,57 @@ fn steady_segmented_round_cycles_are_pinned() {
         ScopePolicy::Full,
         false,
     );
-    assert_eq!(cycles, 66_656);
+    assert_eq!(cycles, 24_704);
+}
+
+/// The trade-off of the cached body digest: a round with one dirty 8 KiB
+/// application segment re-digests it (129 blocks) and then the body
+/// digest over 64 digests (21 blocks), 355 904 cycles — 4 416 more than
+/// the flat combine's 351 488 (+1.3 %). The body digest is recomputed in
+/// exactly the rounds that re-digest a segment after the head: the cold
+/// first round and each dirty one, never a quiescent one.
+#[test]
+fn dirty_app_segment_round_pays_the_body_digest() {
+    let config = ProverConfig::recommended_segmented();
+    let seg_len = config.segmented.expect("segmented").segment_len;
+    let layout = SegmentLayout::ram(seg_len);
+    let seg_len = seg_len as usize;
+    let off = seg_len + 100;
+    assert_eq!(layout.span(layout.index_of(off)).len(), seg_len);
+    // Rewriting a byte with its own value sets the dirty bit but leaves
+    // the expected image as it is.
+    let mut dirty_round = 0;
+    let touch = |prover: &mut Prover| {
+        dirty_round += 1;
+        if dirty_round % 2 == 0 {
+            let byte = prover.expected_memory()[off];
+            prover
+                .mcu_mut()
+                .bus_write(map::RAM.start + off as u32, &[byte], map::APP_CODE)
+                .expect("app RAM is open to app code");
+        }
+    };
+    let rounds = rounds(config, ScopePolicy::Full, false, touch);
+    let quiescent = rounds[2];
+    let dirty = rounds[3];
+    assert_eq!((quiescent.cycles, quiescent.recomputed), (24_704, 1));
+    assert_eq!((dirty.cycles, dirty.recomputed), (355_904, 2));
+    assert_eq!(rounds[1].cycles, dirty.cycles);
+    let table = proverguard_mcu::cycles::CostTable::siskiyou_peak();
+    let body = table.sha1_digest_cost(segcache::BODY_PREFIX_LEN + 64 * 20);
+    assert_eq!(body, 21 * table.hmac_per_block);
+    assert_eq!(
+        dirty.cycles - quiescent.cycles,
+        table.sha1_digest_cost(segcache::SEGMENT_PREFIX_LEN + seg_len) + body
+    );
+    for (i, round) in rounds.iter().enumerate() {
+        assert_eq!(
+            round.body_recomputed,
+            u64::from(round.recomputed > 1),
+            "round {i}: {rounds:?}"
+        );
+    }
+    assert_eq!(rounds[0].recomputed, 65);
 }
 
 /// The paper's Whole-memory round never touches segments: 754.12
