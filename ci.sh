@@ -34,14 +34,40 @@ cargo run --release -q -p proverguard-bench --bin fleet_verify_bench
 echo "== perfbench build (standalone benchmark package) =="
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
+# The device rows are modelled cycle counts, so the smoke runs pin them.
+# perfbench prints its JSON result as the last line of each run's log.
+run_log=$(mktemp)
+trap 'rm -f "$run_log"' EXIT
+# expect_metric <result line> <metric> <awk expression> <tolerance>
+# reads the metric off a result line and fails unless it is within the
+# tolerance of the expression.
+expect_metric() {
+    local value
+    value=$(grep -o "\"$2\": {\"value\": [^,}]*" <<<"$1" | sed 's/.*: //')
+    if [ -z "$value" ] || ! awk -v v="$value" -v t="$4" "BEGIN { d = v - ($3); exit !(d <= t && -d <= t) }"; then
+        echo "perfbench: $2 = ${value:-missing}, expected $3 (within $4)" >&2
+        exit 1
+    fi
+}
+
 echo "== perfbench smoke (each workload, 2 s, exits non-zero on any correctness violation) =="
 for workload in oneshot_whole session_history segmented_under_attack; do
     cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
-        --workload "$workload" --seed 1 --seconds 2 --trace 0
+        --workload "$workload" --seed 1 --seconds 2 --trace 0 | tee "$run_log"
+    result=$(tail -n 1 "$run_log")
+    # prover_active_ms is device cycles per verified round at 24 MHz. The
+    # segmented_under_attack row also carries a hostile-mix share that
+    # depends on the window, so it is not pinned.
+    case "$workload" in
+        oneshot_whole) expect_metric "$result" prover_active_ms "18098872 / 24000" 1e-6 ;;
+        session_history) expect_metric "$result" prover_active_ms "36208 / 24000" 1e-6 ;;
+    esac
 done
 
 echo "== perfbench traced smoke (the layer probes, which verify a real Segmented report against segcache::combined_input) =="
 cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
-    --workload segmented_under_attack --seed 1 --seconds 2 --trace 1
+    --workload segmented_under_attack --seed 1 --seconds 2 --trace 1 | tee "$run_log"
+result=$(tail -n 1 "$run_log")
+expect_metric "$result" prover.response_cycles 15312 0
 
 echo "CI green."

@@ -88,10 +88,10 @@ impl TransientMalware {
 /// mirror — the region a healthy application never writes. The mirror
 /// starts where the reserved head ends, and that is always a segment
 /// boundary ([`SegmentLayout`]), so the mirror's first byte is graded too:
-/// only the head (`counter_R` and the other protected words, which
-/// legitimately change every round) stays outside, together with any
-/// trailing segment that spills past the mirror into application scratch
-/// RAM.
+/// only the reserved head (the freshness words, which legitimately change
+/// every round, and the IDT and trust state) stays outside, together with
+/// any trailing segment that spills past the mirror into application
+/// scratch RAM.
 #[must_use]
 pub fn immutable_segments(segment_len: u32) -> Vec<usize> {
     let layout = SegmentLayout::ram(segment_len);
@@ -131,6 +131,7 @@ mod tests {
     use super::*;
     use proverguard_attest::prover::ProverConfig;
     use proverguard_attest::verifier::ScopePolicy;
+    use proverguard_mcu::memory::HEAD_LEN;
 
     fn history_world() -> World {
         let mut world = World::new(ProverConfig::recommended_segmented()).unwrap();
@@ -245,10 +246,14 @@ mod tests {
     #[test]
     fn immutable_segments_exclude_protected_words_and_scratch() {
         let segs = immutable_segments(8192);
+        let layout = SegmentLayout::ram(8192);
         // Segment 0 holds counter_R — must not be graded immutable.
         assert!(!segs.contains(&0));
         // Everything from the mirror's first byte on is graded.
-        assert_eq!(segs.first(), Some(&1));
+        let mirror = (map::APP_IMAGE_MIRROR.start - map::RAM.start) as usize;
+        assert_eq!(segs.first(), Some(&layout.index_of(mirror)));
+        // No graded segment overlaps the reserved head.
+        assert!(segs.iter().all(|&i| layout.span(i).start >= HEAD_LEN));
         // The default strike target is graded.
         assert!(segs.contains(&TransientMalware::default().target_segment(8192)));
         // Sorted, for the binary search in `toctou_alarm`.

@@ -31,8 +31,8 @@
 //!   `counter_R`, never assembled into a copy. A Whole verify MACs
 //!   `baseline[..off] ‖ word ‖ baseline[off + 8..]` where the parts lie;
 //!   Segmented and History verification re-digest only the segments
-//!   under the word (the 256-byte head), and a Segmented verify takes the
-//!   body digest from the baseline.
+//!   under the word (the 16-byte freshness segment), and a Segmented
+//!   verify takes the body digest from the baseline.
 //!
 //! **Why outer MACs stay per-device:** the combine MAC
 //! (`MAC(K, header ‖ … ‖ d_0 ‖ b)`, DESIGN §12) is keyed with the
@@ -680,7 +680,8 @@ mod tests {
         let a = cache.intern(&img, 256);
         let b = cache.intern(&img, 256);
         assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(a.digests().len(), 4);
+        assert_eq!(a.digests().len(), SegmentLayout::new(1024, 256).count());
+        assert_eq!(a.digests().len(), 1024 / 256 + 1);
         assert_eq!(a.digests(), &segcache::segment_digests(&img, 256)[..]);
         let s = cache.stats();
         assert_eq!((s.lookups, s.hits, s.misses), (2, 1, 1));

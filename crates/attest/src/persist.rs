@@ -24,7 +24,7 @@ use std::sync::{Arc, Mutex};
 
 use proverguard_crypto::mac::MacKey;
 use proverguard_mcu::device::Mcu;
-use proverguard_mcu::map;
+use proverguard_mcu::{map, SegmentLayout, MIN_SEGMENT_LEN};
 
 use crate::error::AttestError;
 
@@ -348,10 +348,13 @@ const EPOCH_MAGIC: &[u8; 8] = b"PGEPLOG1";
 /// record: magic ‖ epoch ‖ segment_len ‖ segment count.
 pub const EPOCH_HEADER_LEN: usize = 8 + 8 + 8 + 8;
 
-/// Hard cap on the per-segment list a decoder will accept (512 KiB RAM /
-/// 64-byte minimum segments = 8192): a forged length word must not drive
-/// an allocation.
-const EPOCH_MAX_SEGMENTS: u64 = 8192;
+/// Hard cap on the per-segment list a decoder will accept: the segment
+/// count of the RAM at the minimum segment length, the finest layout an
+/// honest capture can have. A forged length word must not drive an
+/// allocation.
+fn epoch_max_segments() -> u64 {
+    SegmentLayout::ram(MIN_SEGMENT_LEN).count() as u64
+}
 
 /// The last-write epoch log worth carrying across a reboot.
 ///
@@ -420,7 +423,7 @@ impl EpochLogRecord {
         let epoch = word(1);
         let segment_len = u32::try_from(word(2)).ok()?;
         let count = word(3);
-        if count > EPOCH_MAX_SEGMENTS || bytes.len() != EPOCH_HEADER_LEN + 8 * count as usize {
+        if count > epoch_max_segments() || bytes.len() != EPOCH_HEADER_LEN + 8 * count as usize {
             return None;
         }
         let segment_epochs: Vec<u64> = (0..count as usize).map(|i| word(4 + i)).collect();
@@ -451,7 +454,7 @@ impl EpochLogRecord {
             return None;
         }
         let count = u64::from_le_bytes(bytes[24..32].try_into().expect("8 bytes"));
-        if count > EPOCH_MAX_SEGMENTS {
+        if count > epoch_max_segments() {
             return None;
         }
         let record_len = EPOCH_HEADER_LEN + 8 * count as usize;

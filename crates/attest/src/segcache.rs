@@ -13,17 +13,18 @@
 //! response  = MAC(K, header ‖ COMBINE_MAGIC ‖ seg_len ‖ n ‖ d_0 ‖ b)   (81 bytes, 2 blocks)
 //! ```
 //!
-//! Segment 0 is the 256-byte head that holds `counter_R`, rewritten by
-//! the freshness commit on every round, so `d_0` stays in the clear. The
-//! other digests depend only on memory contents, so the prover keeps them
-//! — and the body digest `b` over them — in a [`SegmentCache`] and
-//! recomputes only the segments whose hardware dirty bit is set. Storing
-//! any body digest drops `b`. A quiescent round costs the head digest
-//! plus one two-block combine MAC; a round with k dirty body segments
-//! adds k segment digests and one body digest. The keyed combine still
-//! binds every response to the fresh, authenticated header, and `b`
-//! binds every `d_i` as a collision-resistant hash, so replaying a stale
-//! digest list under a new request is exactly as hard as forging the MAC.
+//! Segment 0 holds the 16 freshness bytes (`counter_R ‖ Clock_MSB`),
+//! rewritten by the freshness commit on every round, so `d_0` stays in
+//! the clear. The other digests depend only on memory contents, so the
+//! prover keeps them — and the body digest `b` over them — in a
+//! [`SegmentCache`] and recomputes only the segments whose hardware
+//! dirty bit is set. Storing any body digest drops `b`. A quiescent round
+//! costs the one-block head digest plus one two-block combine MAC; a
+//! round with k dirty body segments adds k segment digests and one body
+//! digest. The keyed combine still binds every response to the fresh,
+//! authenticated header, and `b` binds every `d_i` as a
+//! collision-resistant hash, so replaying a stale digest list under a new
+//! request is exactly as hard as forging the MAC.
 //!
 //! **Why caching is sound** (the `Adv_roam` argument, DESIGN.md §12): a
 //! cached `d_i` is trusted only while the segment's dirty bit is clear,
@@ -513,19 +514,26 @@ mod tests {
     fn segment_digests_cover_trailing_partial_segment() {
         let memory = vec![7u8; 100];
         let ds = segment_digests(&memory, 64);
-        assert_eq!(ds.len(), 2);
-        assert_eq!(ds[0], segment_digest(0, &memory[..64]));
-        assert_eq!(ds[1], segment_digest(1, &memory[64..]));
+        let layout = SegmentLayout::new(memory.len(), 64);
+        assert_eq!(ds.len(), layout.count());
+        for (i, d) in ds.iter().enumerate() {
+            assert_eq!(*d, segment_digest(i as u32, &memory[layout.span(i)]));
+        }
+        let last = layout.count() - 1;
+        assert_eq!(layout.span(last), 64..100);
+        assert_eq!(ds[last], segment_digest(last as u32, &memory[64..]));
     }
 
     #[test]
     fn combined_input_layout() {
         let ds = segment_digests(&[1u8; 192], 64);
+        let count = SegmentLayout::new(192, 64).count();
+        assert_eq!(ds.len(), count);
         let input = combined_input(b"hdr", 64, &ds);
         assert_eq!(&input[..3], b"hdr");
         assert_eq!(&input[3..9], COMBINE_MAGIC);
         assert_eq!(input[9..13], 64u32.to_le_bytes());
-        assert_eq!(input[13..17], 3u32.to_le_bytes());
+        assert_eq!(input[13..17], (count as u32).to_le_bytes());
         assert_eq!(input.len(), 3 + COMBINE_SUFFIX_LEN);
         assert_eq!(&input[17..37], &ds[0]);
         assert_eq!(&input[37..], &body_digest(&ds[1..]));
@@ -593,14 +601,15 @@ mod tests {
     #[test]
     fn cache_roundtrip_and_invalidate() {
         let mut cache = SegmentCache::new(64, 256);
-        assert_eq!(cache.segment_count(), 4);
+        let count = SegmentLayout::new(256, 64).count();
+        assert_eq!(cache.segment_count(), count);
         assert_eq!(cache.all(), None);
         assert_eq!(cache.refresh_body(), None);
-        for i in 0..4 {
+        for i in 0..count {
             assert!(!cache.has(i));
             cache.store(i, [i as u8; DIGEST_SIZE]);
         }
-        assert_eq!(cache.cached_count(), 4);
+        assert_eq!(cache.cached_count(), count);
         let all = cache.all().unwrap();
         assert_eq!(all[2], [2u8; DIGEST_SIZE]);
         cache.invalidate_all();
@@ -614,7 +623,7 @@ mod tests {
     #[test]
     fn body_digest_lives_until_a_body_store() {
         let mut cache = SegmentCache::new(64, 256);
-        for i in 0..4 {
+        for i in 0..cache.segment_count() {
             cache.store(i, [i as u8; DIGEST_SIZE]);
         }
         assert_eq!(cache.body(), None);
@@ -635,7 +644,9 @@ mod tests {
     #[test]
     fn cache_covers_partial_trailing_segment() {
         let cache = SegmentCache::new(64, 100);
-        assert_eq!(cache.segment_count(), 2);
+        let layout = SegmentLayout::new(100, 64);
+        assert_eq!(cache.segment_count(), layout.count());
+        assert_eq!(layout.span(cache.segment_count() - 1), 64..100);
     }
 
     #[test]

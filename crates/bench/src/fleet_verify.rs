@@ -81,8 +81,8 @@ fn firmwares(image_len: usize, seg_len: usize) -> Vec<Firmware> {
 }
 
 /// Fabricates the response an honest device on `fw` produces for
-/// `request`: patch the freshness word into segment 0 (the reserved
-/// head), re-digest that one segment, combine-MAC. This is the prover's
+/// `request`: patch the freshness word into segment 0 (the freshness
+/// words), re-digest that one segment, combine-MAC. This is the prover's
 /// (cheap) side — deliberately not part of either timed verifier path.
 fn fabricate(
     fw: &Firmware,

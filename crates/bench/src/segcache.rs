@@ -121,13 +121,14 @@ fn attest(prover: &mut Prover, verifier: &mut Verifier, violations: &mut Vec<Str
     cost.response_cycles
 }
 
-/// Dirties `count` distinct app-RAM segments (never segment 0, the head
-/// the freshness commit dirties on every round anyway).
+/// Dirties `count` distinct app-RAM segments (never the reserved head,
+/// whose freshness segment the commit dirties on every round anyway).
 fn dirty_segments(prover: &mut Prover, count: usize) {
     let layout = prover.mcu().segment_layout();
-    assert!(count < layout.count(), "keep at least segment 0 implicit");
+    let first = layout.index_of((map::APP_RAM.start - map::RAM.start) as usize);
+    assert!(first + count <= layout.count(), "app-RAM segments only");
     for i in 0..count {
-        let addr = map::RAM.start + layout.span(1 + i).start as u32 + 64;
+        let addr = map::RAM.start + layout.span(first + i).start as u32 + 64;
         prover
             .mcu_mut()
             .bus_write(addr, &[0xA5], map::APP_CODE)

@@ -30,28 +30,39 @@ use std::ops::Range;
 use crate::error::McuError;
 use crate::map::{self, AddrRange};
 
-/// Default dirty-tracking granularity: 8 KiB segments, i.e. 65 segments
-/// over the 512 KiB RAM (the 256-byte reserved head, the rest of the
-/// first 8 KiB, then 63 full segments — see [`SegmentLayout`]).
+/// Default dirty-tracking granularity: 8 KiB segments, i.e. 66 segments
+/// over the 512 KiB RAM (the freshness words, the rest of the reserved
+/// head, the rest of the first 8 KiB, then 63 full segments — see
+/// [`SegmentLayout`]).
 pub const DEFAULT_SEGMENT_LEN: u32 = 8 * 1024;
 
-/// Length of the reserved head at the bottom of RAM: `counter_R`,
-/// `Clock_MSB`, the IDT and the trust anchor's extension state, all of
-/// which sit below [`map::APP_RAM`]. Its end is always a segment boundary.
+/// Length of the freshness words at the bottom of RAM: `counter_R` and
+/// `Clock_MSB`, the only reserved RAM an attestation round rewrites. Its
+/// end is always a segment boundary.
+pub const FRESHNESS_LEN: usize = (map::CLOCK_MSB.end - map::RAM.start) as usize;
+
+/// Length of the reserved head at the bottom of RAM: the freshness words,
+/// the IDT and the trust anchor's extension state, all of which sit below
+/// [`map::APP_RAM`]. Its end is always a segment boundary.
 pub const HEAD_LEN: usize = (map::APP_RAM.start - map::RAM.start) as usize;
+
+/// The reserved ends that are segment boundaries at every segment length,
+/// ascending.
+const RESERVED_ENDS: [usize; 2] = [FRESHNESS_LEN, HEAD_LEN];
 
 /// How a memory region starting at `RAM.start` is cut into digest and
 /// dirty-tracking segments: a boundary at every multiple of the segment
-/// length, plus one at [`HEAD_LEN`].
+/// length, plus one at each reserved end ([`FRESHNESS_LEN`] and
+/// [`HEAD_LEN`]).
 ///
-/// The prover commits `counter_R` (inside the head) on every accepted
-/// request, so without the extra boundary every round re-digests the
-/// whole first segment. With it, a quiescent round re-digests 256 bytes.
-/// At segment lengths up to 256 bytes the head end is already a multiple
-/// of the segment length and the layout is the uniform one. The layout is
-/// a pure function of the segment length and the memory length: the
-/// response MACs bind the segment length and the digest count, and each
-/// segment digest binds its index and length.
+/// The prover commits `counter_R` on every accepted request, so without
+/// the extra boundaries every round re-digests the whole first segment.
+/// With them, a quiescent round re-digests the 16 freshness bytes, and
+/// the IDT and trust state keep a segment of their own below the
+/// application RAM, so the TOCTOU policy can grade the image mirror from
+/// its first byte. The layout is a pure function of the segment length
+/// and the memory length: the response MACs bind the segment length and
+/// the digest count, and each segment digest binds its index and length.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SegmentLayout {
     mem_len: usize,
@@ -81,10 +92,13 @@ impl SegmentLayout {
         self.seg_len
     }
 
-    /// `true` when the head end falls strictly inside a uniform segment,
-    /// i.e. it adds a boundary of its own.
-    fn splits_head(&self) -> bool {
-        !HEAD_LEN.is_multiple_of(self.seg_len)
+    /// The reserved ends that fall strictly inside a uniform segment, i.e.
+    /// add a boundary of their own, ascending.
+    fn splits(&self) -> impl Iterator<Item = usize> {
+        let seg_len = self.seg_len;
+        RESERVED_ENDS
+            .into_iter()
+            .filter(move |end| !end.is_multiple_of(seg_len))
     }
 
     /// Number of segments (a trailing partial segment counts).
@@ -99,20 +113,26 @@ impl SegmentLayout {
     /// The index of the segment holding byte offset `off`.
     #[must_use]
     pub fn index_of(&self, off: usize) -> usize {
-        off / self.seg_len + usize::from(self.splits_head() && off >= HEAD_LEN)
+        off / self.seg_len + self.splits().filter(|&end| off >= end).count()
     }
 
     /// Start offset of segment `index`, clamped to the region.
     fn boundary(&self, index: usize) -> usize {
-        let head_index = HEAD_LEN / self.seg_len + 1;
-        let start = if !self.splits_head() || index < head_index {
-            index.saturating_mul(self.seg_len)
-        } else if index == head_index {
-            HEAD_LEN
-        } else {
-            (index - 1).saturating_mul(self.seg_len)
-        };
-        start.min(self.mem_len)
+        // Each split below `index` shifts the uniform boundaries by one.
+        let mut shift = 0;
+        for end in self.splits() {
+            let at = self.index_of(end);
+            if index == at {
+                return end.min(self.mem_len);
+            }
+            if index < at {
+                break;
+            }
+            shift += 1;
+        }
+        (index - shift)
+            .saturating_mul(self.seg_len)
+            .min(self.mem_len)
     }
 
     /// The byte range of segment `index` (empty past the last segment).
@@ -593,8 +613,10 @@ mod tests {
     fn writes_set_dirty_bits_at_default_granularity() {
         let mut mem = PhysicalMemory::new();
         assert_eq!(mem.segment_len(), DEFAULT_SEGMENT_LEN);
-        // The reserved head, the rest of the first 8 KiB, 63 full segments.
-        assert_eq!(mem.segment_count(), 65);
+        // The freshness words, the rest of the reserved head, the rest of
+        // the first 8 KiB, 63 full segments.
+        assert_eq!(mem.segment_count(), mem.layout().index_of(8192) + 63);
+        assert_eq!(mem.segment_count(), 66);
         clear_all(&mut mem);
         assert!(!mem.segment_dirty(0));
         // One byte in segment 3.
@@ -638,7 +660,8 @@ mod tests {
         let mut mem = PhysicalMemory::new();
         clear_all(&mut mem);
         mem.set_segment_len(4096).unwrap();
-        assert_eq!(mem.segment_count(), 129);
+        // Both reserved ends split the first 4 KiB: 128 + 2 segments.
+        assert_eq!(mem.segment_count(), 128 + 2);
         // The new layout has no digests over it yet: all dirty.
         assert!((0..mem.segment_count()).all(|i| mem.segment_dirty(i)));
         for bad in [0, 63, 100, 12_345, map::RAM.len() * 2] {
@@ -648,9 +671,11 @@ mod tests {
             ));
         }
         // Whole-RAM-as-one-segment is the degenerate but legal maximum:
-        // the reserved head plus everything else.
+        // the freshness words, the rest of the reserved head, and
+        // everything else.
         mem.set_segment_len(map::RAM.len()).unwrap();
-        assert_eq!(mem.segment_count(), 2);
+        assert_eq!(mem.segment_count(), 3);
+        assert_eq!(mem.layout().span(2), HEAD_LEN..map::RAM.len() as usize);
     }
 
     #[test]
@@ -726,30 +751,37 @@ mod tests {
     }
 
     #[test]
-    fn head_end_is_a_segment_boundary() {
+    fn reserved_ends_are_segment_boundaries() {
         let layout = SegmentLayout::ram(DEFAULT_SEGMENT_LEN);
-        assert_eq!(layout.count(), 65);
-        assert_eq!(layout.span(0), 0..HEAD_LEN);
-        assert_eq!(layout.span(1), HEAD_LEN..8192);
-        assert_eq!(layout.span(2), 8192..16_384);
-        assert_eq!(layout.span(64), 63 * 8192..64 * 8192);
-        assert!(layout.span(65).is_empty());
-        assert_eq!(layout.index_of(HEAD_LEN - 1), 0);
-        assert_eq!(layout.index_of(HEAD_LEN), 1);
-        assert_eq!(layout.index_of(8192), 2);
-        assert_eq!(layout.covering(HEAD_LEN - 2, 4), 0..2);
+        assert_eq!(layout.count(), 66);
+        assert_eq!(layout.span(0), 0..FRESHNESS_LEN);
+        assert_eq!(layout.span(1), FRESHNESS_LEN..HEAD_LEN);
+        assert_eq!(layout.span(2), HEAD_LEN..8192);
+        assert_eq!(layout.span(3), 8192..16_384);
+        assert_eq!(layout.span(65), 63 * 8192..64 * 8192);
+        assert!(layout.span(66).is_empty());
+        assert_eq!(layout.index_of(FRESHNESS_LEN - 1), 0);
+        assert_eq!(layout.index_of(FRESHNESS_LEN), 1);
+        assert_eq!(layout.index_of(HEAD_LEN - 1), 1);
+        assert_eq!(layout.index_of(HEAD_LEN), 2);
+        assert_eq!(layout.index_of(8192), 3);
+        assert_eq!(layout.covering(HEAD_LEN - 2, 4), 1..3);
+        assert_eq!(layout.covering(FRESHNESS_LEN - 2, HEAD_LEN), 0..3);
         assert_eq!(layout.covering(0, 0), 0..0);
-        // At 256 bytes and below the head end is already a boundary.
+        // At 256 bytes and below the head end is a uniform boundary; only
+        // the freshness end adds one.
         let fine = SegmentLayout::ram(256);
-        assert_eq!(fine.count(), 2048);
-        assert_eq!(fine.span(1), 256..512);
+        assert_eq!(fine.count(), 2048 + 1);
+        assert_eq!(fine.span(1), FRESHNESS_LEN..256);
+        assert_eq!(fine.span(2), 256..512);
     }
 
     #[test]
-    fn counter_write_dirties_only_the_head() {
+    fn freshness_writes_dirty_only_their_segment() {
         let mut mem = PhysicalMemory::new();
         clear_all(&mut mem);
         mem.write(map::COUNTER_R.start, &[1; 8]).unwrap();
+        mem.write(map::CLOCK_MSB.start, &[1; 8]).unwrap();
         assert!(mem.segment_dirty(0));
         assert!((1..mem.segment_count()).all(|i| !mem.segment_dirty(i)));
     }

@@ -4,9 +4,9 @@
 //! plus its compare — makes on the steady path.
 //!
 //! At the recommended 8 KiB configuration the freshness words live in a
-//! 256-byte head segment of their own, so a cached Segmented verify — of
-//! an honest response or of a forgery — re-digests exactly that segment
-//! and reads the other 64 digests from the shared baseline, and a
+//! 16-byte segment of their own, so a cached Segmented verify — of an
+//! honest response or of a forgery — re-digests exactly that segment and
+//! reads the other 65 digests from the shared baseline, and a
 //! quiescent History verify digests exactly its modified set. Neither may
 //! fall back to a full sweep. The MAC input is streamed where its pieces
 //! lie, so neither allocates, and neither does a steady Whole verify,
@@ -346,7 +346,8 @@ fn history_verify_digests_exactly_its_modified_set() {
     assert_eq!(modified.len(), segment_count);
     assert_eq!((cached, uncached), (1, segment_count as u64));
 
-    // Quiescent: only the head moved, and only the head is digested.
+    // Quiescent: only the freshness segment moved, and only it is
+    // digested.
     for _ in 0..2 {
         let (modified, cached, uncached) = verify(&mut fleet);
         assert_eq!(modified, vec![0]);
@@ -365,7 +366,13 @@ fn history_verify_digests_exactly_its_modified_set() {
     mcu.bus_write(addr, &original, map::APP_CODE)
         .expect("app restore");
     let (modified, cached, uncached) = verify(&mut fleet);
-    assert_eq!(modified, vec![0, 1]);
+    let written = fleet
+        .prover
+        .mcu()
+        .segment_layout()
+        .index_of((addr - map::RAM.start) as usize);
+    assert_eq!(modified, vec![0, written]);
+    assert_eq!(modified, vec![0, 2]);
     assert_eq!((cached, uncached), (1, modified.len() as u64));
 }
 

@@ -18,7 +18,7 @@ use proverguard_attest::prover::{Prover, ProverConfig};
 use proverguard_attest::segcache::SegmentedParams;
 use proverguard_attest::verifier::{ScopePolicy, Verifier};
 use proverguard_crypto::mac::{MacAlgorithm, MacKey};
-use proverguard_mcu::map;
+use proverguard_mcu::{map, SegmentLayout, MIN_SEGMENT_LEN};
 
 const KEY: [u8; 16] = [0x5A; 16];
 
@@ -167,4 +167,33 @@ proptest! {
         tampered[bit / 8] ^= 1 << (bit % 8);
         prop_assert_eq!(EpochLogRecord::open_sealed(&tampered, &key), None);
     }
+}
+
+/// The finest legal layout: at 64-byte segments the freshness words end
+/// inside the first segment, so the RAM has one segment more than
+/// `RAM / 64`. Its sealed log must still open at reboot, so History
+/// resumes without a full re-anchor and the next round verifies.
+#[test]
+fn finest_layout_log_survives_a_reboot() {
+    let (mut prover, mut verifier) = pair(MIN_SEGMENT_LEN);
+    prover
+        .attach_nv_store(Box::new(InMemoryNvStore::new()))
+        .expect("nv store");
+    let seg_count = prover.segment_cache().expect("segmented").segment_count();
+    assert_eq!(seg_count, SegmentLayout::ram(MIN_SEGMENT_LEN).count());
+    assert!(seg_count > (map::RAM.len() / MIN_SEGMENT_LEN) as usize);
+    let mut pending = BTreeSet::new();
+    for _ in 0..2 {
+        assert_eq!(
+            attest_and_check(&mut prover, &mut verifier, &mut pending),
+            Ok(())
+        );
+    }
+    prover.reboot().expect("reboot");
+    assert!(!prover.history_suspended(), "sealed log must restore");
+    pending.extend(0..seg_count);
+    assert_eq!(
+        attest_and_check(&mut prover, &mut verifier, &mut pending),
+        Ok(())
+    );
 }

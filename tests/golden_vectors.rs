@@ -14,6 +14,7 @@ use proverguard_attest::prover::{Prover, ProverConfig};
 use proverguard_attest::segcache::{body_digest, combined_input, segment_digest, segment_digests};
 use proverguard_attest::verifier::{ScopePolicy, Verifier};
 use proverguard_crypto::mac::{MacAlgorithm, MacKey};
+use proverguard_mcu::memory::{FRESHNESS_LEN, HEAD_LEN};
 
 const KEY: [u8; 16] = [0x42; 16];
 
@@ -55,24 +56,27 @@ fn segmented_combine_mac_vector() {
     let mut request = test_request();
     request.scope = AttestScope::Segmented;
     let digests = segment_digests(&memory, 256);
-    assert_eq!(digests.len(), 4);
+    // The freshness words, the rest of the first 256 bytes, 3 more.
+    assert_eq!(digests.len(), 5);
+    assert_eq!(digests[0], segment_digest(0, &memory[..FRESHNESS_LEN]));
     assert_eq!(
         hex(&digests[0]),
-        "187f22c1f8a3af149f158fcdd4e7c0d85b96d3b8",
+        "349d2ceab3402baf602305953072cf95cbb5cec7",
         "per-segment digest construction changed"
     );
     let combined = combined_input(&request.signed_bytes(), 256, &digests);
     assert_eq!(
         hex(&key.compute(&combined)),
-        "92532759bbcbb22572f4d6d7450671e6de2960e5",
+        "c4a3011121535d22ed104d48ddc05100ca33b752",
         "segmented combine-MAC construction changed"
     );
 }
 
 /// The combine MAC at the recommended 8 KiB granularity over a full
-/// 512 KiB RAM image: 65 digests, because the 256-byte reserved head is a
-/// segment of its own and the rest of the first 8 KiB is the next one.
-/// The MAC covers the head digest and the body digest of the other 64.
+/// 512 KiB RAM image: 66 digests, because the 16 freshness bytes and the
+/// rest of the reserved head are segments of their own and the rest of
+/// the first 8 KiB is the next one. The MAC covers the head digest and
+/// the body digest of the other 65.
 #[test]
 fn segmented_combine_mac_8k_vector() {
     let key = MacKey::new(MacAlgorithm::HmacSha1, &KEY).unwrap();
@@ -80,24 +84,28 @@ fn segmented_combine_mac_8k_vector() {
     let mut request = test_request();
     request.scope = AttestScope::Segmented;
     let digests = segment_digests(&memory, 8192);
-    assert_eq!(digests.len(), 65);
-    assert_eq!(digests[0], segment_digest(0, &memory[..256]));
-    assert_eq!(digests[1], segment_digest(1, &memory[256..8192]));
-    assert_eq!(digests[64], segment_digest(64, &memory[63 * 8192..]));
+    assert_eq!(digests.len(), 66);
+    assert_eq!(digests[0], segment_digest(0, &memory[..FRESHNESS_LEN]));
+    assert_eq!(
+        digests[1],
+        segment_digest(1, &memory[FRESHNESS_LEN..HEAD_LEN])
+    );
+    assert_eq!(digests[2], segment_digest(2, &memory[HEAD_LEN..8192]));
+    assert_eq!(digests[65], segment_digest(65, &memory[63 * 8192..]));
     assert_eq!(
         hex(&digests[0]),
-        "dd6df9982807ebfa4fbb697201290e40bec84c7d",
+        "349d2ceab3402baf602305953072cf95cbb5cec7",
         "head segment digest changed"
     );
     let combined = combined_input(&request.signed_bytes(), 8192, &digests);
     assert_eq!(
         hex(&key.compute(&combined)),
-        "95eb5a6b4a65a92ded50ed6148f8016722a32d73",
-        "65-digest combine-MAC construction changed"
+        "bfdd21ae105b8be07bbcb6ceffce001557c476f9",
+        "66-digest combine-MAC construction changed"
     );
 }
 
-/// The body digest `b = SHA1("proverguard-body-v1" ‖ 64 ‖ d_1 … d_64)`
+/// The body digest `b = SHA1("proverguard-body-v1" ‖ 65 ‖ d_1 … d_65)`
 /// of the same 8 KiB-granularity image, frozen: the prover caches it and
 /// every same-image device's verify reads it from the interned baseline,
 /// so the cached copy must equal the from-scratch one.
@@ -107,7 +115,7 @@ fn segmented_body_digest_8k_vector() {
     let digests = segment_digests(&memory, 8192);
     assert_eq!(
         hex(&body_digest(&digests[1..])),
-        "8051c9765b9b14e30d7611b1d7023d9f076f8c51",
+        "51304456fc7b6a11ec1b7962257531dd1dca46cf",
         "body digest construction changed"
     );
     let cached = CachedImage::compute(memory, 8192);
@@ -195,7 +203,7 @@ fn history_session_transcript_vector() {
     assert_eq!(hex(&req1.to_bytes()), "01020000000000000000020000000000000001affe5585d360c46afbadbf3191df64890008f950deb42be9182f");
     assert_eq!(
         hex(&resp1_raw),
-        "0029000000000000000100000041ffffffffffffffff010b74c6e7c38d80aaec080ac544a23075c4d00808",
+        "0029000000000000000100000042ffffffffffffffff0392fd022c4fefa98ef64844f0de9f3bced86e31c1",
         "history bootstrap report (round 1, full coverage) changed"
     );
     let resp1 =
@@ -210,7 +218,7 @@ fn history_session_transcript_vector() {
     assert_eq!(hex(&req2.to_bytes()), "0102000000000000000102000000000000000239c7d24eca9db883ecfc350e16e1416a00085b9f05584da195c3");
     assert_eq!(
         hex(&resp2_raw),
-        "00290000000000000002000000410100000000000000009c10698d61bfb5b05085911a15e1e1c8e8eb71ce",
+        "0029000000000000000200000042010000000000000000fafcf749e46678ef12b3bd199bd68709add0f826",
         "quiescent history report (round 2, only the counter segment) changed"
     );
     let resp2 =
@@ -256,10 +264,11 @@ fn image_cache_digest_vector() {
     let memory = test_memory();
     let cached = CachedImage::compute(memory.clone(), 256);
     let frozen = [
-        "187f22c1f8a3af149f158fcdd4e7c0d85b96d3b8",
-        "821876582113de4a8b2e0594c73a8b35b1fb4041",
+        "349d2ceab3402baf602305953072cf95cbb5cec7",
+        "224e769c3b3ac4555cab0adb4d3358ecf3197d64",
         "db899ad5dd6925118b427ab2e5833bb4055a06b6",
         "008c6c7306f2f98081840951149c89a2ed2f16ee",
+        "1ec505d0ae6d1e6b717fd388170601b98f2f2d7f",
     ];
     let digests = cached.digests();
     assert_eq!(digests.len(), frozen.len());
@@ -309,7 +318,7 @@ fn segmented_session_transcript_vector() {
         hex(&req.to_bytes()),
         "0101020000000000000001affe5585d360c46afbadbf3191df6489000856ea39bc55bc8a1d"
     );
-    assert_eq!(hex(&resp), "0014906f39d116b1e220c658902c5dedc68c7f751d8d");
+    assert_eq!(hex(&resp), "0014178606a442eadf696631d85e5321db1be9d2d9a1");
 }
 
 /// HKDF extract/expand-label vectors plus the session key schedule over
@@ -387,7 +396,7 @@ fn session_handshake_and_rounds_transcript_vector() {
     let (accept, mut prover_ch) = channel::prover_accept(&mut prover, &init).unwrap();
     assert_eq!(
         hex(&accept.encode()),
-        "01453c9549d1b8903e3f73d52d063d242c00160014906f39d116b1e220c658902c5dedc68c7f751d8d",
+        "0100f8b185a90482613b0d8d02c5e55b7200160014178606a442eadf696631d85e5321db1be9d2d9a1",
         "handshake accept wire encoding (derived prover nonce) changed"
     );
     assert_eq!(channel::transcript(&init, &accept).len(), 108);
@@ -396,17 +405,17 @@ fn session_handshake_and_rounds_transcript_vector() {
         channel::verifier_confirm(&mut verifier, &init, &request, &accept, &expected).unwrap();
     assert_eq!(
         hex(&verifier_ch.session_id()),
-        "aeffd83f7e05eccb",
+        "1dc31f8d020e5fcb",
         "session id derivation over the handshake transcript changed"
     );
 
     let frozen_reqs = [
-        "010000000000000000010025010102000000000000000209c04691d6eda25a74219d3763f11895000830f56b319fa989c5ea2f1a39af715aa10c462a4c6f3d7140",
-        "010000000000000000020025010102000000000000000379b3060873ea6b010d31b600a27be3fa0008c982c093431e72a134bdf57e63dea7906d9f47ad587d7805",
+        "010000000000000000010025010102000000000000000209c04691d6eda25a74219d3763f11895000830f56b319fa989c5af9b6b52f69b233bd644385640b0a7e3",
+        "010000000000000000020025010102000000000000000379b3060873ea6b010d31b600a27be3fa0008c982c093431e72a1642b5c852b19f2e204f3ea8e1c002fcd",
     ];
     let frozen_resps = [
-        "01010000000000000001001600140cda8ee6fff3a366df318505aa1b32290b8e62ed5b596726081d1c4c00b39269fb58d83d",
-        "0101000000000000000200160014fec31cb0cac1a532456c0c349e8b37655ff14608d0825ee942a1ed8d9eba6f2d60e513b9",
+        "01010000000000000001001600141963e3a96a90cba13086dfc24139698f62f94fd72fe6bd39964c1ff72f5593a501ba195d",
+        "0101000000000000000200160014554aa8d5d3235c92776389675c218ab622e6718dccd5ebf4a6d37a3d0335dbab109b7940",
     ];
     for round in 0..2 {
         let req = verifier.make_request().unwrap();

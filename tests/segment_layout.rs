@@ -1,13 +1,16 @@
 //! The segment layout and the device cost it buys, pinned.
 //!
 //! [`SegmentLayout`] puts a boundary at every multiple of the segment
-//! length plus one at the end of the reserved head (`APP_RAM.start -
-//! RAM.start`), so the freshness words the prover writes every round live
-//! in a 256-byte segment of their own. The first block checks that the
-//! spans tile memory exactly for every legal segment length; the second
-//! pins the modelled device cycles of the three steady rounds the
-//! benchmark measures, driven through the real prover agent and gateway,
-//! plus the Segmented round that pays for a dirty application segment.
+//! length plus one at each reserved end: where the freshness words end
+//! (`CLOCK_MSB.end - RAM.start`) and where the reserved head ends
+//! (`APP_RAM.start - RAM.start`). So the freshness words the prover
+//! writes every round live in a 16-byte segment of their own, and the IDT
+//! and trust state in a segment below the application RAM. The first
+//! block checks that the spans tile memory exactly for every legal
+//! segment length; the second pins the modelled device cycles of the
+//! three steady rounds the benchmark measures, driven through the real
+//! prover agent and gateway, plus the rounds that pay for a dirty
+//! application segment or a trust-state write.
 
 use std::time::Duration;
 
@@ -16,7 +19,7 @@ use proverguard_attest::prover::{Prover, ProverConfig};
 use proverguard_attest::segcache;
 use proverguard_attest::session::RetryPolicy;
 use proverguard_attest::verifier::{ScopePolicy, Verifier};
-use proverguard_mcu::memory::HEAD_LEN;
+use proverguard_mcu::memory::{FRESHNESS_LEN, HEAD_LEN};
 use proverguard_mcu::{map, SegmentLayout, MIN_SEGMENT_LEN};
 use proverguard_transport::{LoopbackHub, Transport, DEFAULT_MAX_FRAME};
 
@@ -48,20 +51,29 @@ fn check_layout(mem_len: usize, seg_len: usize) {
         "spans must end at the memory end ({mem_len}, {seg_len})"
     );
     assert!(layout.span(count).is_empty());
-    if mem_len > HEAD_LEN {
-        assert_eq!(
-            layout.span(layout.index_of(HEAD_LEN)).start,
-            HEAD_LEN,
-            "head end is a boundary"
+    // Every boundary is a multiple of the segment length or a reserved
+    // end, and each reserved end inside the memory is a boundary.
+    for i in 0..count {
+        let start = layout.span(i).start;
+        assert!(
+            start.is_multiple_of(seg_len) || [FRESHNESS_LEN, HEAD_LEN].contains(&start),
+            "stray boundary {start} ({mem_len}, {seg_len})"
         );
     }
-    if seg_len <= HEAD_LEN {
-        let chunks: Vec<_> = (0..mem_len)
-            .step_by(seg_len)
-            .map(|start| start..(start + seg_len).min(mem_len))
-            .collect();
-        let spans: Vec<_> = (0..count).map(|i| layout.span(i)).collect();
-        assert_eq!(spans, chunks, "uniform layout at {seg_len} bytes");
+    for end in [FRESHNESS_LEN, HEAD_LEN] {
+        if mem_len > end {
+            assert_eq!(
+                layout.span(layout.index_of(end)).start,
+                end,
+                "reserved end {end} is a boundary ({mem_len}, {seg_len})"
+            );
+        }
+    }
+    // Segment 0 is exactly the freshness words.
+    let freshness = (map::COUNTER_R.start - map::RAM.start) as usize
+        ..(map::CLOCK_MSB.end - map::RAM.start) as usize;
+    if mem_len >= FRESHNESS_LEN {
+        assert_eq!(layout.span(0), freshness, "({mem_len}, {seg_len})");
     }
 }
 
@@ -102,16 +114,27 @@ fn index_of_agrees_with_span_on_every_ram_byte() {
 #[test]
 fn recommended_layout_gives_the_freshness_words_their_own_segment() {
     let layout = SegmentLayout::ram(proverguard_mcu::DEFAULT_SEGMENT_LEN);
-    assert_eq!(layout.count(), 65);
-    for word in [map::COUNTER_R, map::CLOCK_MSB, map::IDT, map::TRUST_STATE] {
+    // The freshness words, the rest of the reserved head, the rest of the
+    // first 8 KiB, then 63 full segments.
+    assert_eq!(layout.count(), 66);
+    for (word, segment) in [
+        (map::COUNTER_R, 0),
+        (map::CLOCK_MSB, 0),
+        (map::IDT, 1),
+        (map::TRUST_STATE, 1),
+    ] {
         let first = (word.start - map::RAM.start) as usize;
         let last = (word.end - 1 - map::RAM.start) as usize;
-        assert_eq!((layout.index_of(first), layout.index_of(last)), (0, 0));
+        assert_eq!(
+            (layout.index_of(first), layout.index_of(last)),
+            (segment, segment)
+        );
     }
-    assert_eq!(layout.span(0), 0..HEAD_LEN);
+    assert_eq!(layout.span(0), 0..FRESHNESS_LEN);
+    assert_eq!(layout.span(1), FRESHNESS_LEN..HEAD_LEN);
     assert_eq!(
         layout.index_of((map::APP_IMAGE_MIRROR.start - map::RAM.start) as usize),
-        1
+        2
     );
 }
 
@@ -200,11 +223,12 @@ fn steady_round_cycles(config: ProverConfig, policy: ScopePolicy, sessions: bool
     rounds[3].cycles
 }
 
-/// The quiescent in-session History round digests only the 256-byte head,
-/// and opens and seals one frame, each a one-block HMAC over
-/// `channel::frame_mac_len` bytes: 45 032 cycles (1.87633 device-ms at
-/// 24 MHz). The benchmark's `session_history` `prover_active_ms` is this
-/// figure divided by 24 000.
+/// The quiescent in-session History round digests only the 16-byte
+/// freshness segment (one SHA-1 block), and opens and seals one frame,
+/// each a one-block HMAC over `channel::frame_mac_len` bytes: 36 208
+/// cycles (1.50867 device-ms at 24 MHz). The benchmark's
+/// `session_history` `prover_active_ms` is this figure divided by
+/// 24 000.
 #[test]
 fn quiescent_history_round_cycles_are_pinned() {
     let cycles = steady_round_cycles(
@@ -212,13 +236,12 @@ fn quiescent_history_round_cycles_are_pinned() {
         ScopePolicy::History { full_every: 0 },
         true,
     );
-    assert_eq!(cycles, 45_032);
+    assert_eq!(cycles, 36_208);
 }
 
 /// The steady cached Segmented one-shot round: the dirty-bit scan, one
-/// head re-digest and the two-block combine MAC over `d_0 ‖ b` on top of
-/// the request authentication. The flat combine over all 65 digests cost
-/// 66 656 cycles.
+/// one-block re-digest of the freshness segment and the two-block combine
+/// MAC over `d_0 ‖ b` on top of the request authentication.
 #[test]
 fn steady_segmented_round_cycles_are_pinned() {
     let cycles = steady_round_cycles(
@@ -226,15 +249,15 @@ fn steady_segmented_round_cycles_are_pinned() {
         ScopePolicy::Full,
         false,
     );
-    assert_eq!(cycles, 24_704);
+    assert_eq!(cycles, 15_880);
 }
 
 /// The trade-off of the cached body digest: a round with one dirty 8 KiB
 /// application segment re-digests it (129 blocks) and then the body
-/// digest over 64 digests (21 blocks), 355 904 cycles — 4 416 more than
-/// the flat combine's 351 488 (+1.3 %). The body digest is recomputed in
-/// exactly the rounds that re-digest a segment after the head: the cold
-/// first round and each dirty one, never a quiescent one.
+/// digest over the 65 digests after the head (21 blocks), 347 080
+/// cycles. The body digest is recomputed in exactly the rounds that
+/// re-digest a segment after the head: the cold first round and each
+/// dirty one, never a quiescent one.
 #[test]
 fn dirty_app_segment_round_pays_the_body_digest() {
     let config = ProverConfig::recommended_segmented();
@@ -259,11 +282,11 @@ fn dirty_app_segment_round_pays_the_body_digest() {
     let rounds = rounds(config, ScopePolicy::Full, false, touch);
     let quiescent = rounds[2];
     let dirty = rounds[3];
-    assert_eq!((quiescent.cycles, quiescent.recomputed), (24_704, 1));
-    assert_eq!((dirty.cycles, dirty.recomputed), (355_904, 2));
+    assert_eq!((quiescent.cycles, quiescent.recomputed), (15_880, 1));
+    assert_eq!((dirty.cycles, dirty.recomputed), (347_080, 2));
     assert_eq!(rounds[1].cycles, dirty.cycles);
     let table = proverguard_mcu::cycles::CostTable::siskiyou_peak();
-    let body = table.sha1_digest_cost(segcache::BODY_PREFIX_LEN + 64 * 20);
+    let body = table.sha1_digest_cost(segcache::BODY_PREFIX_LEN + (layout.count() - 1) * 20);
     assert_eq!(body, 21 * table.hmac_per_block);
     assert_eq!(
         dirty.cycles - quiescent.cycles,
@@ -276,7 +299,71 @@ fn dirty_app_segment_round_pays_the_body_digest() {
             "round {i}: {rounds:?}"
         );
     }
-    assert_eq!(rounds[0].recomputed, 65);
+    assert_eq!(rounds[0].recomputed, 66);
+    assert_eq!(rounds[0].recomputed as usize, layout.count());
+}
+
+/// Rewrites one `TRUST_STATE` byte with its own value, as `Code_Attest`
+/// does on a §7 clock-sync or command write, ahead of the fourth round
+/// only: the dirty bit trips, the contents stay.
+fn touch_trust_state_before_round_four() -> impl FnMut(&mut Prover) {
+    let mut round = 0;
+    move |prover: &mut Prover| {
+        round += 1;
+        if round == 4 {
+            let addr = map::TRUST_STATE.start + 8;
+            let mut byte = [0u8];
+            let mcu = prover.mcu_mut();
+            mcu.bus_read(addr, &mut byte, map::ATTEST_PC)
+                .expect("trust state is open to Code_Attest");
+            mcu.bus_write(addr, &byte, map::ATTEST_PC)
+                .expect("trust state is open to Code_Attest");
+        }
+    }
+}
+
+/// The price of keeping the trust state out of the freshness segment: a
+/// round after a `TRUST_STATE` write re-digests the 240-byte IDT and
+/// trust-state segment (5 blocks) and, on the Segmented path, the body
+/// digest (21 blocks): 73 288 cycles. The in-session History round pays
+/// the 5 blocks alone: 47 248 cycles. A segment 0 spanning the whole
+/// reserved head would make these rounds no dearer than a quiescent one,
+/// at five blocks instead of one in every round.
+#[test]
+fn trust_state_write_pays_its_own_segment() {
+    let layout = SegmentLayout::ram(proverguard_mcu::DEFAULT_SEGMENT_LEN);
+    let trust = layout.index_of((map::TRUST_STATE.start - map::RAM.start) as usize);
+    assert_eq!(layout.span(trust), FRESHNESS_LEN..HEAD_LEN);
+    let table = proverguard_mcu::cycles::CostTable::siskiyou_peak();
+    let trust_digest =
+        table.sha1_digest_cost(segcache::SEGMENT_PREFIX_LEN + HEAD_LEN - FRESHNESS_LEN);
+    assert_eq!(trust_digest, 5 * table.hmac_per_block);
+    let body = table.sha1_digest_cost(segcache::BODY_PREFIX_LEN + (layout.count() - 1) * 20);
+
+    let segmented = rounds(
+        ProverConfig::recommended_segmented(),
+        ScopePolicy::Full,
+        false,
+        touch_trust_state_before_round_four(),
+    );
+    let (quiescent, touched) = (segmented[2], segmented[3]);
+    assert_eq!((quiescent.cycles, quiescent.recomputed), (15_880, 1));
+    assert_eq!(
+        (touched.cycles, touched.recomputed, touched.body_recomputed),
+        (73_288, 2, 1)
+    );
+    assert_eq!(touched.cycles - quiescent.cycles, trust_digest + body);
+
+    let history = rounds(
+        ProverConfig::recommended_segmented(),
+        ScopePolicy::History { full_every: 0 },
+        true,
+        touch_trust_state_before_round_four(),
+    );
+    let (quiescent, touched) = (history[2], history[3]);
+    assert_eq!(quiescent.cycles, 36_208);
+    assert_eq!(touched.cycles, 47_248);
+    assert_eq!(touched.cycles - quiescent.cycles, trust_digest);
 }
 
 /// The paper's Whole-memory round never touches segments: 754.12

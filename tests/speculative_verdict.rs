@@ -38,8 +38,9 @@ const KEY: [u8; 16] = [0x5C; 16];
 // Differential: precomputed verdict vs. the references
 // ---------------------------------------------------------------------------
 
-/// A small expected image: the 256-byte head, two whole segments and a
-/// partial one at 1 KiB granularity.
+/// A small expected image at 1 KiB granularity: the freshness words, the
+/// rest of the reserved head, the rest of the first 1 KiB, two whole
+/// segments and a partial one.
 const IMAGE_LEN: usize = 3 * 1024 + 512;
 const SEG_LEN: u32 = 1024;
 
