@@ -7,6 +7,20 @@ cd "$(dirname "$0")"
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 
+# Ratchet: the non-test gateway code may not gain panic sites. Lower the
+# bound when a change removes some.
+echo "== gateway panic sites (expect( / unwrap() / panic! above #[cfg(test)], at most 15) =="
+panic_sites=0
+for f in crates/attest/src/gateway/*.rs; do
+    n=$(awk '/^#\[cfg\(test\)\]/ { exit } { c += gsub(/expect\(|unwrap\(\)|panic!/, "") } END { print c + 0 }' "$f")
+    echo "$f: $n"
+    panic_sites=$((panic_sites + n))
+done
+if [ "$panic_sites" -gt 15 ]; then
+    echo "gateway panic sites: $panic_sites, more than 15" >&2
+    exit 1
+fi
+
 echo "== cargo clippy (workspace, -D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -2,24 +2,26 @@
 //! of socketed provers.
 //!
 //! Everything below this module drives one verifier against one prover
-//! through in-process calls. The gateway is the production shape: an
-//! accept thread pulls connections off a [`proverguard_transport::Acceptor`]
-//! (TCP, or the in-memory loopback hub for CI) and hands each one to the
-//! least-loaded of `reactor_shards` event-loop threads. Each shard owns a
-//! [`proverguard_reactor::Poller`] plus a deadline wheel and drives every
-//! one of its connections as a poll-driven continuation
+//! through in-process calls. The gateway is the production shape:
+//! `reactor_shards` event-loop threads share one
+//! [`proverguard_transport::Acceptor`] (TCP, or the in-memory loopback
+//! hub for CI), and each shard accepts connections off it by itself.
+//! Each shard owns a [`proverguard_reactor::Poller`], in which the
+//! listener is one more readiness source, plus a deadline wheel. It
+//! drives every one of its connections as a poll-driven continuation
 //! ([`crate::session::DriverCursor`] for one-shot retries, the
 //! [`crate::channel`] state machines for secure sessions) against the
 //! per-device [`Verifier`] state held in a [`DeviceDirectory`]. Capacity
 //! is `reactor_shards * max_conns_per_shard` concurrent connections.
 //!
 //! Backpressure is explicit and cheap, mirroring the paper's prover-side
-//! philosophy at the fleet level: when every shard is full the accept
-//! thread answers with a one-frame [`GatewayMsg::Busy`] and drops the
-//! connection — it never queues unboundedly and never spends protocol
-//! work on load it cannot serve. Honest provers treat `Busy` as a
-//! retry-with-backoff signal (see [`ProverAgent::attest_with_retry`]);
-//! floods just get a 1-frame brush-off.
+//! philosophy at the fleet level: when the gateway is full, the shard
+//! that accepted a connection answers with a one-frame
+//! [`GatewayMsg::Busy`] and drops it — it never queues unboundedly and
+//! never spends protocol work on load it cannot serve. Honest provers
+//! treat `Busy` as a retry-with-backoff signal (see
+//! [`ProverAgent::attest_with_retry`]); floods just get a 1-frame
+//! brush-off.
 //!
 //! Every shard keeps thread-local [`proverguard_telemetry`] metrics and
 //! traces; [`GatewayHandle::shutdown`] joins the threads and folds their
@@ -632,8 +634,9 @@ pub struct GatewayConfig {
     pub io_driver: IoDriver,
     /// Event-loop shard threads.
     pub reactor_shards: usize,
-    /// Per-shard connection cap: once every shard is full, further
-    /// accepts shed `Busy`.
+    /// Admission cap: the gateway holds at most `reactor_shards ×
+    /// max_conns_per_shard` connections at once, and sheds `Busy` to a
+    /// connection accepted past it.
     pub max_conns_per_shard: usize,
     /// Per-connection read deadline (handshake and responses).
     pub read_timeout_ms: u64,
@@ -645,8 +648,6 @@ pub struct GatewayConfig {
     /// Hard cap on any single backoff timer between one-shot retries, so
     /// a saturated schedule cannot hold a connection slot for long.
     pub backoff_cap_ms: u64,
-    /// Accept-loop poll granularity (shutdown latency bound).
-    pub accept_poll_ms: u64,
     /// Per-shard trace-ring capacity.
     pub trace_capacity: usize,
     /// Fleet-health tuning for the embedded [`FleetController`].
@@ -680,7 +681,6 @@ impl Default for GatewayConfig {
                 jitter_seed: 0x6761_7465, // "gate"
             },
             backoff_cap_ms: 50,
-            accept_poll_ms: 10,
             trace_capacity: 4_096,
             fleet: FleetPolicy::default(),
             session_capacity: 64,
@@ -690,13 +690,13 @@ impl Default for GatewayConfig {
     }
 }
 
-/// Live gateway counters (atomics; shared between the accept thread,
-/// the shards and observers).
+/// Live gateway counters (atomics; shared between the shards and
+/// observers).
 #[derive(Debug)]
 pub struct GatewayStats {
     accepted: AtomicU64,
     busy_rejected: AtomicU64,
-    enqueued: AtomicU64,
+    admitted: AtomicU64,
     handshake_failed: AtomicU64,
     sessions_ok: AtomicU64,
     sessions_failed: AtomicU64,
@@ -712,7 +712,7 @@ impl GatewayStats {
         GatewayStats {
             accepted: AtomicU64::new(0),
             busy_rejected: AtomicU64::new(0),
-            enqueued: AtomicU64::new(0),
+            admitted: AtomicU64::new(0),
             handshake_failed: AtomicU64::new(0),
             sessions_ok: AtomicU64::new(0),
             sessions_failed: AtomicU64::new(0),
@@ -730,7 +730,7 @@ impl GatewayStats {
         GatewaySnapshot {
             accepted: self.accepted.load(Ordering::SeqCst),
             busy_rejected: self.busy_rejected.load(Ordering::SeqCst),
-            enqueued: self.enqueued.load(Ordering::SeqCst),
+            admitted: self.admitted.load(Ordering::SeqCst),
             handshake_failed: self.handshake_failed.load(Ordering::SeqCst),
             sessions_ok: self.sessions_ok.load(Ordering::SeqCst),
             sessions_failed: self.sessions_failed.load(Ordering::SeqCst),
@@ -748,10 +748,11 @@ impl GatewayStats {
 pub struct GatewaySnapshot {
     /// Connections pulled off the acceptor.
     pub accepted: u64,
-    /// Connections shed with a `Busy` frame (every shard full).
+    /// Connections shed with a `Busy` frame (the gateway was full).
     pub busy_rejected: u64,
-    /// Connections admitted past the shed and assigned to a shard.
-    pub enqueued: u64,
+    /// Connections admitted past the shed, each served by the shard that
+    /// accepted it.
+    pub admitted: u64,
     /// Admitted connections that died before/during `Hello` (timeout,
     /// garbage, unknown device).
     pub handshake_failed: u64,
@@ -782,8 +783,8 @@ impl GatewaySnapshot {
     /// in flight (after [`GatewayHandle::shutdown`]).
     #[must_use]
     pub fn partition_holds(&self) -> bool {
-        self.accepted == self.busy_rejected + self.enqueued
-            && self.enqueued == self.handshake_failed + self.sessions_ok + self.sessions_failed
+        self.accepted == self.busy_rejected + self.admitted
+            && self.admitted == self.handshake_failed + self.sessions_ok + self.sessions_failed
     }
 
     /// Total sessions driven to completion (verified or not).
@@ -818,10 +819,10 @@ struct SessionEntry {
 }
 
 /// The gateway's bounded table of established sessions. Shared across
-/// the shards (connections are balanced by load, not pinned by device,
-/// so a resume must find its session no matter which shard serves it);
-/// the single
-/// mutex is held only for lookup/insert, never across a round's I/O.
+/// the shards (a connection is served by whichever shard accepts it, not
+/// pinned by device, so a resume must find its session no matter which
+/// shard serves it); the single mutex is held only for lookup/insert,
+/// never across a round's I/O.
 /// Capacity is enforced by LRU eviction, idleness by lazy expiry on
 /// lookup and insert. All transitions feed the [`GatewayStats`] session
 /// counters so `opened = active + expired + evicted + rekeyed` holds.
@@ -910,6 +911,8 @@ struct GatewayShared {
     config: GatewayConfig,
     started: Instant,
     sessions: Mutex<SessionTable>,
+    /// Connections the shards hold right now: the admission count.
+    open: AtomicU64,
 }
 
 impl GatewayShared {
@@ -940,11 +943,10 @@ pub struct GatewayReport {
     pub stats: GatewaySnapshot,
 }
 
-/// A running gateway: accept thread + event-loop shards.
+/// A running gateway: its event-loop shards.
 pub struct GatewayHandle {
     shared: Arc<GatewayShared>,
     shutdown: Arc<AtomicBool>,
-    accept_thread: JoinHandle<ThreadExit>,
     shards: Vec<JoinHandle<ThreadExit>>,
     /// Per-shard counters.
     shard_stats: Vec<Arc<reactor::ShardStats>>,
@@ -958,8 +960,8 @@ pub struct GatewayHandle {
 pub struct Gateway;
 
 impl Gateway {
-    /// Starts the accept thread and the event-loop shards over
-    /// `acceptor`, serving the devices in `directory`. Runs until
+    /// Starts `reactor_shards` event-loop shards, each accepting off the
+    /// shared `acceptor`, serving the devices in `directory`. Runs until
     /// [`GatewayHandle::shutdown`].
     #[must_use]
     pub fn start(
@@ -1003,8 +1005,8 @@ impl GatewayHandle {
     }
 
     /// Graceful shutdown: stops accepting, lets in-flight sessions and
-    /// connections already handed to a shard finish, joins every thread
-    /// and merges their telemetry.
+    /// connections already accepted finish, joins every shard and merges
+    /// their telemetry.
     #[must_use]
     pub fn shutdown(self) -> GatewayReport {
         self.shutdown.store(true, Ordering::SeqCst);
@@ -1013,18 +1015,8 @@ impl GatewayHandle {
         for waker in &self.shard_wakers {
             waker.wake();
         }
-        // Once the accept thread is joined no shard inbox can grow; wake
-        // the shards again so each drains its inbox and exits when idle.
-        let accept_exit = self
-            .accept_thread
-            .join()
-            .expect("gateway accept thread panicked");
-        for waker in &self.shard_wakers {
-            waker.wake();
-        }
-        let mut metrics = accept_exit.registry;
-        let mut spans = accept_exit.spans;
-        let mut dropped_spans = accept_exit.dropped_spans;
+        let mut metrics = Registry::default();
+        let (mut spans, mut dropped_spans) = (0, 0);
         for handle in self.shards {
             let exit = handle.join().expect("gateway shard panicked");
             metrics.merge(&exit.registry);

@@ -20,12 +20,18 @@
 //! [`super::GatewayStats`] partition laws hold; each shard additionally
 //! satisfies its own law ([`ShardSnapshot::partition_holds`]).
 //!
-//! Admission control is a per-shard cap: the accept thread assigns each
-//! connection to the least-loaded shard, and when every shard is at
-//! `max_conns_per_shard` it sheds with a one-frame `Busy` —
-//! deterministic, cheap, and honest provers already know to back off.
-//! An acceptor error is counted (`gateway.accept_errors`) and never
-//! stops the accept thread; only shutdown does.
+//! **Each shard accepts for itself.** Every shard watches the gateway's
+//! one [`Acceptor`] as one more readiness source (the [`LISTENER`]
+//! token). On readiness it accepts until the acceptor is empty and
+//! registers each connection in its own poller, so a connection lives
+//! on the thread that accepted it and never crosses to another.
+//! Admission is global and deterministic: one shared count of open
+//! connections is checked against `reactor_shards ×
+//! max_conns_per_shard`, and a connection accepted past it is shed with
+//! a one-frame `Busy` — cheap, and honest provers already know to back
+//! off. An acceptor error is counted (`gateway.accept_errors`) and
+//! pauses that shard's listener for [`ACCEPT_BACKOFF_MS`] instead of
+//! spinning on it; only shutdown stops accepting for good.
 //!
 //! Telemetry: every metrics counter is recorded on the shard that did
 //! the work, and each concluded connection records its
@@ -35,14 +41,13 @@
 //! retry backoff is discarded instead of being misread as the next
 //! attempt's answer.
 
-use std::collections::VecDeque;
 use std::mem;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use proverguard_reactor::{DeadlineWheel, Event, Events, Interest, Poller, TimerId, Token, Waker};
+use proverguard_reactor::{DeadlineWheel, Event, Events, Interest, Poller, TimerId, Token};
 use proverguard_telemetry::metrics;
 use proverguard_telemetry::trace;
 use proverguard_transport::nb::{NbTransport, RawFd, ReadySource};
@@ -66,17 +71,26 @@ use super::{
 const WHEEL_GRANULARITY_MS: u64 = 4;
 const WHEEL_SLOTS: usize = 1024;
 
+/// The token of the listener in every shard's poller and wheel.
+/// Connection tokens are slab indices, and `usize::MAX` is the poller's
+/// own wake token.
+const LISTENER: Token = Token(usize::MAX - 1);
+
+/// How long a shard stops watching the listener after an acceptor error
+/// (a persistent `EMFILE` keeps a level-triggered listener readable).
+const ACCEPT_BACKOFF_MS: u64 = 10;
+
 // ---------------------------------------------------------------------------
 // Per-shard stats
 // ---------------------------------------------------------------------------
 
-/// Live per-shard counters (atomics; written by the shard's event loop
-/// and the accept thread, read by observers and the CI partition check).
+/// Live per-shard counters (atomics; written by the shard's event loop,
+/// read by observers and the CI partition check).
 #[derive(Debug, Default)]
 pub struct ShardStats {
-    /// Connections assigned to this shard by the accept thread.
+    /// Connections admitted by this shard.
     pub(super) assigned: AtomicU64,
-    /// Connections currently owned by the shard (inbox + registered).
+    /// Connections currently owned by the shard.
     pub(super) registered: AtomicU64,
     /// Assigned connections that died before/during handshake.
     pub(super) handshake_failed: AtomicU64,
@@ -91,12 +105,6 @@ pub struct ShardStats {
 }
 
 impl ShardStats {
-    /// Connections currently charged to the shard, as the accept thread
-    /// sees them when balancing load and enforcing the per-shard cap.
-    fn load(&self) -> u64 {
-        self.registered.load(Ordering::SeqCst)
-    }
-
     pub(super) fn snapshot(&self, shard: usize) -> ShardSnapshot {
         ShardSnapshot {
             shard,
@@ -116,7 +124,7 @@ impl ShardStats {
 pub struct ShardSnapshot {
     /// Shard index (0-based).
     pub shard: usize,
-    /// Connections assigned to this shard by the accept thread.
+    /// Connections admitted by this shard.
     pub assigned: u64,
     /// Connections the shard still owns (0 once quiesced).
     pub registered: u64,
@@ -126,7 +134,8 @@ pub struct ShardSnapshot {
     pub sessions_ok: u64,
     /// Assigned connections concluded without one.
     pub sessions_failed: u64,
-    /// Readiness events the shard's poller delivered.
+    /// Readiness events the shard's poller delivered to its
+    /// connections (listener events are not counted).
     pub readiness_events: u64,
     /// Deadline-wheel timers that fired (stale timers excluded).
     pub deadline_expiries: u64,
@@ -134,7 +143,7 @@ pub struct ShardSnapshot {
 
 impl ShardSnapshot {
     /// The shard-level conservation law, mirroring the global one: every
-    /// connection assigned to the shard is exactly one of still-owned,
+    /// connection admitted by the shard is exactly one of still-owned,
     /// handshake-failed, session-ok or session-failed. Exact once the
     /// shard quiesces (`registered == 0` after shutdown).
     #[must_use]
@@ -148,26 +157,13 @@ impl ShardSnapshot {
 // Startup
 // ---------------------------------------------------------------------------
 
-/// A freshly accepted connection travelling from the accept thread to a
-/// shard's inbox.
-struct NewConn {
-    nb: Box<dyn NbTransport>,
-    accepted_at: Instant,
-}
-
-/// The accept thread's view of one shard.
-struct ShardPort {
-    inbox: Arc<Mutex<VecDeque<NewConn>>>,
-    waker: Waker,
-    stats: Arc<ShardStats>,
-}
-
 pub(super) fn start(
     acceptor: Box<dyn Acceptor>,
     directory: DeviceDirectory,
     config: GatewayConfig,
 ) -> GatewayHandle {
     let shards_n = config.reactor_shards.max(1);
+    let capacity = (shards_n * config.max_conns_per_shard.max(1)) as u64;
     let fleet = FleetController::new(directory.len(), config.fleet);
     let shared = Arc::new(GatewayShared {
         directory,
@@ -176,35 +172,30 @@ pub(super) fn start(
         config,
         started: Instant::now(),
         sessions: Mutex::new(SessionTable::default()),
+        open: AtomicU64::new(0),
     });
+    let acceptor: Arc<dyn Acceptor> = Arc::from(acceptor);
     let shutdown = Arc::new(AtomicBool::new(false));
 
-    let mut ports = Vec::with_capacity(shards_n);
     let mut shard_stats = Vec::with_capacity(shards_n);
     let mut shard_wakers = Vec::with_capacity(shards_n);
     let mut shards = Vec::with_capacity(shards_n);
     for idx in 0..shards_n {
         let stats = Arc::new(ShardStats::default());
-        let inbox: Arc<Mutex<VecDeque<NewConn>>> = Arc::new(Mutex::new(VecDeque::new()));
         let poller = Poller::new().expect("create shard poller");
-        let waker = poller.waker();
-        ports.push(ShardPort {
-            inbox: Arc::clone(&inbox),
-            waker: waker.clone(),
-            stats: Arc::clone(&stats),
-        });
         shard_stats.push(Arc::clone(&stats));
-        shard_wakers.push(waker);
+        shard_wakers.push(poller.waker());
         let shard = Shard {
             ctx: Arc::clone(&shared),
             stats,
+            acceptor: Arc::clone(&acceptor),
+            listening: false,
+            capacity,
             poller,
             events: Events::with_capacity(1024),
             wheel: DeadlineWheel::new(WHEEL_GRANULARITY_MS, WHEEL_SLOTS),
             conns: Vec::new(),
             free: Vec::new(),
-            live: 0,
-            inbox,
             shutdown: Arc::clone(&shutdown),
             spans: 0,
         };
@@ -216,94 +207,12 @@ pub(super) fn start(
         );
     }
 
-    let accept_thread = {
-        let ctx = Arc::clone(&shared);
-        let flag = Arc::clone(&shutdown);
-        thread::Builder::new()
-            .name("gw-accept".to_string())
-            .spawn(move || accept_main(acceptor, ports, &ctx, &flag))
-            .expect("spawn gateway accept loop")
-    };
-
     GatewayHandle {
         shared,
         shutdown,
-        accept_thread,
         shards,
         shard_stats,
         shard_wakers,
-    }
-}
-
-fn accept_main(
-    mut acceptor: Box<dyn Acceptor>,
-    ports: Vec<ShardPort>,
-    ctx: &GatewayShared,
-    shutdown: &AtomicBool,
-) -> ThreadExit {
-    metrics::reset();
-    let poll = Duration::from_millis(ctx.config.accept_poll_ms.max(1));
-    let cap = ctx.config.max_conns_per_shard.max(1) as u64;
-    while !shutdown.load(Ordering::SeqCst) {
-        let conn = match acceptor.poll_accept(poll) {
-            Ok(Some(conn)) => conn,
-            Ok(None) => continue,
-            Err(_) => {
-                // One aborted peer or a transient EMFILE must not stop
-                // the gateway accepting: count it, wait, keep listening.
-                metrics::counter_add("gateway.accept_errors", 1);
-                thread::sleep(poll);
-                continue;
-            }
-        };
-        ctx.stats.accepted.fetch_add(1, Ordering::SeqCst);
-        metrics::counter_add("gateway.accepted", 1);
-        let (best, load) = ports
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (i, p.stats.load()))
-            .min_by_key(|&(_, load)| load)
-            .expect("at least one shard");
-        if load >= cap {
-            // Every shard is full: deterministic one-frame shed.
-            ctx.stats.busy_rejected.fetch_add(1, Ordering::SeqCst);
-            metrics::counter_add("gateway.busy", 1);
-            let mut conn = conn;
-            let _ = conn.set_deadline(Some(Duration::from_millis(ctx.config.write_timeout_ms)));
-            let _ = conn.send(&GatewayMsg::Busy.encode());
-            continue;
-        }
-        match conn.into_nb() {
-            Ok(nb) => {
-                ctx.stats.enqueued.fetch_add(1, Ordering::SeqCst);
-                let port = &ports[best];
-                port.stats.assigned.fetch_add(1, Ordering::SeqCst);
-                port.stats.registered.fetch_add(1, Ordering::SeqCst);
-                port.inbox
-                    .lock()
-                    .expect("shard inbox poisoned")
-                    .push_back(NewConn {
-                        nb,
-                        accepted_at: Instant::now(),
-                    });
-                port.waker.wake();
-            }
-            Err(_) => {
-                // A transport with no non-blocking mode (e.g. an
-                // adversarial wrapper): account it as an enqueued
-                // connection that failed before handshake, so the global
-                // partition law stays exact.
-                ctx.stats.enqueued.fetch_add(1, Ordering::SeqCst);
-                ctx.stats.handshake_failed.fetch_add(1, Ordering::SeqCst);
-                metrics::counter_add("gateway.handshake_failed", 1);
-                metrics::counter_add("gateway.reactor.nb_unsupported", 1);
-            }
-        }
-    }
-    ThreadExit {
-        registry: metrics::snapshot(),
-        spans: 0,
-        dropped_spans: 0,
     }
 }
 
@@ -393,13 +302,17 @@ struct Conn {
 struct Shard {
     ctx: Arc<GatewayShared>,
     stats: Arc<ShardStats>,
+    /// The listener every shard shares.
+    acceptor: Arc<dyn Acceptor>,
+    /// False while paused after an acceptor error, and after shutdown.
+    listening: bool,
+    /// Connections the whole gateway admits at once.
+    capacity: u64,
     poller: Poller,
     events: Events,
     wheel: DeadlineWheel,
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
-    live: usize,
-    inbox: Arc<Mutex<VecDeque<NewConn>>>,
     shutdown: Arc<AtomicBool>,
     spans: u64,
 }
@@ -410,20 +323,25 @@ impl Shard {
         trace::reset();
         trace::set_capacity(self.ctx.config.trace_capacity.max(16));
         trace::enable();
+        if let Ok(notifier) = self.poller.notifier(LISTENER) {
+            self.acceptor.attach_notifier(notifier);
+        }
+        self.listen();
         let mut fired: Vec<(TimerId, Token)> = Vec::new();
         let mut batch: Vec<Event> = Vec::new();
         loop {
-            self.drain_inbox();
-            if self.shutdown.load(Ordering::SeqCst)
-                && self.live == 0
-                && self.inbox.lock().expect("shard inbox poisoned").is_empty()
-            {
-                break;
+            if self.shutdown.load(Ordering::SeqCst) {
+                self.unlisten();
+                if self.stats.registered.load(Ordering::SeqCst) == 0 {
+                    break;
+                }
             }
             let timeout = self.wheel.next_timeout_ms().map(Duration::from_millis);
             let _ = self.poller.poll(&mut self.events, timeout);
             batch.clear();
             batch.extend(self.events.iter().copied());
+            let listener_ready = batch.iter().any(|ev| ev.token == LISTENER);
+            batch.retain(|ev| ev.token != LISTENER);
             if !batch.is_empty() {
                 self.stats
                     .readiness_events
@@ -433,11 +351,19 @@ impl Shard {
             for ev in &batch {
                 self.handle_event(*ev);
             }
+            // Serve the connections already held before taking new ones.
+            if listener_ready {
+                self.accept_ready();
+            }
             fired.clear();
             let now = self.ctx.elapsed_ms();
             self.wheel.advance(now, &mut fired);
             for (id, token) in fired.drain(..) {
-                self.handle_timer(id, token);
+                if token != LISTENER {
+                    self.handle_timer(id, token);
+                } else if !self.shutdown.load(Ordering::SeqCst) {
+                    self.listen();
+                }
             }
             // Keep the trace ring shallow, preserving the dropped count.
             self.spans += trace::drain()
@@ -452,27 +378,82 @@ impl Shard {
         }
     }
 
-    // -- connection lifecycle ------------------------------------------------
+    // -- listener ------------------------------------------------------------
 
-    fn drain_inbox(&mut self) {
-        loop {
-            let new = self.inbox.lock().expect("shard inbox poisoned").pop_front();
-            let Some(new) = new else { break };
-            self.register_conn(new);
+    /// Starts watching the listener, then accepts what already waits: a
+    /// notifier source's pings are ignored while it is not watched.
+    fn listen(&mut self) {
+        let watched = match self.acceptor.ready_source() {
+            ReadySource::Fd(fd) => self.poller.register(fd, LISTENER, Interest::READABLE),
+            ReadySource::Notify => Ok(()),
+        };
+        if watched.is_err() {
+            return self.pause_listener();
+        }
+        self.listening = true;
+        self.accept_ready();
+    }
+
+    /// Stops watching the listener (shutdown, or an acceptor error).
+    fn unlisten(&mut self) {
+        if !mem::take(&mut self.listening) {
+            return;
+        }
+        if let ReadySource::Fd(fd) = self.acceptor.ready_source() {
+            let _ = self.poller.deregister(fd);
         }
     }
 
-    fn register_conn(&mut self, new: NewConn) {
-        metrics::histogram_record(
-            "gateway.queue_wait_us",
-            u64::try_from(new.accepted_at.elapsed().as_micros()).unwrap_or(u64::MAX),
-        );
+    /// An acceptor error: counted, and the listener left unwatched for
+    /// [`ACCEPT_BACKOFF_MS`], after which a wheel timer resumes it.
+    fn pause_listener(&mut self) {
+        metrics::counter_add("gateway.accept_errors", 1);
+        self.unlisten();
+        let resume_at = self.ctx.elapsed_ms().saturating_add(ACCEPT_BACKOFF_MS);
+        self.wheel.schedule(LISTENER, resume_at);
+    }
+
+    /// Accepts until the acceptor is empty (or errs).
+    fn accept_ready(&mut self) {
+        while self.listening {
+            match self.acceptor.try_accept() {
+                Ok(Some(nb)) => self.admit(nb),
+                Ok(None) => return,
+                Err(_) => self.pause_listener(),
+            }
+        }
+    }
+
+    /// Admits one accepted connection, or sheds it with a one-frame
+    /// `Busy` once the gateway holds `capacity`. The shared count is
+    /// raised before it is checked, so concurrent shards never overshoot.
+    fn admit(&mut self, mut nb: Box<dyn NbTransport>) {
+        let ctx = &self.ctx;
+        ctx.stats.accepted.fetch_add(1, Ordering::SeqCst);
+        metrics::counter_add("gateway.accepted", 1);
+        if ctx.open.fetch_add(1, Ordering::SeqCst) >= self.capacity {
+            ctx.open.fetch_sub(1, Ordering::SeqCst);
+            ctx.stats.busy_rejected.fetch_add(1, Ordering::SeqCst);
+            metrics::counter_add("gateway.busy", 1);
+            // Never blocks: a fresh connection's send buffer takes one
+            // small frame, and what it does not take is dropped with it.
+            let _ = nb.enqueue_send(&GatewayMsg::Busy.encode());
+            return;
+        }
+        ctx.stats.admitted.fetch_add(1, Ordering::SeqCst);
+        self.stats.assigned.fetch_add(1, Ordering::SeqCst);
+        self.stats.registered.fetch_add(1, Ordering::SeqCst);
+        self.register_conn(nb);
+    }
+
+    // -- connection lifecycle ------------------------------------------------
+
+    fn register_conn(&mut self, mut nb: Box<dyn NbTransport>) {
         let slot = self.free.pop().unwrap_or_else(|| {
             self.conns.push(None);
             self.conns.len() - 1
         });
         let token = Token(slot);
-        let mut nb = new.nb;
         let watched = match nb.ready_source() {
             ReadySource::Fd(fd) => self
                 .poller
@@ -488,7 +469,7 @@ impl Shard {
             // Same accounting as a link failure.
             self.free.push(slot);
             self.fail_handshake("gateway.handshake.link");
-            self.stats.registered.fetch_sub(1, Ordering::SeqCst);
+            self.release();
             return;
         };
         let establish_deadline_ms = self
@@ -514,8 +495,10 @@ impl Shard {
             self.ctx.config.read_timeout_ms,
         );
         self.conns[slot] = Some(conn);
-        self.live += 1;
-        metrics::gauge_set("gateway.reactor.registered", self.live as u64);
+        metrics::gauge_set(
+            "gateway.reactor.registered",
+            self.stats.registered.load(Ordering::SeqCst),
+        );
     }
 
     /// Tears the connection down: timers cancelled, fd deregistered, slot
@@ -531,9 +514,15 @@ impl Shard {
         drop(conn);
         self.conns[slot] = None;
         self.free.push(slot);
-        self.live -= 1;
-        self.stats.registered.fetch_sub(1, Ordering::SeqCst);
-        metrics::gauge_set("gateway.reactor.registered", self.live as u64);
+        self.release();
+    }
+
+    /// Gives a gone connection's place back, to this shard and to the
+    /// gateway's admission count.
+    fn release(&mut self) {
+        let left = self.stats.registered.fetch_sub(1, Ordering::SeqCst) - 1;
+        self.ctx.open.fetch_sub(1, Ordering::SeqCst);
+        metrics::gauge_set("gateway.reactor.registered", left);
     }
 
     // -- readiness dispatch --------------------------------------------------

@@ -134,7 +134,6 @@ fn run_level(level: usize, deadline: Duration) -> LevelOutcome {
             max_conns_per_shard: level.div_ceil(THREADS) + 64,
             retry: gateway_retry(),
             read_timeout_ms: 10_000,
-            accept_poll_ms: 1,
             ..GatewayConfig::default()
         },
     );
@@ -175,7 +174,6 @@ fn run_shed_probe() -> ProbeOutcome {
             max_conns_per_shard: SHED_CAP,
             retry: gateway_retry(),
             read_timeout_ms: 10_000,
-            accept_poll_ms: 1,
             ..GatewayConfig::default()
         },
     );
@@ -228,10 +226,10 @@ fn check_level(outcome: &LevelOutcome, violations: &mut Vec<String>) {
         }
     }
     let assigned: u64 = outcome.shards.iter().map(|s| s.assigned).sum();
-    if assigned != outcome.report.stats.enqueued {
+    if assigned != outcome.report.stats.admitted {
         violations.push(format!(
-            "level {level}: shard assignment {assigned} != enqueued {}",
-            outcome.report.stats.enqueued
+            "level {level}: shard assignment {assigned} != admitted {}",
+            outcome.report.stats.admitted
         ));
     }
 }

@@ -13,8 +13,7 @@
 //!   a second implementation CI runs the same tests against);
 //! - [`Token`] / [`Interest`] — token-keyed interest registration, the
 //!   key the owning shard uses to route readiness back to a connection;
-//! - [`Waker`] — a wake pipe for cross-thread signaling (shutdown,
-//!   handoff of freshly accepted sockets to a shard);
+//! - [`Waker`] — a wake pipe for cross-thread signaling (shutdown);
 //! - [`Notifier`] — readiness for *non-fd* event sources (the in-memory
 //!   loopback transport used by deterministic benches), merged into the
 //!   same [`Poller::poll`] call as socket events;

@@ -2,6 +2,7 @@
 //! notify queue that folds non-fd sources into the same poll call.
 
 use std::collections::VecDeque;
+use std::fmt;
 use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -82,6 +83,12 @@ struct NotifyState {
 #[derive(Clone)]
 pub struct Notifier {
     state: Arc<NotifyState>,
+}
+
+impl fmt::Debug for Notifier {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("Notifier").field(&self.state.token).finish()
+    }
 }
 
 impl Notifier {

@@ -13,9 +13,10 @@
 //!   - [`mem::MemTransport`] — an in-memory loopback with the same
 //!     blocking/deadline semantics, so CI and deterministic benches run
 //!     the identical stack without touching a socket;
-//! - [`Acceptor`] — the listening side, implemented by
-//!   [`tcp::TcpAcceptor`] and [`mem::LoopbackHub`], which is what the
-//!   verifier gateway in `proverguard-attest` serves connections from.
+//! - [`Acceptor`] — the listening side, a non-blocking readiness source
+//!   implemented by [`tcp::TcpAcceptor`] and [`mem::LoopbackHub`]. It is
+//!   what the verifier gateway in `proverguard-attest` serves
+//!   connections from.
 //!
 //! Fault schedules from `proverguard-adversary` compose with any
 //! [`Transport`] through that crate's `wire::FaultyTransport` wrapper, so
@@ -34,7 +35,7 @@ pub mod tcp;
 pub use error::TransportError;
 pub use frame::{decode_datagram, encode_frame, FrameDecoder, DEFAULT_MAX_FRAME};
 pub use mem::{loopback_pair, LoopbackConnector, LoopbackHub, MemTransport};
-pub use nb::{NbTransport, ReadySource};
+pub use nb::{NbTransport, Notifier, ReadySource};
 pub use tcp::{TcpAcceptor, TcpTransport};
 
 use std::time::Duration;
@@ -75,9 +76,9 @@ impl LinkStats {
 
 /// A blocking, framed, bidirectional message pipe.
 ///
-/// Implementations are `Send` so a connection can be handed from an
-/// accept loop to a worker thread. One transport belongs to one thread at
-/// a time; none of them are `Sync`.
+/// Implementations are `Send` so a connection can move to the thread
+/// that drives it. One transport belongs to one thread at a time; none
+/// of them are `Sync`.
 pub trait Transport: Send {
     /// Sends one framed message.
     ///
@@ -129,20 +130,31 @@ pub trait Transport: Send {
     }
 }
 
-/// The listening half: yields accepted connections as boxed transports.
-pub trait Acceptor: Send {
-    /// Waits up to `timeout` for one inbound connection. `Ok(None)` means
-    /// the timeout elapsed with nothing to accept — the caller's chance
-    /// to check its shutdown flag and call again.
+/// The listening half: a shared, non-blocking source of accepted
+/// connections.
+///
+/// Every event loop of a server holds the same acceptor and watches it
+/// like one more connection: through [`Acceptor::ready_source`], with
+/// the readiness contract of [`NbTransport`]. On readiness it calls
+/// [`Acceptor::try_accept`] until that returns `Ok(None)`.
+pub trait Acceptor: Send + Sync {
+    /// How to observe that a connection may be waiting: the listening
+    /// descriptor, or a [`Notifier`] attached with
+    /// [`Acceptor::attach_notifier`].
+    fn ready_source(&self) -> ReadySource;
+
+    /// Adds `notifier` to those pinged on every new connection and
+    /// notifies it once right away (a connection may predate the
+    /// attach). A no-op for fd-backed acceptors.
+    fn attach_notifier(&self, notifier: Notifier);
+
+    /// Accepts one waiting connection in its non-blocking form;
+    /// `Ok(None)` means none is waiting.
     ///
     /// # Errors
     ///
-    /// [`TransportError::Closed`] once the listener is shut down.
-    fn poll_accept(
-        &mut self,
-        timeout: Duration,
-    ) -> Result<Option<Box<dyn Transport>>, TransportError>;
-
-    /// A label for the listening endpoint.
-    fn local_label(&self) -> String;
+    /// [`TransportError::Io`] when the OS refuses the accept (e.g.
+    /// `EMFILE`), [`TransportError::Closed`] once the listener is shut
+    /// down and drained.
+    fn try_accept(&self) -> Result<Option<Box<dyn NbTransport>>, TransportError>;
 }

@@ -9,9 +9,9 @@
 //! bit-flips the framed bytes is caught by the same codec checks a real
 //! wire would hit.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::collections::VecDeque;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use proverguard_reactor::Notifier;
@@ -205,27 +205,44 @@ pub fn loopback_pair(max_frame: usize) -> (MemTransport, MemTransport) {
     )
 }
 
+/// The connections a [`LoopbackHub`] has not accepted yet, and who to
+/// ping when one arrives.
+#[derive(Debug, Default)]
+struct Backlog {
+    queue: VecDeque<MemTransport>,
+    listeners: Vec<Notifier>,
+    closed: bool,
+    next_id: u64,
+}
+
+fn lock(backlog: &Mutex<Backlog>) -> MutexGuard<'_, Backlog> {
+    // Every critical section leaves the backlog consistent, so a panic
+    // elsewhere while it was held does not invalidate it.
+    backlog.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// The dialing side of a [`LoopbackHub`]. Cloneable: every prover thread
 /// in a bench holds one.
 #[derive(Debug, Clone)]
 pub struct LoopbackConnector {
-    conn_tx: Sender<MemTransport>,
-    closed: Arc<AtomicBool>,
-    next_id: Arc<AtomicU64>,
+    backlog: Arc<Mutex<Backlog>>,
     max_frame: usize,
 }
 
 impl LoopbackConnector {
-    /// Opens a new connection to the hub, returning the client end.
+    /// Opens a new connection to the hub, returning the client end, and
+    /// pings every notifier attached to the hub.
     ///
     /// # Errors
     ///
-    /// [`TransportError::Closed`] once the hub has shut down.
+    /// [`TransportError::Closed`] once the hub is closed or dropped.
     pub fn connect(&self) -> Result<MemTransport, TransportError> {
-        if self.closed.load(Ordering::SeqCst) {
+        let mut backlog = lock(&self.backlog);
+        if backlog.closed {
             return Err(TransportError::Closed);
         }
-        let id = self.next_id.fetch_add(1, Ordering::SeqCst);
+        let id = backlog.next_id;
+        backlog.next_id += 1;
         let (client_tx, server_rx) = channel();
         let (server_tx, client_rx) = channel();
         let server_signal = Arc::new(SignalCell::new());
@@ -246,73 +263,70 @@ impl LoopbackConnector {
             server_signal,
             client_signal,
         );
-        self.conn_tx
-            .send(server)
-            .map_err(|_| TransportError::Closed)?;
+        backlog.queue.push_back(server);
+        for listener in &backlog.listeners {
+            listener.notify();
+        }
         Ok(client)
     }
 }
 
 /// The listening side of the in-memory stack: connections queued by
-/// [`LoopbackConnector::connect`] come out of [`Acceptor::poll_accept`]
-/// exactly like TCP accepts would.
+/// [`LoopbackConnector::connect`] come out of [`Acceptor::try_accept`]
+/// in order, exactly like TCP accepts would. Readiness is notifier-based.
 #[derive(Debug)]
 pub struct LoopbackHub {
-    conn_rx: Receiver<MemTransport>,
-    closed: Arc<AtomicBool>,
+    backlog: Arc<Mutex<Backlog>>,
 }
 
 impl LoopbackHub {
     /// A hub plus its (cloneable) connector.
     #[must_use]
     pub fn new(max_frame: usize) -> (Self, LoopbackConnector) {
-        let (conn_tx, conn_rx) = channel();
-        let closed = Arc::new(AtomicBool::new(false));
+        let backlog = Arc::new(Mutex::new(Backlog::default()));
         (
             LoopbackHub {
-                conn_rx,
-                closed: Arc::clone(&closed),
+                backlog: Arc::clone(&backlog),
             },
-            LoopbackConnector {
-                conn_tx,
-                closed,
-                next_id: Arc::new(AtomicU64::new(0)),
-                max_frame,
-            },
+            LoopbackConnector { backlog, max_frame },
         )
     }
 
     /// Marks the hub closed: subsequent `connect` calls fail with
     /// [`TransportError::Closed`]. Connections already queued are still
-    /// drained by `poll_accept`.
+    /// drained by `try_accept`.
     pub fn close(&self) {
-        self.closed.store(true, Ordering::SeqCst);
+        lock(&self.backlog).closed = true;
+    }
+}
+
+impl Drop for LoopbackHub {
+    fn drop(&mut self) {
+        // Queued connections hang up on their clients, and later dials
+        // fail instead of waiting on a hub nobody accepts from.
+        let mut backlog = lock(&self.backlog);
+        backlog.closed = true;
+        backlog.queue.clear();
     }
 }
 
 impl Acceptor for LoopbackHub {
-    fn poll_accept(
-        &mut self,
-        timeout: Duration,
-    ) -> Result<Option<Box<dyn Transport>>, TransportError> {
-        if self.closed.load(Ordering::SeqCst) {
-            // Drain what's queued, then report closed.
-            return match self.conn_rx.try_recv() {
-                Ok(t) => Ok(Some(Box::new(t))),
-                Err(TryRecvError::Empty | TryRecvError::Disconnected) => {
-                    Err(TransportError::Closed)
-                }
-            };
-        }
-        match self.conn_rx.recv_timeout(timeout) {
-            Ok(t) => Ok(Some(Box::new(t))),
-            Err(RecvTimeoutError::Timeout) => Ok(None),
-            Err(RecvTimeoutError::Disconnected) => Err(TransportError::Closed),
-        }
+    fn ready_source(&self) -> ReadySource {
+        ReadySource::Notify
     }
 
-    fn local_label(&self) -> String {
-        "loopback-hub".to_string()
+    fn attach_notifier(&self, notifier: Notifier) {
+        notifier.notify();
+        lock(&self.backlog).listeners.push(notifier);
+    }
+
+    fn try_accept(&self) -> Result<Option<Box<dyn NbTransport>>, TransportError> {
+        let mut backlog = lock(&self.backlog);
+        match backlog.queue.pop_front() {
+            Some(inner) => Ok(Some(Box::new(NbMem { inner }))),
+            None if backlog.closed => Err(TransportError::Closed),
+            None => Ok(None),
+        }
     }
 }
 
@@ -348,21 +362,40 @@ mod tests {
 
     #[test]
     fn hub_accepts_connections_in_order() {
-        let (mut hub, connector) = LoopbackHub::new(DEFAULT_MAX_FRAME);
+        let (hub, connector) = LoopbackHub::new(DEFAULT_MAX_FRAME);
         let mut c1 = connector.connect().unwrap();
         let _c2 = connector.connect().unwrap();
         c1.send(b"first").unwrap();
-        let mut s1 = hub
-            .poll_accept(Duration::from_secs(1))
-            .unwrap()
-            .expect("first connection");
-        s1.set_deadline(Some(Duration::from_secs(1))).unwrap();
-        assert_eq!(s1.recv().unwrap(), b"first");
-        assert!(hub.poll_accept(Duration::from_secs(1)).unwrap().is_some());
-        assert!(hub
-            .poll_accept(Duration::from_millis(10))
-            .unwrap()
-            .is_none());
+        let mut s1 = hub.try_accept().unwrap().expect("first connection");
+        assert_eq!(s1.ready_source(), ReadySource::Notify);
+        assert_eq!(s1.try_recv().unwrap().unwrap(), b"first");
+        assert!(hub.try_accept().unwrap().is_some());
+        assert!(hub.try_accept().unwrap().is_none());
+        drop(hub);
+        assert!(connector.connect().is_err(), "nobody accepts any more");
+    }
+
+    #[test]
+    fn one_connect_pings_every_attached_notifier() {
+        use proverguard_reactor::{Events, Poller, Token};
+
+        let (hub, connector) = LoopbackHub::new(DEFAULT_MAX_FRAME);
+        let mut pollers = [Poller::new().unwrap(), Poller::new().unwrap()];
+        let mut events = Events::default();
+        for poller in &mut pollers {
+            hub.attach_notifier(poller.notifier(Token(0)).unwrap());
+            // The attach-time notify, which covers earlier connections.
+            poller.poll(&mut events, Some(Duration::ZERO)).unwrap();
+            assert_eq!(events.len(), 1);
+        }
+        let _client = connector.connect().unwrap();
+        for poller in &mut pollers {
+            poller
+                .poll(&mut events, Some(Duration::from_secs(5)))
+                .unwrap();
+            assert_eq!(events.len(), 1, "connect must ping every notifier");
+        }
+        assert!(hub.try_accept().unwrap().is_some());
     }
 
     #[test]
@@ -395,19 +428,13 @@ mod tests {
 
     #[test]
     fn closed_hub_rejects_new_connections_but_drains_queued() {
-        let (mut hub, connector) = LoopbackHub::new(DEFAULT_MAX_FRAME);
+        let (hub, connector) = LoopbackHub::new(DEFAULT_MAX_FRAME);
         let _queued = connector.connect().unwrap();
         hub.close();
         assert!(connector.connect().is_err());
         // The queued connection still comes out …
-        assert!(hub
-            .poll_accept(Duration::from_millis(10))
-            .unwrap()
-            .is_some());
+        assert!(hub.try_accept().unwrap().is_some());
         // … then the hub reports closed.
-        assert_eq!(
-            hub.poll_accept(Duration::from_millis(10)).err(),
-            Some(TransportError::Closed)
-        );
+        assert_eq!(hub.try_accept().err(), Some(TransportError::Closed));
     }
 }

@@ -21,14 +21,16 @@
 //!   writes the kernel will not take yet, so a slow reader costs memory
 //!   (bounded by the caller's discipline) instead of a blocked thread.
 //!
-//! Conversion is [`Transport::into_nb`](crate::Transport::into_nb):
+//! A server gets its connections in this form straight from
+//! [`Acceptor::try_accept`](crate::Acceptor::try_accept). A dialed
+//! connection converts with [`Transport::into_nb`](crate::Transport::into_nb):
 //! implemented by the TCP and loopback transports, a structured
 //! "unsupported" error everywhere else (e.g. adversarial wrappers).
 
 use std::fmt;
 use std::sync::Mutex;
 
-use proverguard_reactor::Notifier;
+pub use proverguard_reactor::Notifier;
 
 use crate::error::TransportError;
 use crate::LinkStats;

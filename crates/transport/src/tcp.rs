@@ -9,9 +9,9 @@
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use proverguard_reactor::{Events, Interest, Notifier, Poller, Token};
+use proverguard_reactor::Notifier;
 
 use crate::error::TransportError;
 use crate::frame::{encode_frame, FrameDecoder, DEFAULT_MAX_FRAME};
@@ -20,11 +20,6 @@ use crate::{Acceptor, LinkStats, Transport};
 
 /// How much to ask the kernel for per read.
 const READ_CHUNK: usize = 4096;
-
-/// Default interval of the acceptor's sleep-poll fallback (the historic
-/// hard-coded value, now configurable via
-/// [`TcpAcceptor::set_accept_backoff`]).
-pub const DEFAULT_ACCEPT_BACKOFF: Duration = Duration::from_millis(1);
 
 /// A framed TCP connection.
 #[derive(Debug)]
@@ -203,18 +198,12 @@ impl NbTransport for NbTcp {
     }
 }
 
-/// The listening side: a non-blocking `TcpListener` waited on through a
-/// reactor [`Poller`] when one is available, with the original
-/// sleep-poll loop kept as the portable fallback (its interval is now
-/// configurable instead of hard-coded).
+/// The listening side: a non-blocking `TcpListener` whose descriptor
+/// the caller's reactor watches for readiness.
 pub struct TcpAcceptor {
     listener: TcpListener,
     max_frame: usize,
     local: SocketAddr,
-    /// Reactor-backed readiness for the listener fd; `None` runs the
-    /// sleep-poll fallback.
-    poller: Option<(Poller, Events)>,
-    backoff: Duration,
 }
 
 impl TcpAcceptor {
@@ -239,19 +228,10 @@ impl TcpAcceptor {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
-        // Best effort: a reactor failure (fd limits, exotic platforms)
-        // degrades to the sleep-poll loop instead of failing the bind.
-        let poller = Poller::new().ok().and_then(|mut p| {
-            p.register(listener.as_raw_fd(), Token(0), Interest::READABLE)
-                .ok()
-                .map(|()| (p, Events::with_capacity(4)))
-        });
         Ok(TcpAcceptor {
             listener,
             max_frame,
             local,
-            poller,
-            backoff: DEFAULT_ACCEPT_BACKOFF,
         })
     }
 
@@ -260,73 +240,53 @@ impl TcpAcceptor {
     pub fn local_addr(&self) -> SocketAddr {
         self.local
     }
-
-    /// Sets the sleep interval of the fallback poll loop (ignored while
-    /// the reactor path is active). Zero is clamped to 1 ms.
-    pub fn set_accept_backoff(&mut self, backoff: Duration) {
-        self.backoff = backoff.max(Duration::from_millis(1));
-    }
-
-    /// Forces the sleep-poll fallback path (used by tests and by
-    /// deployments that want the reactor kept out of the accept path).
-    pub fn disable_reactor(&mut self) {
-        self.poller = None;
-    }
-
-    /// True when accepts are reactor-driven rather than sleep-polled.
-    #[must_use]
-    pub fn reactor_active(&self) -> bool {
-        self.poller.is_some()
-    }
 }
 
 impl Acceptor for TcpAcceptor {
-    fn poll_accept(
-        &mut self,
-        timeout: Duration,
-    ) -> Result<Option<Box<dyn Transport>>, TransportError> {
-        let deadline = Instant::now() + timeout;
+    fn ready_source(&self) -> ReadySource {
+        ReadySource::Fd(self.listener.as_raw_fd())
+    }
+
+    fn attach_notifier(&self, _notifier: Notifier) {}
+
+    fn try_accept(&self) -> Result<Option<Box<dyn NbTransport>>, TransportError> {
         loop {
             match self.listener.accept() {
                 Ok((stream, _)) => {
-                    let t = TcpTransport::with_max_frame(stream, self.max_frame)?;
-                    return Ok(Some(Box::new(t)));
+                    let conn = TcpTransport::with_max_frame(stream, self.max_frame)?;
+                    return Box::new(conn).into_nb().map(Some);
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        return Ok(None);
-                    }
-                    match &mut self.poller {
-                        Some((poller, events)) => {
-                            // Block until the listener is actually
-                            // readable (or the deadline passes) instead
-                            // of burning sleep/accept cycles.
-                            poller.poll(events, Some(deadline - now))?;
-                        }
-                        None => std::thread::sleep(self.backoff.min(deadline - now)),
-                    }
-                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(None),
                 // A peer that gave up mid-handshake is gone before we
                 // saw it: nothing was accepted, the listener is fine.
                 Err(e)
                     if matches!(
                         e.kind(),
-                        io::ErrorKind::ConnectionAborted | io::ErrorKind::ConnectionReset
+                        io::ErrorKind::ConnectionAborted
+                            | io::ErrorKind::ConnectionReset
+                            | io::ErrorKind::Interrupted
                     ) => {}
                 Err(e) => return Err(e.into()),
             }
         }
-    }
-
-    fn local_label(&self) -> String {
-        self.local.to_string()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Calls `f` until it yields something (5 s budget).
+    fn poll_until<T>(mut f: impl FnMut() -> Option<T>) -> T {
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        loop {
+            if let Some(t) = f() {
+                return t;
+            }
+            assert!(std::time::Instant::now() < deadline, "nothing arrived");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
 
     fn pair() -> (TcpTransport, TcpTransport) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -390,24 +350,19 @@ mod tests {
 
     #[test]
     fn acceptor_polls_and_accepts() {
-        let mut acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
-        // Nothing to accept: poll returns None after the timeout.
-        assert!(acceptor
-            .poll_accept(Duration::from_millis(10))
-            .unwrap()
-            .is_none());
+        let acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
+        assert!(matches!(acceptor.ready_source(), ReadySource::Fd(_)));
+        // Nothing to accept: a would-block, not an error.
+        assert!(acceptor.try_accept().unwrap().is_none());
         let addr = acceptor.local_addr();
         let client = std::thread::spawn(move || {
             let mut c = TcpTransport::connect(addr).unwrap();
             c.send(b"hi").unwrap();
+            c
         });
-        let mut conn = acceptor
-            .poll_accept(Duration::from_secs(5))
-            .unwrap()
-            .expect("client connected");
-        conn.set_deadline(Some(Duration::from_secs(5))).unwrap();
-        assert_eq!(conn.recv().unwrap(), b"hi");
-        client.join().unwrap();
+        let mut conn = poll_until(|| acceptor.try_accept().unwrap());
+        assert_eq!(poll_until(|| conn.try_recv().unwrap()), b"hi");
+        drop(client.join().unwrap());
     }
 
     #[test]
@@ -418,13 +373,7 @@ mod tests {
         assert_eq!(nb.try_recv().unwrap(), None, "no data: would-block");
 
         client.send(b"ping").unwrap();
-        let got = loop {
-            if let Some(f) = nb.try_recv().unwrap() {
-                break f;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        };
-        assert_eq!(got, b"ping");
+        assert_eq!(poll_until(|| nb.try_recv().unwrap()), b"ping");
 
         nb.enqueue_send(b"pong").unwrap();
         while !nb.flush().unwrap() {
@@ -444,31 +393,6 @@ mod tests {
             }
         };
         assert_eq!(err, TransportError::Closed);
-    }
-
-    #[test]
-    fn acceptor_fallback_path_still_accepts() {
-        let mut acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
-        assert!(acceptor.reactor_active(), "reactor path expected on linux");
-        acceptor.disable_reactor();
-        acceptor.set_accept_backoff(Duration::from_millis(2));
-        assert!(!acceptor.reactor_active());
-        assert!(acceptor
-            .poll_accept(Duration::from_millis(10))
-            .unwrap()
-            .is_none());
-        let addr = acceptor.local_addr();
-        let client = std::thread::spawn(move || {
-            let mut c = TcpTransport::connect(addr).unwrap();
-            c.send(b"fallback").unwrap();
-        });
-        let mut conn = acceptor
-            .poll_accept(Duration::from_secs(5))
-            .unwrap()
-            .expect("client connected");
-        conn.set_deadline(Some(Duration::from_secs(5))).unwrap();
-        assert_eq!(conn.recv().unwrap(), b"fallback");
-        client.join().unwrap();
     }
 
     #[test]

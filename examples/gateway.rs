@@ -6,7 +6,7 @@
 //! ```
 //!
 //! One process, three roles:
-//! - the **gateway**: accept thread + event-loop shards on 127.0.0.1,
+//! - the **gateway**: event-loop shards sharing one listener on 127.0.0.1,
 //!   driving a retry/backoff cursor per prover connection;
 //! - three **honest provers**, each dialing in over TCP and answering the
 //!   memory-MAC challenge;
@@ -115,7 +115,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "gateway      : accepted {} = busy {} + admitted {}; ok {} / failed {} / handshake {}",
         stats.accepted,
         stats.busy_rejected,
-        stats.enqueued,
+        stats.admitted,
         stats.sessions_ok,
         stats.sessions_failed,
         stats.handshake_failed

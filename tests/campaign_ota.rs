@@ -25,7 +25,7 @@ use proverguard_attest::services::{updated_flash_digest, Command};
 use proverguard_attest::verifier::{ScopePolicy, Verifier};
 use proverguard_attest::AttestError;
 use proverguard_mcu::map;
-use proverguard_transport::{Acceptor, LoopbackHub, DEFAULT_MAX_FRAME};
+use proverguard_transport::{loopback_pair, Transport, DEFAULT_MAX_FRAME};
 
 const KEY: [u8; 16] = [0x42; 16];
 
@@ -238,17 +238,12 @@ fn gateway_command_roundtrip_updates_and_reattests() {
     // gateway-driven sessions; this test drives the frames by hand).
     let mut verifier = Verifier::new(&ProverConfig::recommended(), &KEY).expect("verifier");
 
-    let (mut hub, connector) = LoopbackHub::new(DEFAULT_MAX_FRAME);
+    let (mut conn, mut agent_conn) = loopback_pair(DEFAULT_MAX_FRAME);
     let agent_join = thread::spawn(move || {
-        let mut conn = connector.connect().expect("connect");
-        let outcome = agent.run_session(&mut conn, Duration::from_secs(5));
+        let outcome = agent.run_session(&mut agent_conn, Duration::from_secs(5));
         (agent, outcome)
     });
 
-    let mut conn = hub
-        .poll_accept(Duration::from_secs(5))
-        .expect("accept")
-        .expect("connection");
     conn.set_deadline(Some(Duration::from_secs(5)))
         .expect("deadline");
 

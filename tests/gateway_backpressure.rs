@@ -36,7 +36,7 @@ fn patient() -> RetryPolicy {
 }
 
 /// One dial against the gateway; reports whether it was shed with `Busy`.
-/// The accept loop writes the `Busy` frame and hangs up immediately, so
+/// The accepting shard writes the `Busy` frame and hangs up at once, so
 /// the `Hello` send may fail while the verdict is already queued — drain
 /// rather than trust the send result.
 fn dial_expect_busy(connector: &LoopbackConnector) -> bool {

@@ -7,6 +7,8 @@
 //! pins every protocol-visible count to its exact value, and a table
 //! pins the accounting of every kind of first frame.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -19,7 +21,8 @@ use proverguard_attest::prover::{Prover, ProverConfig};
 use proverguard_attest::session::RetryPolicy;
 use proverguard_attest::verifier::Verifier;
 use proverguard_transport::{
-    Acceptor, LoopbackConnector, LoopbackHub, Transport, TransportError, DEFAULT_MAX_FRAME,
+    Acceptor, LoopbackConnector, LoopbackHub, NbTransport, Notifier, ReadySource, Transport,
+    TransportError, DEFAULT_MAX_FRAME,
 };
 
 fn provision(index: u64) -> (Prover, Verifier) {
@@ -159,7 +162,7 @@ fn honest_fleet_verifies_over_reactor() {
     assert_eq!(report.stats.sessions_ok, FLEET as u64);
     assert_eq!(report.stats.handshake_failed, 0);
     assert_eq!(
-        assigned, report.stats.enqueued,
+        assigned, report.stats.admitted,
         "shard assignment must cover exactly the admitted connections"
     );
     assert!(
@@ -572,7 +575,7 @@ fn honest_fleet_verifies_under_flood() {
         "every garbage connection dies at the handshake: {:?}",
         report.stats
     );
-    assert_eq!(assigned, report.stats.enqueued);
+    assert_eq!(assigned, report.stats.admitted);
     assert!(
         report.stats.partition_holds(),
         "partition law violated: {:?}",
@@ -580,36 +583,62 @@ fn honest_fleet_verifies_under_flood() {
     );
 }
 
-/// An acceptor whose first poll fails with an OS error (an aborted peer,
-/// a transient `EMFILE`) before it serves the loopback hub.
+/// Consecutive failures [`FlakyAcceptor`] opens with.
+const ACCEPT_FAILURES: usize = 3;
+
+/// What [`FlakyAcceptor`] saw of the gateway calling it.
+#[derive(Default)]
+struct AcceptLog {
+    calls: AtomicU64,
+    /// The number of the call that returned the first connection.
+    calls_to_first_accept: AtomicU64,
+    errors_at: Mutex<Vec<Instant>>,
+}
+
+/// An acceptor whose first [`ACCEPT_FAILURES`] calls fail with an OS
+/// error (an aborted peer, a persistent `EMFILE`) before it serves the
+/// loopback hub.
 struct FlakyAcceptor {
     hub: LoopbackHub,
-    failed: bool,
+    log: Arc<AcceptLog>,
 }
 
 impl Acceptor for FlakyAcceptor {
-    fn poll_accept(
-        &mut self,
-        timeout: Duration,
-    ) -> Result<Option<Box<dyn Transport>>, TransportError> {
-        if !self.failed {
-            self.failed = true;
+    fn ready_source(&self) -> ReadySource {
+        self.hub.ready_source()
+    }
+
+    fn attach_notifier(&self, notifier: Notifier) {
+        self.hub.attach_notifier(notifier);
+    }
+
+    fn try_accept(&self) -> Result<Option<Box<dyn NbTransport>>, TransportError> {
+        let call = self.log.calls.fetch_add(1, Ordering::SeqCst) + 1;
+        let mut errors_at = self.log.errors_at.lock().unwrap();
+        if errors_at.len() < ACCEPT_FAILURES {
+            errors_at.push(Instant::now());
             return Err(TransportError::Io {
                 kind: std::io::ErrorKind::Other,
                 msg: "too many open files".to_string(),
             });
         }
-        self.hub.poll_accept(timeout)
-    }
-
-    fn local_label(&self) -> String {
-        self.hub.local_label()
+        let accepted = self.hub.try_accept()?;
+        if accepted.is_some() {
+            let _ = self.log.calls_to_first_accept.compare_exchange(
+                0,
+                call,
+                Ordering::SeqCst,
+                Ordering::SeqCst,
+            );
+        }
+        Ok(accepted)
     }
 }
 
-/// One acceptor error must not stop the gateway accepting: it is counted
-/// and the accept loop keeps listening, so an honest agent dialing after
-/// it still verifies.
+/// Acceptor errors must neither stop the gateway accepting nor spin the
+/// shard: each is counted and pauses the listener for 10 ms, so an
+/// honest agent dialing meanwhile verifies after a handful of calls (a
+/// spinning shard makes thousands).
 #[test]
 fn acceptor_error_does_not_stop_accepting() {
     let mut directory = DeviceDirectory::new();
@@ -618,18 +647,40 @@ fn acceptor_error_does_not_stop_accepting() {
     let mut agent = ProverAgent::new(prover, id);
 
     let (hub, connector) = LoopbackHub::new(DEFAULT_MAX_FRAME);
-    let acceptor = FlakyAcceptor { hub, failed: false };
+    let log = Arc::new(AcceptLog::default());
+    let acceptor = FlakyAcceptor {
+        hub,
+        log: Arc::clone(&log),
+    };
     let handle = Gateway::start(Box::new(acceptor), directory, reactor_config(1, 64));
 
     let outcome =
         agent.attest_with_retry(dial(&connector), &patient(), Duration::from_secs(30), 50);
     assert!(
         outcome.is_verified(),
-        "the gateway must still accept after an acceptor error: {outcome:?}"
+        "the gateway must still accept after acceptor errors: {outcome:?}"
     );
 
     let report = handle.shutdown();
-    assert_eq!(report.metrics.counter("gateway.accept_errors"), Some(1));
+    assert_eq!(
+        report.metrics.counter("gateway.accept_errors"),
+        Some(ACCEPT_FAILURES as u64)
+    );
+    let k = ACCEPT_FAILURES as u64;
+    let first = log.calls_to_first_accept.load(Ordering::SeqCst);
+    assert!(
+        (k + 1..=k + 3).contains(&first),
+        "{first} accept calls up to the first connection ({} in all)",
+        log.calls.load(Ordering::SeqCst)
+    );
+    // Each error paused the listener for about 10 ms, so the errors
+    // spread over the pauses instead of coming back to back.
+    let errors_at = log.errors_at.lock().unwrap();
+    let spread = errors_at[ACCEPT_FAILURES - 1] - errors_at[0];
+    assert!(
+        spread >= Duration::from_millis(10),
+        "{ACCEPT_FAILURES} acceptor errors within {spread:?}"
+    );
     assert_eq!(report.stats.sessions_ok, 1);
     assert!(report.stats.partition_holds(), "{:?}", report.stats);
 }
